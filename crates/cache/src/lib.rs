@@ -95,8 +95,21 @@ impl CacheKey {
     /// Builds a key from a training stream and a detector's parameter
     /// rendering + window.
     pub fn for_training(training: &[Symbol], detector: impl Into<String>, window: usize) -> Self {
+        Self::for_fingerprint(fingerprint_stream(training), training, detector, window)
+    }
+
+    /// [`CacheKey::for_training`] with the stream's
+    /// [`fingerprint_stream`] already computed, for callers that request
+    /// many models of one stream: the fingerprint reads every symbol,
+    /// the rest of the key is constant-time.
+    pub fn for_fingerprint(
+        corpus: u64,
+        training: &[Symbol],
+        detector: impl Into<String>,
+        window: usize,
+    ) -> Self {
         CacheKey {
-            corpus: fingerprint_stream(training),
+            corpus,
             detector: detector.into(),
             window,
             training_len: training.len(),

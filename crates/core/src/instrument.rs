@@ -120,13 +120,14 @@ mod tests {
     /// A toy detector: response 1.0 whenever the window starts with
     /// symbol 7, else 0.25.
     struct StartsWithSeven {
+        name: &'static str,
         window: usize,
         trained: bool,
     }
 
     impl TrainedModel for StartsWithSeven {
         fn name(&self) -> &str {
-            "starts-with-seven"
+            self.name
         }
         fn window(&self) -> usize {
             self.window
@@ -150,10 +151,12 @@ mod tests {
     #[test]
     fn wrapper_is_transparent() {
         let mut plain = StartsWithSeven {
+            name: "starts-with-seven",
             window: 2,
             trained: false,
         };
         let mut wrapped = InstrumentedDetector::new(StartsWithSeven {
+            name: "starts-with-seven",
             window: 2,
             trained: false,
         });
@@ -176,7 +179,11 @@ mod tests {
     #[test]
     fn wrapper_records_training_scoring_and_alarm_telemetry() {
         let before = detdiv_obs::snapshot();
+        // Telemetry counters are process-global and sibling tests score
+        // a `starts-with-seven` concurrently: exact deltas need a
+        // detector name no other test uses.
         let mut d = InstrumentedDetector::new(StartsWithSeven {
+            name: "counted-seven",
             window: 2,
             trained: false,
         });
@@ -185,22 +192,21 @@ mod tests {
         assert_eq!(scores.len(), 4);
         let after = detdiv_obs::snapshot();
         let delta = |name: &str| after.counter(name) - before.counter(name);
-        assert_eq!(delta("detector/starts-with-seven/train_calls"), 1);
-        assert_eq!(delta("detector/starts-with-seven/score_calls"), 1);
-        assert_eq!(delta("detector/starts-with-seven/windows_scored"), 4);
-        assert_eq!(delta("detector/starts-with-seven/alarms_raised"), 2);
+        assert_eq!(delta("detector/counted-seven/train_calls"), 1);
+        assert_eq!(delta("detector/counted-seven/score_calls"), 1);
+        assert_eq!(delta("detector/counted-seven/windows_scored"), 4);
+        assert_eq!(delta("detector/counted-seven/alarms_raised"), 2);
         let train_hist = after
-            .histogram("detector/starts-with-seven/train_ns")
+            .histogram("detector/counted-seven/train_ns")
             .expect("train histogram recorded");
         assert!(train_hist.count >= 1);
-        assert!(after
-            .histogram("detector/starts-with-seven/score_ns")
-            .is_some());
+        assert!(after.histogram("detector/counted-seven/score_ns").is_some());
     }
 
     #[test]
     fn boxed_dynamic_detectors_can_be_wrapped() {
         let boxed: Box<dyn SequenceAnomalyDetector> = Box::new(StartsWithSeven {
+            name: "starts-with-seven",
             window: 2,
             trained: false,
         });

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_hmm::{baum_welch, Hmm, InitStrategy, TrainConfig};
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{BuildSymbolHasher, Symbol};
 
 /// Hyperparameters of the HMM-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +155,7 @@ impl TrainedModel for HmmDetector {
         let Some(model) = &self.model else {
             return vec![1.0; test.len() - self.window + 1];
         };
-        let mut cache: HashMap<&[Symbol], f64> = HashMap::new();
+        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
         test.windows(self.window)
             .map(|w| {
                 if let Some(&s) = cache.get(w) {

@@ -16,8 +16,10 @@
 //! `DW(DW−1)/2` (10 of 15 for DW = 5) — "close to normal" — which is why
 //! the detector is blind across the entire MFS space (§7, Figure 3).
 
+use std::collections::HashMap;
+
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_sequence::{NgramSet, Symbol};
+use detdiv_sequence::{BuildSymbolHasher, NgramSet, Symbol};
 
 /// Pairwise adjacency-weighted similarity between two same-length
 /// sequences.
@@ -87,7 +89,7 @@ pub const fn lane_brodley_sim_max(window: usize) -> u64 {
 #[derive(Debug, Clone)]
 pub struct LaneBrodley {
     window: usize,
-    normals: Vec<Box<[Symbol]>>,
+    normals: NgramSet,
 }
 
 impl LaneBrodley {
@@ -101,7 +103,7 @@ impl LaneBrodley {
         assert!(window > 0, "detector window must be positive");
         LaneBrodley {
             window,
-            normals: Vec::new(),
+            normals: NgramSet::new(window),
         }
     }
 
@@ -112,24 +114,26 @@ impl LaneBrodley {
 
     /// Anomaly response of a single window against the trained model.
     ///
+    /// The cost does not depend on the order the normals are stored in:
+    /// a window in the database is answered by one lookup (an exact
+    /// match scores `Sim_max`, so its response is exactly 0), and any
+    /// other window is compared against every normal.
+    ///
     /// # Panics
     ///
     /// Panics if `window.len()` differs from the detector window.
     pub fn response(&self, window: &[Symbol]) -> f64 {
         assert_eq!(window.len(), self.window, "window length mismatch");
-        if self.normals.is_empty() {
-            return 1.0;
+        if self.normals.contains(window) {
+            return 0.0;
         }
-        let sim_max = lane_brodley_sim_max(self.window);
-        let mut best = 0;
-        for n in &self.normals {
-            best = best.max(lane_brodley_similarity(window, n));
-            if best == sim_max {
-                // An exact normal match; no other normal can score higher.
-                break;
-            }
-        }
-        1.0 - best as f64 / sim_max as f64
+        let best = self
+            .normals
+            .iter()
+            .map(|n| lane_brodley_similarity(window, n))
+            .max()
+            .unwrap_or(0);
+        1.0 - best as f64 / lane_brodley_sim_max(self.window) as f64
     }
 }
 
@@ -143,9 +147,9 @@ impl TrainedModel for LaneBrodley {
     }
 
     fn approx_bytes(&self) -> usize {
-        // One boxed normal sequence of `window` symbols per entry.
-        self.normals.len()
-            * (self.window * std::mem::size_of::<Symbol>() + std::mem::size_of::<Box<[Symbol]>>())
+        // The same n-gram set Stide holds: one boxed normal sequence of
+        // `window` symbols per entry, plus hash-set bookkeeping.
+        self.normals.len() * (self.window * std::mem::size_of::<Symbol>() + 48)
     }
 
     fn scores(&self, test: &[Symbol]) -> Vec<f64> {
@@ -154,7 +158,7 @@ impl TrainedModel for LaneBrodley {
         }
         // Test streams are highly repetitive; memoise per distinct
         // window so the max-similarity scan runs once per pattern.
-        let mut cache: std::collections::HashMap<&[Symbol], f64> = std::collections::HashMap::new();
+        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
         test.windows(self.window)
             .map(|w| {
                 if let Some(&s) = cache.get(w) {
@@ -184,8 +188,7 @@ impl SequenceAnomalyDetector for LaneBrodley {
         // Deduplicate: similarity against duplicate normals is wasted
         // work, and the max over a set equals the max over its distinct
         // members.
-        let set = NgramSet::from_stream(training, self.window);
-        self.normals = set.iter().map(|g| g.to_vec().into_boxed_slice()).collect();
+        self.normals = NgramSet::from_stream(training, self.window);
     }
 }
 

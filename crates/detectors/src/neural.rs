@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_markov::ConditionalModel;
 use detdiv_nn::{encode_context, Mlp, MlpConfig};
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{BuildSymbolHasher, Symbol};
 
 /// Hyperparameters of the neural-network-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,7 +182,7 @@ impl TrainedModel for NeuralDetector {
         };
         // Repetitive streams revisit the same window constantly; memoise
         // the forward passes.
-        let mut cache: HashMap<&[Symbol], f64> = HashMap::new();
+        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
         test.windows(self.window)
             .map(|w| {
                 if let Some(&s) = cache.get(w) {

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_rules::{learn_rules, Example, LearnConfig, RuleSet};
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{BuildSymbolHasher, Symbol};
 
 /// Hyperparameters of the rule-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +132,7 @@ impl TrainedModel for RipperDetector {
         let Some(rules) = &self.rules else {
             return vec![1.0; test.len() - self.window + 1];
         };
-        let mut cache: HashMap<&[Symbol], f64> = HashMap::new();
+        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
         test.windows(self.window)
             .map(|w| {
                 if let Some(&s) = cache.get(w) {

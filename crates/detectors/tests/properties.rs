@@ -5,6 +5,8 @@ use detdiv_detectors::{
     lane_brodley_sim_max, lane_brodley_similarity, LaneBrodley, MarkovDetector, Stide, StideLfc,
     TStide,
 };
+use std::collections::BTreeSet;
+
 use detdiv_sequence::{Symbol, DEFAULT_RARE_THRESHOLD};
 use proptest::prelude::*;
 
@@ -37,6 +39,38 @@ proptest! {
         prop_assert!(sab <= lane_brodley_sim_max(5));
         prop_assert_eq!(sab == lane_brodley_sim_max(5), a == b);
         prop_assert_eq!(lane_brodley_similarity(&a, &a), lane_brodley_sim_max(5));
+    }
+
+    /// The L&B response is bit-identical to the brute-force definition,
+    /// `1 - max Sim(window, n) / Sim_max` over the distinct training
+    /// windows `n`, for normal, near-normal and foreign windows.
+    #[test]
+    fn lane_brodley_response_is_the_brute_force_maximum(
+        train in stream(4, 0, 150),
+        foreign in stream(6, 15, 15),
+        dw in 1usize..=15,
+    ) {
+        let mut det = LaneBrodley::new(dw);
+        det.train(&train);
+        let normals: BTreeSet<&[Symbol]> = train.windows(dw).collect();
+        let brute = |w: &[Symbol]| {
+            let best = normals
+                .iter()
+                .map(|n| lane_brodley_similarity(w, n))
+                .max()
+                .unwrap_or(0);
+            1.0 - best as f64 / lane_brodley_sim_max(dw) as f64
+        };
+        let mut probes: Vec<Vec<Symbol>> = vec![foreign[..dw].to_vec()];
+        for (i, w) in train.windows(dw).enumerate() {
+            probes.push(w.to_vec());
+            let mut near = w.to_vec();
+            near[i % dw] = Symbol::new((near[i % dw].id() + 1) % 4);
+            probes.push(near);
+        }
+        for w in &probes {
+            prop_assert_eq!(det.response(w).to_bits(), brute(w).to_bits(), "{:?}", w);
+        }
     }
 
     /// Every detector family produces responses in [0, 1] with the

@@ -80,7 +80,32 @@ pub fn trained_model_with_origin(
     kind: &DetectorKind,
     window: usize,
 ) -> (Arc<dyn TrainedModel>, ModelOrigin) {
-    let key = CacheKey::for_training(training, format!("{kind:?}"), window);
+    let corpus = detdiv_cache::fingerprint_stream(training);
+    trained_model_fingerprinted(corpus, training, kind, window)
+}
+
+/// The cache key of `kind` at `window` trained on `training`, whose
+/// [`detdiv_cache::fingerprint_stream`] is `corpus`: equal to
+/// [`CacheKey::for_training`] without re-reading the stream.
+pub(crate) fn model_key(
+    corpus: u64,
+    training: &[Symbol],
+    kind: &DetectorKind,
+    window: usize,
+) -> CacheKey {
+    CacheKey::for_fingerprint(corpus, training, format!("{kind:?}"), window)
+}
+
+/// [`trained_model_with_origin`] for a caller that already holds the
+/// training stream's fingerprint `corpus` — a sweep computes it once
+/// for all of its models.
+pub(crate) fn trained_model_fingerprinted(
+    corpus: u64,
+    training: &[Symbol],
+    kind: &DetectorKind,
+    window: usize,
+) -> (Arc<dyn TrainedModel>, ModelOrigin) {
+    let key = model_key(corpus, training, kind, window);
     let site = format!("train/{}", kind.name());
     let outcome = detdiv_resil::supervised(&site, &RetryPolicy::default(), || {
         detdiv_cache::global().get_or_train_traced(&key, || {

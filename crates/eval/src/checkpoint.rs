@@ -130,19 +130,16 @@ pub fn finish() -> io::Result<()> {
     }
 }
 
-/// The corpus identity rows are keyed under, or `None` when disarmed
-/// (so the fingerprint walk over the training stream is never paid on
-/// ordinary runs). Computed once per map, not once per row.
-pub(crate) fn corpus_tag(corpus: &Corpus) -> Option<String> {
+/// The corpus identity rows are keyed under, or `None` when disarmed.
+/// `fingerprint` is the training stream's
+/// [`detdiv_cache::fingerprint_stream`], which the sweep computes once
+/// for its model-cache keys as well. Computed once per map, not once
+/// per row.
+pub(crate) fn corpus_tag(corpus: &Corpus, fingerprint: u64) -> Option<String> {
     if !armed() {
         return None;
     }
-    let training = corpus.training();
-    Some(format!(
-        "{:016x}x{}",
-        detdiv_cache::fingerprint_stream(training),
-        training.len()
-    ))
+    Some(format!("{fingerprint:016x}x{}", corpus.training().len()))
 }
 
 fn row_key(tag: &str, kind: &DetectorKind, window: usize) -> String {

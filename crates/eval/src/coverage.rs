@@ -21,7 +21,7 @@ use detdiv_core::{evaluate_case, evaluate_scores, CellStatus, CoverageMap, Label
 use detdiv_resil::{CellOutcome, RetryPolicy};
 use detdiv_synth::Corpus;
 
-use crate::cached::trained_model_with_origin;
+use crate::cached::trained_model_fingerprinted;
 use crate::checkpoint;
 use crate::error::HarnessError;
 use crate::kinds::DetectorKind;
@@ -42,14 +42,18 @@ fn row_policy() -> RetryPolicy {
 /// from the single-flight cache thereafter — and scores it against every
 /// anomaly size of the corpus, returning the row's cells in ascending AS
 /// order. This is the unit of parallel work: rows share nothing but the
-/// read-only corpus and the immutable cached models.
+/// read-only corpus and the immutable cached models. `fingerprint` is
+/// the training stream's [`detdiv_cache::fingerprint_stream`], computed
+/// once per sweep rather than once per row.
 fn coverage_row(
     corpus: &Corpus,
+    fingerprint: u64,
     kind: &DetectorKind,
     window: usize,
 ) -> Result<CoverageRow, HarnessError> {
     let config = corpus.config();
-    let (detector, origin) = trained_model_with_origin(corpus.training(), kind, window);
+    let (detector, origin) =
+        trained_model_fingerprinted(fingerprint, corpus.training(), kind, window);
     let mut row = Vec::with_capacity(config.anomaly_sizes().count());
     for anomaly_size in config.anomaly_sizes() {
         let cell_started = std::time::Instant::now();
@@ -148,7 +152,8 @@ pub fn coverage_map(corpus: &Corpus, kind: &DetectorKind) -> Result<CoverageMap,
     // Re-root worker-thread span stacks under this experiment so their
     // `train` spans and grid cells carry the right context.
     let parent = detdiv_obs::current_path();
-    let tag = checkpoint::corpus_tag(corpus);
+    let fingerprint = detdiv_cache::fingerprint_stream(corpus.training());
+    let tag = checkpoint::corpus_tag(corpus, fingerprint);
     let rows = detdiv_par::par_try_map_supervised(
         &windows,
         &row_policy(),
@@ -161,7 +166,7 @@ pub fn coverage_map(corpus: &Corpus, kind: &DetectorKind) -> Result<CoverageMap,
                 return Ok(row);
             }
             let _ctx = detdiv_obs::context(&parent);
-            let row = coverage_row(corpus, kind, window)?;
+            let row = coverage_row(corpus, fingerprint, kind, window)?;
             if let Some(tag) = tag.as_deref() {
                 checkpoint::record(tag, kind, window, &row);
             }
@@ -228,7 +233,8 @@ pub fn coverage_maps_for(
         .flat_map(|kind_index| windows.iter().map(move |&window| (kind_index, window)))
         .collect();
     let parent = detdiv_obs::current_path();
-    let tag = checkpoint::corpus_tag(corpus);
+    let fingerprint = detdiv_cache::fingerprint_stream(corpus.training());
+    let tag = checkpoint::corpus_tag(corpus, fingerprint);
     let rows = detdiv_par::par_try_map_supervised(
         &jobs,
         &row_policy(),
@@ -243,7 +249,7 @@ pub fn coverage_maps_for(
             }
             let _ctx = detdiv_obs::context(&parent);
             let _span = detdiv_obs::span!("coverage", detector = kind.name());
-            let row = coverage_row(corpus, kind, window)?;
+            let row = coverage_row(corpus, fingerprint, kind, window)?;
             if let Some(tag) = tag.as_deref() {
                 checkpoint::record(tag, kind, window, &row);
             }
@@ -393,6 +399,35 @@ mod tests {
                 "{}",
                 kind.name()
             );
+        }
+    }
+
+    #[test]
+    fn sweep_keys_match_per_call_keys_and_leave_the_models_cached() {
+        // The sweep keys models by a fingerprint it computes once; if
+        // that key drifted from the per-call one, every later
+        // `trained_model` would silently retrain.
+        let corpus = corpus();
+        let training = corpus.training();
+        let fingerprint = detdiv_cache::fingerprint_stream(training);
+        let kinds = [DetectorKind::TStide, DetectorKind::Markov];
+        for kind in &kinds {
+            for window in corpus.config().windows() {
+                assert_eq!(
+                    crate::cached::model_key(fingerprint, training, kind, window),
+                    detdiv_cache::CacheKey::for_training(training, format!("{kind:?}"), window),
+                );
+            }
+        }
+        coverage_maps_for(&corpus, &kinds).unwrap();
+        if detdiv_cache::enabled() {
+            for kind in &kinds {
+                for window in corpus.config().windows() {
+                    let (_, origin) =
+                        crate::cached::trained_model_with_origin(training, kind, window);
+                    assert_eq!(origin.cache, "hit", "{} at DW {window}", kind.name());
+                }
+            }
         }
     }
 

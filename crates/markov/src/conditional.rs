@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{BuildSymbolHasher, Symbol};
 
 use crate::error::MarkovError;
 
@@ -42,7 +42,7 @@ impl Prediction {
 /// Per-context successor statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct SuccessorDist {
-    counts: HashMap<Symbol, u64>,
+    counts: HashMap<Symbol, u64, BuildSymbolHasher>,
     total: u64,
 }
 
@@ -72,7 +72,7 @@ struct SuccessorDist {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConditionalModel {
     context_len: usize,
-    table: HashMap<Box<[Symbol]>, SuccessorDist>,
+    table: HashMap<Box<[Symbol]>, SuccessorDist, BuildSymbolHasher>,
 }
 
 impl ConditionalModel {
@@ -94,7 +94,8 @@ impl ConditionalModel {
                 needed: context_len + 1,
             });
         }
-        let mut table: HashMap<Box<[Symbol]>, SuccessorDist> = HashMap::new();
+        let mut table: HashMap<Box<[Symbol]>, SuccessorDist, BuildSymbolHasher> =
+            HashMap::default();
         for w in stream.windows(context_len + 1) {
             let (context, next) = (&w[..context_len], w[context_len]);
             if let Some(dist) = table.get_mut(context) {

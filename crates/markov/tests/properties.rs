@@ -10,7 +10,65 @@ fn stream(max_sym: u32, min_len: usize, max_len: usize) -> impl Strategy<Value =
     prop::collection::vec((0..max_sym).prop_map(Symbol::new), min_len..=max_len)
 }
 
+/// Strategy: an alphabet and a stream drawn from it. The alphabets are
+/// small dense ids, ids that differ only in their high bits, and a few
+/// ids from the full `u32` range — what the symbol hasher must spread.
+fn alphabet_stream(max_len: usize) -> impl Strategy<Value = (Vec<Symbol>, Vec<Symbol>)> {
+    let alphabet = prop_oneof![
+        Just((0..4).map(Symbol::new).collect::<Vec<_>>()),
+        Just(
+            (0..8u32)
+                .map(|k| Symbol::new(k << 29 | 5))
+                .collect::<Vec<_>>()
+        ),
+        prop::collection::vec((0..=u32::MAX).prop_map(Symbol::new), 2..6),
+    ];
+    (alphabet, prop::collection::vec(0usize..64, 0..=max_len)).prop_map(|(alphabet, picks)| {
+        let stream = picks
+            .iter()
+            .map(|&i| alphabet[i % alphabet.len()])
+            .collect();
+        (alphabet, stream)
+    })
+}
+
 proptest! {
+    /// `predict` answers exactly as a naive scan of the stream, for
+    /// every observed context, each followed by every alphabet symbol,
+    /// and for contexts that never occur — at context lengths 1-15, on
+    /// every alphabet.
+    #[test]
+    fn predict_matches_a_naive_scan(
+        corpus in alphabet_stream(200),
+        k in 1usize..=15,
+        random in prop::collection::vec(0usize..64, 0..=60),
+    ) {
+        let (alphabet, s) = corpus;
+        prop_assume!(s.len() > k);
+        let m = ConditionalModel::estimate(&s, k).unwrap();
+        let windows = || s.windows(k + 1);
+        let mut contexts: Vec<Vec<Symbol>> = s.windows(k).map(<[Symbol]>::to_vec).collect();
+        contexts.extend(
+            random
+                .chunks_exact(k)
+                .map(|c| c.iter().map(|&i| alphabet[i % alphabet.len()]).collect()),
+        );
+        for context in &contexts {
+            let seen = windows().filter(|w| w[..k] == context[..]).count() as u64;
+            for &next in &alphabet {
+                let expected = if seen == 0 {
+                    Prediction::UnseenContext
+                } else {
+                    let hits = windows()
+                        .filter(|w| w[..k] == context[..] && w[k] == next)
+                        .count() as u64;
+                    Prediction::Known(hits as f64 / seen as f64)
+                };
+                prop_assert_eq!(m.predict(context, next), expected, "{:?} -> {}", context, next);
+            }
+        }
+    }
+
     /// Estimated transition matrices are row-stochastic for any stream.
     #[test]
     fn estimated_rows_are_stochastic(s in stream(5, 2, 200), smoothing in 0.0f64..2.0) {

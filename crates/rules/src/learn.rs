@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{BuildSymbolHasher, Symbol};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RuleError;
@@ -65,7 +65,7 @@ pub fn examples_from_stream(stream: &[Symbol], width: usize) -> Vec<Example> {
     if width == 0 || stream.len() <= width {
         return Vec::new();
     }
-    let mut counts: HashMap<(Vec<Symbol>, Symbol), f64> = HashMap::new();
+    let mut counts: HashMap<(Vec<Symbol>, Symbol), f64, BuildSymbolHasher> = HashMap::default();
     for w in stream.windows(width + 1) {
         *counts.entry((w[..width].to_vec(), w[width])).or_insert(0.0) += 1.0;
     }
@@ -162,7 +162,7 @@ pub fn learn_rules(examples: &[Example], config: &LearnConfig) -> Result<RuleSet
     }
 
     // Class inventory with weighted frequencies.
-    let mut class_weight: HashMap<Symbol, f64> = HashMap::new();
+    let mut class_weight: HashMap<Symbol, f64, BuildSymbolHasher> = HashMap::default();
     for e in examples {
         *class_weight.entry(e.class).or_insert(0.0) += e.weight;
     }

@@ -10,6 +10,8 @@
 //!   their closed universes;
 //! * [`NgramSet`] / [`NgramCounter`] — the "normal database" of DW-sized
 //!   sequences, in presence/absence and counting form;
+//! * [`BuildSymbolHasher`] — the word-at-a-time hasher of every table
+//!   keyed by symbols or symbol windows;
 //! * [`StreamProfile`] — multi-length occurrence profiles supporting the
 //!   study's anomaly taxonomy: *foreign*, *rare* (relative frequency
 //!   below 0.5 %, [`DEFAULT_RARE_THRESHOLD`]) and *minimal foreign*
@@ -45,12 +47,14 @@
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod error;
+mod hash;
 mod index;
 mod ngram;
 mod profile;
 mod symbol;
 
 pub use error::SequenceError;
+pub use hash::BuildSymbolHasher;
 pub use index::SubstringIndex;
 pub use ngram::{NgramCounter, NgramSet, DEFAULT_RARE_THRESHOLD};
 pub use profile::{minimal_foreign_positions, StreamProfile};

@@ -11,6 +11,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use crate::hash::BuildSymbolHasher;
 use crate::symbol::Symbol;
 
 /// The paper's definition of a *rare* sequence: relative frequency below
@@ -34,7 +35,7 @@ pub const DEFAULT_RARE_THRESHOLD: f64 = 0.005;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NgramSet {
     ngram_len: usize,
-    set: HashSet<Box<[Symbol]>>,
+    set: HashSet<Box<[Symbol]>, BuildSymbolHasher>,
 }
 
 impl NgramSet {
@@ -47,7 +48,7 @@ impl NgramSet {
         assert!(ngram_len > 0, "ngram length must be positive");
         NgramSet {
             ngram_len,
-            set: HashSet::new(),
+            set: HashSet::default(),
         }
     }
 
@@ -167,7 +168,7 @@ impl Extend<Box<[Symbol]>> for NgramSet {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NgramCounter {
     ngram_len: usize,
-    counts: HashMap<Box<[Symbol]>, u64>,
+    counts: HashMap<Box<[Symbol]>, u64, BuildSymbolHasher>,
     total: u64,
 }
 
@@ -181,7 +182,7 @@ impl NgramCounter {
         assert!(ngram_len > 0, "ngram length must be positive");
         NgramCounter {
             ngram_len,
-            counts: HashMap::new(),
+            counts: HashMap::default(),
             total: 0,
         }
     }

@@ -1,5 +1,7 @@
 //! Property-based tests for the sequence substrate's core invariants.
 
+use std::collections::BTreeSet;
+
 use detdiv_sequence::{minimal_foreign_positions, NgramCounter, NgramSet, StreamProfile, Symbol};
 use proptest::prelude::*;
 
@@ -9,7 +11,89 @@ fn stream(max_sym: u32, min_len: usize, max_len: usize) -> impl Strategy<Value =
     prop::collection::vec((0..max_sym).prop_map(Symbol::new), min_len..=max_len)
 }
 
+/// Strategy: an alphabet and a stream drawn from it. The alphabets are
+/// small dense ids, ids that differ only in their high bits, and a few
+/// ids from the full `u32` range — what the symbol hasher must spread.
+fn alphabet_stream(max_len: usize) -> impl Strategy<Value = (Vec<Symbol>, Vec<Symbol>)> {
+    let alphabet = prop_oneof![
+        Just((0..4).map(Symbol::new).collect::<Vec<_>>()),
+        Just(
+            (0..8u32)
+                .map(|k| Symbol::new(k << 29 | 5))
+                .collect::<Vec<_>>()
+        ),
+        prop::collection::vec((0..=u32::MAX).prop_map(Symbol::new), 2..6),
+    ];
+    (alphabet, prop::collection::vec(0usize..64, 0..=max_len)).prop_map(|(alphabet, picks)| {
+        let stream = picks
+            .iter()
+            .map(|&i| alphabet[i % alphabet.len()])
+            .collect();
+        (alphabet, stream)
+    })
+}
+
+/// Probes of length `len` for a table built from `stream`: every window
+/// of the stream, each with one symbol swapped for another alphabet
+/// symbol (near-normal), `random` windows over the alphabet (mostly
+/// foreign), and wrong-length probes.
+fn probes(
+    alphabet: &[Symbol],
+    stream: &[Symbol],
+    len: usize,
+    random: &[usize],
+) -> Vec<Vec<Symbol>> {
+    let mut probes: Vec<Vec<Symbol>> = Vec::new();
+    for (i, w) in stream.windows(len).enumerate() {
+        probes.push(w.to_vec());
+        let mut near = w.to_vec();
+        let at = i % len;
+        let pos = alphabet
+            .iter()
+            .position(|&a| a == near[at])
+            .expect("drawn from the alphabet");
+        near[at] = alphabet[(pos + 1) % alphabet.len()];
+        probes.push(near);
+    }
+    for chunk in random.chunks(len) {
+        probes.push(
+            chunk
+                .iter()
+                .map(|&i| alphabet[i % alphabet.len()])
+                .collect(),
+        );
+    }
+    probes.push(vec![alphabet[0]; len + 1]);
+    if len > 1 {
+        probes.push(vec![alphabet[0]; len - 1]);
+    }
+    probes
+}
+
 proptest! {
+    /// The hashed tables answer exactly as a naive scan of the stream,
+    /// at window lengths 1-15, on every alphabet.
+    #[test]
+    fn hashed_tables_match_a_naive_scan(
+        corpus in alphabet_stream(200),
+        len in 1usize..=15,
+        random in prop::collection::vec(0usize..64, 0..=60),
+    ) {
+        let (alphabet, s) = corpus;
+        let set = NgramSet::from_stream(&s, len);
+        let counter = NgramCounter::from_stream(&s, len);
+        let occurrences = |g: &[Symbol]| s.windows(len).filter(|w| *w == g).count() as u64;
+        for probe in probes(&alphabet, &s, len, &random) {
+            let expected = if probe.len() == len { occurrences(&probe) } else { 0 };
+            prop_assert_eq!(set.contains(&probe), expected > 0, "{:?}", probe);
+            prop_assert_eq!(counter.count(&probe), expected, "{:?}", probe);
+        }
+        prop_assert_eq!(counter.total_windows(), s.windows(len).count() as u64);
+        let distinct: BTreeSet<&[Symbol]> = s.windows(len).collect();
+        prop_assert_eq!(counter.distinct(), distinct.len());
+        prop_assert_eq!(set.len(), distinct.len());
+    }
+
     /// Every window of the source stream is contained in the set built
     /// from it, and its count in the counter is positive.
     #[test]

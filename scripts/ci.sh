@@ -7,7 +7,10 @@
 #   1. cargo fmt --check      — formatting is canonical
 #   2. cargo clippy           — lints as errors across the workspace
 #   3. cargo build --release  — the artifacts the paper run uses
-#   4. cargo test -q          — every unit, integration, and doc test
+#   4. cargo test -q          — every unit, integration, and doc test,
+#                               then the benchmark's own smoke tests
+#                               (perfbench/ is a package of its own,
+#                               so the workspace run never builds it)
 #   5. determinism gate       — the JSON report regenerated at
 #                               DETDIV_THREADS=1 and =4 must be
 #                               byte-identical (DETDIV_LOG=off so the
@@ -111,6 +114,11 @@ cargo build --release --workspace
 
 banner "cargo test -q"
 cargo test -q --workspace --release
+
+banner "benchmark smoke tests (perfbench output checks)"
+# A library change that breaks one of the benchmark's output checks
+# fails here rather than only when the benchmark itself runs.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 banner "determinism gate (DETDIV_THREADS=1 vs 4)"
 # Regenerate the full report twice at different pool widths and demand
