@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use detdiv_bench::small_corpus;
 use detdiv_core::{LabeledCase, SequenceAnomalyDetector};
 use detdiv_eval::DetectorKind;
+use detdiv_sequence::StreamProfile;
 
 fn kinds() -> Vec<DetectorKind> {
     vec![
@@ -29,7 +30,7 @@ fn bench_training(c: &mut Criterion) {
             |b, kind| {
                 b.iter_batched(
                     || kind.build(6),
-                    |mut det| det.train(training),
+                    |mut det| det.train(&StreamProfile::new(training)),
                     BatchSize::LargeInput,
                 );
             },
@@ -47,7 +48,7 @@ fn bench_scoring(c: &mut Criterion) {
     group.sample_size(10);
     for kind in kinds() {
         let mut det = kind.build(6);
-        det.train(corpus.training());
+        det.train(&StreamProfile::new(corpus.training()));
         group.bench_function(BenchmarkId::new(kind.name(), test.len()), |b| {
             b.iter(|| det.scores(test));
         });

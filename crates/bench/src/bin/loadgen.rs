@@ -57,7 +57,8 @@ use std::time::Instant;
 use detdiv_core::SequenceAnomalyDetector;
 use detdiv_detectors::Stide;
 use detdiv_guard::{BreakerConfig, DegradationLevel, GuardConfig};
-use detdiv_sequence::{symbols, Symbol};
+use detdiv_resil::Fnv1a;
+use detdiv_sequence::{symbols, StreamProfile, Symbol};
 use detdiv_serve::{
     IngestService, RecoverOutcome, RejectReason, ServeConfig, Tier1Config, VerdictEvent,
     VerdictSink,
@@ -264,7 +265,7 @@ fn event(i: u64, seq: u64) -> SignalContext {
 /// worker drains a shard at a time, so each shard's verdict order is
 /// deterministic even when shards interleave freely.
 struct LoadSink {
-    digests: Vec<Mutex<u64>>,
+    digests: Vec<Mutex<Fnv1a>>,
     latencies: Mutex<Vec<u64>>,
     seen: Mutex<u64>,
 }
@@ -272,9 +273,7 @@ struct LoadSink {
 impl LoadSink {
     fn new(shards: usize) -> LoadSink {
         LoadSink {
-            digests: (0..shards)
-                .map(|_| Mutex::new(0xcbf2_9ce4_8422_2325))
-                .collect(),
+            digests: (0..shards).map(|_| Mutex::new(Fnv1a::new())).collect(),
             latencies: Mutex::new(Vec::new()),
             seen: Mutex::new(0),
         }
@@ -282,13 +281,11 @@ impl LoadSink {
 
     /// Folds the per-shard digests, in shard order, into one value.
     fn combined(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for d in &self.digests {
-            for b in d.lock().unwrap().to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
+            h.write(&d.lock().unwrap().finish().to_le_bytes());
         }
-        h
+        h.finish()
     }
 }
 
@@ -301,9 +298,7 @@ impl VerdictSink for LoadSink {
             event.slot as u64,
             event.result.score.to_bits(),
         ] {
-            for b in word.to_le_bytes() {
-                *digest = (*digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
+            digest.write(&word.to_le_bytes());
         }
         drop(digest);
         let mut seen = self.seen.lock().unwrap();
@@ -371,7 +366,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..64 {
         train.extend(symbols(&[1, 2, 3, 4, 2, 3, 1, 4]));
     }
-    stide.train(&train);
+    stide.train(&StreamProfile::new(&train));
     let model: Arc<dyn detdiv_core::TrainedModel> = Arc::new(stide);
 
     let config = ServeConfig::new(args.shards, args.queue_cap);

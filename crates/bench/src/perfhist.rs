@@ -463,6 +463,21 @@ fn gate_metric(gated: &GatedMetric, files: &[BaselineFile], threshold_percent: f
 mod tests {
     use super::*;
 
+    /// Writes `json` to a temp file no other test in the process uses,
+    /// loads it as a baseline, and removes it.
+    fn load_temp(name: &str, json: &str) -> BaselineFile {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "detdiv-perfhist-test-{}-{seq}-{name}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, json).unwrap();
+        let parsed = BaselineFile::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        parsed
+    }
+
     fn synthetic(label: &str, wall: f64, training_len: u64, threads: u64) -> BaselineFile {
         synthetic_with_stream(label, wall, None, training_len, threads)
     }
@@ -482,15 +497,7 @@ mod tests {
             r#"{{"bench": "{label}", "training_len": {training_len}, "threads": {threads},
                 "wall_ms_trace_off": {wall}, "trace_dropped": 0{stream}}}"#
         );
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "detdiv-perfhist-test-{}-BENCH_{label}.json",
-            std::process::id()
-        ));
-        std::fs::write(&path, json).unwrap();
-        let parsed = BaselineFile::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        parsed
+        load_temp(&format!("BENCH_{label}"), &json)
     }
 
     /// A loadgen-shaped baseline: serve gauges plus the `streams`
@@ -508,15 +515,7 @@ mod tests {
                 "serve_events_per_sec": {eps}, "serve_p50_us": {p50_us},
                 "serve_p99_us": {p99_us}}}"#
         );
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "detdiv-perfhist-test-serve-{}-BENCH_{label}.json",
-            std::process::id()
-        ));
-        std::fs::write(&path, json).unwrap();
-        let parsed = BaselineFile::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        parsed
+        load_temp(&format!("BENCH_{label}"), &json)
     }
 
     fn any_regression(verdicts: &[Verdict]) -> bool {
@@ -762,13 +761,7 @@ mod tests {
     #[test]
     fn dotted_metrics_walk_nested_objects() {
         let json = r#"{"bench": "prX", "cache": {"hit_rate_percent": 60.25}}"#;
-        let path = std::env::temp_dir().join(format!(
-            "detdiv-perfhist-dotted-{}.json",
-            std::process::id()
-        ));
-        std::fs::write(&path, json).unwrap();
-        let f = BaselineFile::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let f = load_temp("dotted", json);
         assert_eq!(f.metric("cache.hit_rate_percent"), Some(60.25));
         assert_eq!(f.metric("cache.absent"), None);
         assert_eq!(f.metric("absent.whatever"), None);

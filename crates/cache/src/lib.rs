@@ -133,16 +133,11 @@ impl std::fmt::Display for CacheKey {
 /// the 64-bit space plus the `training_len` key component make them
 /// vanishingly unlikely for the corpus counts involved here.
 pub fn fingerprint_stream(stream: &[Symbol]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = detdiv_resil::Fnv1a::new();
     for s in stream {
-        for b in s.id().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
+        h.write(&s.id().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Aggregate cache statistics, independent of the telemetry switch.

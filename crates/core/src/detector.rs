@@ -8,7 +8,7 @@
 //! fixes that shape as a trait so the evaluation framework can treat all
 //! four (and any future) detectors uniformly.
 
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{StreamProfile, Symbol};
 
 /// The immutable scoring surface of a trained sequence anomaly detector.
 ///
@@ -97,13 +97,19 @@ pub trait TrainedModel: Send + Sync {
 /// evaluation framework scores through `&dyn TrainedModel` and never
 /// needs `&mut` again.
 pub trait SequenceAnomalyDetector: TrainedModel {
-    /// Acquires the model of normal behaviour from `training`.
+    /// Acquires the model of normal behaviour from the training stream
+    /// `profile` censuses.
+    ///
+    /// The counting families read the shared n-gram counter of their
+    /// window (`profile.counter(window)`), so detectors trained from one
+    /// profile count the stream once between them; the others read
+    /// `profile.stream()`.
     ///
     /// Called once per experiment; a second call replaces the model with
     /// one trained on the new stream only. Training on the same stream
     /// twice must produce equivalent models (identical scores on any
     /// test stream) — the property `detdiv-cache` relies on.
-    fn train(&mut self, training: &[Symbol]);
+    fn train(&mut self, profile: &StreamProfile<'_>);
 
     /// The smallest usable window for this detector family (2 for the
     /// Markov- and neural-network-based detectors, which need at least
@@ -136,8 +142,8 @@ impl<D: TrainedModel + ?Sized> TrainedModel for Box<D> {
 }
 
 impl<D: SequenceAnomalyDetector + ?Sized> SequenceAnomalyDetector for Box<D> {
-    fn train(&mut self, training: &[Symbol]) {
-        (**self).train(training)
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        (**self).train(profile)
     }
     fn min_window(&self) -> usize {
         (**self).min_window()
@@ -202,7 +208,7 @@ mod tests {
     }
 
     impl SequenceAnomalyDetector for FlagNine {
-        fn train(&mut self, _training: &[Symbol]) {}
+        fn train(&mut self, _profile: &StreamProfile<'_>) {}
     }
 
     #[test]
@@ -225,7 +231,7 @@ mod tests {
     #[test]
     fn boxed_detectors_delegate() {
         let mut d: Box<dyn SequenceAnomalyDetector> = Box::new(FlagNine { window: 2 });
-        d.train(&symbols(&[1, 2]));
+        d.train(&StreamProfile::new(&symbols(&[1, 2])));
         assert_eq!(d.name(), "flag-nine");
         assert_eq!(d.window(), 2);
         assert_eq!(d.maximal_response_floor(), 1.0);

@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{StreamProfile, Symbol};
 
 use crate::detector::{alarms_at, SequenceAnomalyDetector, TrainedModel};
 use crate::error::EvalError;
@@ -196,9 +196,9 @@ impl TrainedModel for AlarmEnsemble {
 }
 
 impl SequenceAnomalyDetector for AlarmEnsemble {
-    fn train(&mut self, training: &[Symbol]) {
+    fn train(&mut self, profile: &StreamProfile<'_>) {
         for m in &mut self.members {
-            m.train(training);
+            m.train(profile);
         }
     }
 
@@ -250,7 +250,7 @@ mod tests {
     }
 
     impl SequenceAnomalyDetector for FirstIs {
-        fn train(&mut self, _t: &[Symbol]) {}
+        fn train(&mut self, _profile: &StreamProfile<'_>) {}
     }
 
     fn det(trigger: u32) -> Box<dyn SequenceAnomalyDetector> {
@@ -322,7 +322,7 @@ mod tests {
             }
         }
         impl SequenceAnomalyDetector for CountTrain {
-            fn train(&mut self, _t: &[Symbol]) {
+            fn train(&mut self, _profile: &StreamProfile<'_>) {
                 self.trained = true;
             }
         }
@@ -334,7 +334,7 @@ mod tests {
                 Box::new(CountTrain { trained: false }),
             ],
         );
-        e.train(&symbols(&[1, 2, 3]));
+        e.train(&StreamProfile::new(&symbols(&[1, 2, 3])));
         // Indirect check: scores work after training and have the right
         // shape.
         assert_eq!(e.scores(&symbols(&[1, 2, 3])).len(), 2);
@@ -356,7 +356,7 @@ mod tests {
             }
         }
         impl SequenceAnomalyDetector for W3 {
-            fn train(&mut self, _t: &[Symbol]) {}
+            fn train(&mut self, _profile: &StreamProfile<'_>) {}
         }
         let _ = AlarmEnsemble::new("bad", CombinationRule::Any, vec![det(1), Box::new(W3)]);
     }

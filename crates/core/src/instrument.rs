@@ -20,7 +20,7 @@
 //! atomic load.
 
 use crate::detector::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{StreamProfile, Symbol};
 use std::time::Instant;
 
 /// A transparent telemetry-recording wrapper around any detector; see
@@ -96,12 +96,12 @@ impl<D: TrainedModel> TrainedModel for InstrumentedDetector<D> {
 }
 
 impl<D: SequenceAnomalyDetector> SequenceAnomalyDetector for InstrumentedDetector<D> {
-    fn train(&mut self, training: &[Symbol]) {
+    fn train(&mut self, profile: &StreamProfile<'_>) {
         if !detdiv_obs::telemetry_enabled() {
-            return self.inner.train(training);
+            return self.inner.train(profile);
         }
         let started = Instant::now();
-        self.inner.train(training);
+        self.inner.train(profile);
         let name = self.inner.name();
         detdiv_obs::record_duration(&format!("detector/{name}/train_ns"), started.elapsed());
         detdiv_obs::incr_counter(&format!("detector/{name}/train_calls"), 1);
@@ -143,7 +143,7 @@ mod tests {
     }
 
     impl SequenceAnomalyDetector for StartsWithSeven {
-        fn train(&mut self, _training: &[Symbol]) {
+        fn train(&mut self, _profile: &StreamProfile<'_>) {
             self.trained = true;
         }
     }
@@ -162,8 +162,8 @@ mod tests {
         });
         let train = symbols(&[1, 2, 3]);
         let test = symbols(&[7, 1, 7, 2]);
-        plain.train(&train);
-        wrapped.train(&train);
+        plain.train(&StreamProfile::new(&train));
+        wrapped.train(&StreamProfile::new(&train));
         assert_eq!(wrapped.name(), plain.name());
         assert_eq!(wrapped.window(), plain.window());
         assert_eq!(wrapped.min_window(), plain.min_window());
@@ -187,7 +187,7 @@ mod tests {
             window: 2,
             trained: false,
         });
-        d.train(&symbols(&[1, 2, 3, 4]));
+        d.train(&StreamProfile::new(&symbols(&[1, 2, 3, 4])));
         let scores = d.scores(&symbols(&[7, 1, 7, 2, 3]));
         assert_eq!(scores.len(), 4);
         let after = detdiv_obs::snapshot();
@@ -211,7 +211,7 @@ mod tests {
             trained: false,
         });
         let mut wrapped = InstrumentedDetector::new(boxed);
-        wrapped.train(&symbols(&[1, 2, 3]));
+        wrapped.train(&StreamProfile::new(&symbols(&[1, 2, 3])));
         assert_eq!(wrapped.scores(&symbols(&[7, 1, 2])).len(), 2);
         assert_eq!(wrapped.name(), "starts-with-seven");
     }

@@ -189,10 +189,11 @@ pub fn classify_scores(
 /// use detdiv_core::{
 ///     evaluate_case, Classification, OwnedCase, SequenceAnomalyDetector, TrainedModel,
 /// };
-/// use detdiv_sequence::{symbols, NgramSet, Symbol};
+/// use detdiv_sequence::{symbols, NgramCounter, StreamProfile, Symbol};
+/// use std::sync::Arc;
 ///
 /// /// A miniature Stide: foreign window => 1, known window => 0.
-/// struct MiniStide { dw: usize, db: NgramSet }
+/// struct MiniStide { dw: usize, db: Arc<NgramCounter> }
 /// impl TrainedModel for MiniStide {
 ///     fn name(&self) -> &str { "mini-stide" }
 ///     fn window(&self) -> usize { self.dw }
@@ -204,7 +205,7 @@ pub fn classify_scores(
 ///     }
 /// }
 /// impl SequenceAnomalyDetector for MiniStide {
-///     fn train(&mut self, t: &[Symbol]) { self.db = NgramSet::from_stream(t, self.dw); }
+///     fn train(&mut self, p: &StreamProfile<'_>) { self.db = p.counter(self.dw); }
 /// }
 ///
 /// let case = OwnedCase {
@@ -213,8 +214,8 @@ pub fn classify_scores(
 ///     injection_position: 5,
 ///     anomaly_len: 2, // the (3, 2) at positions 5..7
 /// };
-/// let mut det = MiniStide { dw: 2, db: NgramSet::new(2) };
-/// det.train(case.training.as_slice());
+/// let mut det = MiniStide { dw: 2, db: Arc::new(NgramCounter::new(2)) };
+/// det.train(&StreamProfile::new(&case.training));
 /// let outcome = evaluate_case(&det, &case).unwrap();
 /// assert_eq!(outcome.classification(), Classification::Capable);
 /// ```

@@ -6,7 +6,7 @@ use detdiv_core::{
     CoverageMap, DiversityMatrix, IncidentSpan, InstrumentedDetector, SequenceAnomalyDetector,
     TrainedModel,
 };
-use detdiv_sequence::{symbols, Symbol};
+use detdiv_sequence::{symbols, StreamProfile, Symbol};
 use proptest::prelude::*;
 
 /// A deterministic toy detector for transparency properties: response
@@ -44,8 +44,8 @@ impl TrainedModel for ModTen {
 }
 
 impl SequenceAnomalyDetector for ModTen {
-    fn train(&mut self, training: &[Symbol]) {
-        self.trained_events += training.len();
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        self.trained_events += profile.stream_len();
     }
 }
 
@@ -205,8 +205,8 @@ proptest! {
         let training = symbols(&training);
         let mut plain = ModTen { name: "prop-transparent", window, trained_events: 0 };
         let mut wrapped = InstrumentedDetector::new(plain.clone());
-        plain.train(&training);
-        wrapped.train(&training);
+        plain.train(&StreamProfile::new(&training));
+        wrapped.train(&StreamProfile::new(&training));
         prop_assert_eq!(wrapped.name(), plain.name());
         prop_assert_eq!(wrapped.window(), plain.window());
         prop_assert_eq!(wrapped.min_window(), plain.min_window());

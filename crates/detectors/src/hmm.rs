@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_hmm::{baum_welch, Hmm, InitStrategy, TrainConfig};
-use detdiv_sequence::{BuildSymbolHasher, Symbol};
+use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
 
 /// Hyperparameters of the HMM-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +58,13 @@ impl Default for HmmConfig {
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::HmmDetector;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut train = Vec::new();
 /// for _ in 0..200 { train.extend(symbols(&[0, 1, 2, 3])); }
 ///
 /// let mut det = HmmDetector::new(3);
-/// det.train(&train);
+/// det.train(&StreamProfile::new(&train));
 /// let normal = det.scores(&symbols(&[0, 1, 2]))[0];
 /// let foreign = det.scores(&symbols(&[0, 1, 0]))[0];
 /// assert!(normal < 0.5);
@@ -193,7 +193,8 @@ impl TrainedModel for HmmDetector {
 }
 
 impl SequenceAnomalyDetector for HmmDetector {
-    fn train(&mut self, training: &[Symbol]) {
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        let training = profile.stream();
         if training.is_empty() {
             self.model = None;
             return;
@@ -241,7 +242,7 @@ mod tests {
 
     fn trained(window: usize) -> HmmDetector {
         let mut det = HmmDetector::new(window);
-        det.train(&cycle_train(150));
+        det.train(&StreamProfile::new(&cycle_train(150)));
         det
     }
 

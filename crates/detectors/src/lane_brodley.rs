@@ -17,9 +17,10 @@
 //! the detector is blind across the entire MFS space (§7, Figure 3).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_sequence::{BuildSymbolHasher, NgramSet, Symbol};
+use detdiv_sequence::{BuildSymbolHasher, NgramCounter, StreamProfile, Symbol};
 
 /// Pairwise adjacency-weighted similarity between two same-length
 /// sequences.
@@ -38,7 +39,7 @@ use detdiv_sequence::{BuildSymbolHasher, NgramSet, Symbol};
 ///
 /// ```
 /// use detdiv_detectors::lane_brodley_similarity;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let normal = symbols(&[0, 1, 2, 3, 4]); // cd <1> ls laf tar
 /// assert_eq!(lane_brodley_similarity(&normal, &normal), 15);
@@ -78,10 +79,10 @@ pub const fn lane_brodley_sim_max(window: usize) -> u64 {
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::LaneBrodley;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut det = LaneBrodley::new(5);
-/// det.train(&symbols(&[0, 1, 2, 3, 4, 0, 1, 2, 3, 4]));
+/// det.train(&StreamProfile::new(&symbols(&[0, 1, 2, 3, 4, 0, 1, 2, 3, 4])));
 /// // Final-element mismatch: similarity 10/15, response 1/3.
 /// let scores = det.scores(&symbols(&[0, 1, 2, 3, 0]));
 /// assert!((scores[0] - 1.0 / 3.0).abs() < 1e-12);
@@ -89,7 +90,10 @@ pub const fn lane_brodley_sim_max(window: usize) -> u64 {
 #[derive(Debug, Clone)]
 pub struct LaneBrodley {
     window: usize,
-    normals: NgramSet,
+    /// The training census at `window`: its distinct grams are the
+    /// normal sequences (the max over duplicates equals the max over
+    /// distinct members).
+    normals: Arc<NgramCounter>,
 }
 
 impl LaneBrodley {
@@ -103,13 +107,13 @@ impl LaneBrodley {
         assert!(window > 0, "detector window must be positive");
         LaneBrodley {
             window,
-            normals: NgramSet::new(window),
+            normals: Arc::new(NgramCounter::new(window)),
         }
     }
 
     /// Number of distinct normal sequences in the model.
     pub fn normal_count(&self) -> usize {
-        self.normals.len()
+        self.normals.distinct()
     }
 
     /// Anomaly response of a single window against the trained model.
@@ -130,7 +134,7 @@ impl LaneBrodley {
         let best = self
             .normals
             .iter()
-            .map(|n| lane_brodley_similarity(window, n))
+            .map(|(n, _)| lane_brodley_similarity(window, n))
             .max()
             .unwrap_or(0);
         1.0 - best as f64 / lane_brodley_sim_max(self.window) as f64
@@ -147,9 +151,9 @@ impl TrainedModel for LaneBrodley {
     }
 
     fn approx_bytes(&self) -> usize {
-        // The same n-gram set Stide holds: one boxed normal sequence of
-        // `window` symbols per entry, plus hash-set bookkeeping.
-        self.normals.len() * (self.window * std::mem::size_of::<Symbol>() + 48)
+        // The counter Stide holds at this window: one boxed normal
+        // sequence of `window` symbols per entry, plus map bookkeeping.
+        self.normals.distinct() * (self.window * std::mem::size_of::<Symbol>() + 48)
     }
 
     fn scores(&self, test: &[Symbol]) -> Vec<f64> {
@@ -184,11 +188,8 @@ impl TrainedModel for LaneBrodley {
 }
 
 impl SequenceAnomalyDetector for LaneBrodley {
-    fn train(&mut self, training: &[Symbol]) {
-        // Deduplicate: similarity against duplicate normals is wasted
-        // work, and the max over a set equals the max over its distinct
-        // members.
-        self.normals = NgramSet::from_stream(training, self.window);
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        self.normals = profile.counter(self.window);
     }
 }
 
@@ -257,8 +258,8 @@ mod tests {
     #[test]
     fn response_uses_most_similar_normal() {
         let mut det = LaneBrodley::new(3);
-        det.train(&symbols(&[0, 1, 2, 0, 1, 2])); // normals: 012, 120, 201
-                                                  // (0,1,9): best match 012 with sim 1+2+0 = 3 of 6 -> response 0.5.
+        det.train(&StreamProfile::new(&symbols(&[0, 1, 2, 0, 1, 2]))); // normals: 012, 120, 201
+                                                                       // (0,1,9): best match 012 with sim 1+2+0 = 3 of 6 -> response 0.5.
         assert!((det.response(&symbols(&[0, 1, 9])) - 0.5).abs() < 1e-12);
         // Identical to a normal: response 0.
         assert_eq!(det.response(&symbols(&[1, 2, 0])), 0.0);
@@ -284,7 +285,7 @@ mod tests {
             train.extend(symbols(&[1, 2, 3, 4]));
         }
         let mut det = LaneBrodley::new(3);
-        det.train(&train);
+        det.train(&StreamProfile::new(&train));
         // (1,2,4) is minimal foreign; its best normal match (1,2,3)
         // scores 1+2+0 = 3 of 6.
         let r = det.response(&symbols(&[1, 2, 4]));
@@ -295,7 +296,7 @@ mod tests {
     #[test]
     fn scores_vector_shape() {
         let mut det = LaneBrodley::new(2);
-        det.train(&symbols(&[1, 2, 1, 2]));
+        det.train(&StreamProfile::new(&symbols(&[1, 2, 1, 2])));
         assert_eq!(det.scores(&symbols(&[1, 2, 1])).len(), 2);
         assert!(det.scores(&symbols(&[1])).is_empty());
     }
@@ -303,7 +304,7 @@ mod tests {
     #[test]
     fn normals_are_deduplicated() {
         let mut det = LaneBrodley::new(2);
-        det.train(&symbols(&[1, 2, 1, 2, 1, 2, 1, 2]));
+        det.train(&StreamProfile::new(&symbols(&[1, 2, 1, 2, 1, 2, 1, 2])));
         assert_eq!(det.normal_count(), 2); // (1,2) and (2,1)
     }
 

@@ -25,7 +25,7 @@
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_markov::{ConditionalModel, Prediction};
-use detdiv_sequence::{Symbol, DEFAULT_RARE_THRESHOLD};
+use detdiv_sequence::{StreamProfile, Symbol, DEFAULT_RARE_THRESHOLD};
 
 /// The Markov-based anomaly detector.
 ///
@@ -34,10 +34,10 @@ use detdiv_sequence::{Symbol, DEFAULT_RARE_THRESHOLD};
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::MarkovDetector;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut det = MarkovDetector::new(2);
-/// det.train(&symbols(&[1, 2, 3, 1, 2, 3, 1, 2, 3]));
+/// det.train(&StreamProfile::new(&symbols(&[1, 2, 3, 1, 2, 3, 1, 2, 3])));
 /// // (1 -> 2) is certain; (2 -> 1) never occurs.
 /// let scores = det.scores(&symbols(&[1, 2, 1]));
 /// assert_eq!(scores, vec![0.0, 1.0]);
@@ -168,8 +168,9 @@ impl TrainedModel for MarkovDetector {
 }
 
 impl SequenceAnomalyDetector for MarkovDetector {
-    fn train(&mut self, training: &[Symbol]) {
-        self.model = ConditionalModel::estimate(training, self.window - 1).ok();
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        let counts = profile.counter(self.window);
+        self.model = (!counts.is_empty()).then(|| ConditionalModel::from_counts(&counts));
     }
 }
 
@@ -198,7 +199,7 @@ mod tests {
         for _ in 0..100 {
             train.extend(symbols(&[1, 2, 3, 4]));
         }
-        det.train(&train);
+        det.train(&StreamProfile::new(&train));
         let scores = det.scores(&symbols(&[1, 2, 3, 4, 1]));
         assert!(scores.iter().all(|&s| s < 1e-9), "{scores:?}");
     }
@@ -206,7 +207,7 @@ mod tests {
     #[test]
     fn foreign_transition_scores_exactly_one() {
         let mut det = MarkovDetector::new(2);
-        det.train(&cycle_with_rare(100));
+        det.train(&StreamProfile::new(&cycle_with_rare(100)));
         // 3 -> 2 never occurs.
         let scores = det.scores(&symbols(&[3, 2]));
         assert_eq!(scores, vec![1.0]);
@@ -215,7 +216,7 @@ mod tests {
     #[test]
     fn rare_transition_scores_near_one() {
         let mut det = MarkovDetector::new(2);
-        det.train(&cycle_with_rare(200));
+        det.train(&StreamProfile::new(&cycle_with_rare(200)));
         // 2 -> 4 occurred once among many 2 -> 3.
         let scores = det.scores(&symbols(&[2, 4]));
         assert_eq!(scores.len(), 1);
@@ -226,7 +227,7 @@ mod tests {
     #[test]
     fn unseen_context_is_maximal() {
         let mut det = MarkovDetector::new(3);
-        det.train(&cycle_with_rare(50));
+        det.train(&StreamProfile::new(&cycle_with_rare(50)));
         // Context (4,3) never occurs.
         let scores = det.scores(&symbols(&[4, 3, 1]));
         assert_eq!(scores, vec![1.0]);
@@ -272,7 +273,7 @@ mod tests {
     #[test]
     fn short_test_stream_yields_no_scores() {
         let mut det = MarkovDetector::new(3);
-        det.train(&cycle_with_rare(10));
+        det.train(&StreamProfile::new(&cycle_with_rare(10)));
         assert!(det.scores(&symbols(&[1, 2])).is_empty());
     }
 
@@ -280,7 +281,9 @@ mod tests {
     fn scores_are_probability_complements() {
         // Context 1 -> next 2 with probability 2/3, next 3 with 1/3.
         let mut det = MarkovDetector::new(2);
-        det.train(&symbols(&[1, 2, 1, 2, 1, 3, 1, 2, 1, 2, 1, 3, 1, 2]));
+        det.train(&StreamProfile::new(&symbols(&[
+            1, 2, 1, 2, 1, 3, 1, 2, 1, 2, 1, 3, 1, 2,
+        ])));
         // P(2|1) = 5/7, P(3|1) = 2/7.
         let s12 = det.scores(&symbols(&[1, 2]))[0];
         let s13 = det.scores(&symbols(&[1, 3]))[0];

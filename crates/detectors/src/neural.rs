@@ -26,9 +26,8 @@
 use std::collections::HashMap;
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_markov::ConditionalModel;
 use detdiv_nn::{encode_context, Mlp, MlpConfig};
-use detdiv_sequence::{BuildSymbolHasher, Symbol};
+use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
 
 /// Hyperparameters of the neural-network-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,13 +81,13 @@ struct TrainedNet {
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::NeuralDetector;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut train = Vec::new();
 /// for _ in 0..60 { train.extend(symbols(&[0, 1, 2, 3])); }
 ///
 /// let mut det = NeuralDetector::new(2);
-/// det.train(&train);
+/// det.train(&StreamProfile::new(&train));
 /// let normal = det.scores(&symbols(&[0, 1]))[0];
 /// let foreign = det.scores(&symbols(&[1, 0]))[0]; // 1 -> 0 never occurs
 /// assert!(normal < 0.5);
@@ -214,30 +213,28 @@ impl TrainedModel for NeuralDetector {
 }
 
 impl SequenceAnomalyDetector for NeuralDetector {
-    fn train(&mut self, training: &[Symbol]) {
+    fn train(&mut self, profile: &StreamProfile<'_>) {
         let ctx_len = self.window - 1;
-        let Ok(model) = ConditionalModel::estimate(training, ctx_len) else {
-            self.state = None;
-            return;
-        };
-        let alphabet_size = training.iter().map(|s| s.index() + 1).max().unwrap_or(0);
-        if alphabet_size == 0 {
-            self.state = None;
-            return;
-        }
+        let alphabet_size = profile
+            .stream()
+            .iter()
+            .map(|s| s.index() + 1)
+            .max()
+            .unwrap_or(0);
 
         // Train on the weighted empirical distribution of (context, next)
-        // pairs instead of the raw stream: equivalent in expectation and
-        // far cheaper on repetitive data (DESIGN.md §3).
+        // pairs — the counted DW-grams — instead of the raw stream:
+        // equivalent in expectation and far cheaper on repetitive data
+        // (DESIGN.md §3).
         let mut dataset: Vec<(Vec<f64>, usize, f64)> = Vec::new();
-        for (ctx, next, count) in model.iter_counts() {
+        for (gram, count) in profile.counter(self.window).iter() {
             if count < self.config.min_count {
                 continue;
             }
-            let ctx_ids: Vec<usize> = ctx.iter().map(|s| s.index()).collect();
+            let ctx_ids: Vec<usize> = gram[..ctx_len].iter().map(|s| s.index()).collect();
             dataset.push((
                 encode_context(&ctx_ids, alphabet_size),
-                next.index(),
+                gram[ctx_len].index(),
                 count as f64,
             ));
         }
@@ -245,8 +242,8 @@ impl SequenceAnomalyDetector for NeuralDetector {
             self.state = None;
             return;
         }
-        // The conditional model iterates hash maps in arbitrary order;
-        // sort so training is reproducible for a given seed.
+        // The counter iterates a hash map in arbitrary order; sort so
+        // training is reproducible for a given seed.
         dataset.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .expect("one-hot encodings are finite")
@@ -283,7 +280,7 @@ mod tests {
 
     fn trained(window: usize) -> NeuralDetector {
         let mut det = NeuralDetector::new(window);
-        det.train(&cycle_train(80));
+        det.train(&StreamProfile::new(&cycle_train(80)));
         det
     }
 
@@ -316,7 +313,7 @@ mod tests {
     #[test]
     fn window_three_learns_longer_contexts() {
         let mut det = NeuralDetector::new(3);
-        det.train(&cycle_train(80));
+        det.train(&StreamProfile::new(&cycle_train(80)));
         let normal = det.scores(&symbols(&[0, 1, 2]))[0];
         let foreign = det.scores(&symbols(&[0, 1, 0]))[0];
         assert!(normal < 0.2, "normal scored {normal}");
@@ -333,7 +330,7 @@ mod tests {
     #[test]
     fn degenerate_training_is_handled() {
         let mut det = NeuralDetector::new(3);
-        det.train(&symbols(&[0, 1])); // shorter than the window
+        det.train(&StreamProfile::new(&symbols(&[0, 1]))); // shorter than the window
         assert!(!det.is_trained());
     }
 
@@ -348,7 +345,7 @@ mod tests {
         let mut train = cycle_train(50);
         train.extend(symbols(&[7, 7]));
         train.extend(cycle_train(50));
-        det.train(&train);
+        det.train(&StreamProfile::new(&train));
         assert!(det.is_trained());
         // Cycle behaviour is still learned.
         assert!(det.scores(&symbols(&[0, 1]))[0] < 0.2);
@@ -375,7 +372,7 @@ mod tests {
                 ..NeuralConfig::default()
             },
         );
-        starved.train(&cycle_train(80));
+        starved.train(&StreamProfile::new(&cycle_train(80)));
         let weak = starved.scores(&symbols(&[0, 2]))[0];
         let strong = trained(2).scores(&symbols(&[0, 2]))[0];
         assert!(weak < strong, "starved {weak} vs trained {strong}");

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_rules::{learn_rules, Example, LearnConfig, RuleSet};
-use detdiv_sequence::{BuildSymbolHasher, Symbol};
+use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
 
 /// Hyperparameters of the rule-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,13 +55,13 @@ impl Default for RipperConfig {
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::RipperDetector;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut train = Vec::new();
 /// for _ in 0..100 { train.extend(symbols(&[0, 1, 2, 3])); }
 ///
 /// let mut det = RipperDetector::new(3);
-/// det.train(&train);
+/// det.train(&StreamProfile::new(&train));
 /// let normal = det.scores(&symbols(&[0, 1, 2]))[0];
 /// let violation = det.scores(&symbols(&[0, 1, 0]))[0];
 /// assert!(normal < 0.1);
@@ -168,7 +168,8 @@ impl TrainedModel for RipperDetector {
 }
 
 impl SequenceAnomalyDetector for RipperDetector {
-    fn train(&mut self, training: &[Symbol]) {
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        let training = profile.stream();
         let mut examples: Vec<Example> =
             detdiv_rules::examples_from_stream(training, self.window - 1)
                 .into_iter()
@@ -198,7 +199,7 @@ mod tests {
 
     fn trained(window: usize) -> RipperDetector {
         let mut det = RipperDetector::new(window);
-        det.train(&cycle_train(120));
+        det.train(&StreamProfile::new(&cycle_train(120)));
         det
     }
 
@@ -241,7 +242,7 @@ mod tests {
         let mut det = RipperDetector::new(2);
         // Every pair occurs once: the min_count filter would empty the
         // set; the fallback keeps training possible.
-        det.train(&symbols(&[0, 1, 2, 3, 4]));
+        det.train(&StreamProfile::new(&symbols(&[0, 1, 2, 3, 4])));
         assert!(det.rules().is_some());
     }
 

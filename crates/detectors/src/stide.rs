@@ -9,8 +9,10 @@
 //! sequence was found, and the value 1 is assigned to indicate otherwise.
 //! No direct probabilistic concepts ... are employed." (§5.2)
 
+use std::sync::Arc;
+
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_sequence::{NgramSet, Symbol};
+use detdiv_sequence::{NgramCounter, StreamProfile, Symbol};
 
 /// The Stide detector: binary foreign-sequence matching.
 ///
@@ -19,17 +21,18 @@ use detdiv_sequence::{NgramSet, Symbol};
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::Stide;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut stide = Stide::new(2);
-/// stide.train(&symbols(&[1, 2, 3, 1, 2, 3]));
+/// stide.train(&StreamProfile::new(&symbols(&[1, 2, 3, 1, 2, 3])));
 /// // (3,1) is known; (2,1) is foreign.
 /// assert_eq!(stide.scores(&symbols(&[3, 1, 2, 1])), vec![0.0, 0.0, 1.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Stide {
     window: usize,
-    db: NgramSet,
+    /// The training census at `window`, read as a presence set.
+    db: Arc<NgramCounter>,
 }
 
 impl Stide {
@@ -42,13 +45,13 @@ impl Stide {
         assert!(window > 0, "detector window must be positive");
         Stide {
             window,
-            db: NgramSet::new(window),
+            db: Arc::new(NgramCounter::new(window)),
         }
     }
 
     /// The normal database (exposed for inspection and for composing
     /// higher-level analyses).
-    pub fn database(&self) -> &NgramSet {
+    pub fn database(&self) -> &NgramCounter {
         &self.db
     }
 }
@@ -85,14 +88,14 @@ impl TrainedModel for Stide {
 
     fn approx_bytes(&self) -> usize {
         // One boxed n-gram of `window` symbols per database entry, plus
-        // hash-set bookkeeping.
-        self.db.len() * (self.window * std::mem::size_of::<Symbol>() + 48)
+        // map bookkeeping.
+        self.db.distinct() * (self.window * std::mem::size_of::<Symbol>() + 48)
     }
 }
 
 impl SequenceAnomalyDetector for Stide {
-    fn train(&mut self, training: &[Symbol]) {
-        self.db = NgramSet::from_stream(training, self.window);
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        self.db = profile.counter(self.window);
     }
 }
 
@@ -112,10 +115,10 @@ impl SequenceAnomalyDetector for Stide {
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::StideLfc;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut det = StideLfc::new(2, 2);
-/// det.train(&symbols(&[1, 2, 3, 1, 2, 3]));
+/// det.train(&StreamProfile::new(&symbols(&[1, 2, 3, 1, 2, 3])));
 /// // Mismatch stream for (3,1,2,1): 0, 0, 1 -> LFC(2): 0, 0, 0.5
 /// assert_eq!(det.scores(&symbols(&[3, 1, 2, 1])), vec![0.0, 0.0, 0.5]);
 /// ```
@@ -177,8 +180,8 @@ impl TrainedModel for StideLfc {
 }
 
 impl SequenceAnomalyDetector for StideLfc {
-    fn train(&mut self, training: &[Symbol]) {
-        self.stide.train(training);
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        self.stide.train(profile);
     }
 }
 
@@ -193,7 +196,7 @@ mod tests {
         for _ in 0..50 {
             train.extend(symbols(&[1, 2, 3, 4]));
         }
-        s.train(&train);
+        s.train(&StreamProfile::new(&train));
         s
     }
 
@@ -232,13 +235,14 @@ mod tests {
 
         let anomaly = symbols(&[2, 4, 1, 3]);
 
+        let profile = StreamProfile::new(&train);
         let mut s3 = Stide::new(3);
-        s3.train(&train);
+        s3.train(&profile);
         // Every 3-window of the anomaly exists in training: blind.
         assert!(s3.scores(&anomaly).iter().all(|&x| x == 0.0));
 
         let mut s4 = Stide::new(4);
-        s4.train(&train);
+        s4.train(&profile);
         assert_eq!(s4.scores(&anomaly), vec![1.0]);
     }
 
@@ -251,9 +255,9 @@ mod tests {
     #[test]
     fn retraining_replaces_database() {
         let mut s = Stide::new(2);
-        s.train(&symbols(&[1, 2, 1, 2]));
+        s.train(&StreamProfile::new(&symbols(&[1, 2, 1, 2])));
         assert_eq!(s.scores(&symbols(&[3, 4])), vec![1.0]);
-        s.train(&symbols(&[3, 4, 3, 4]));
+        s.train(&StreamProfile::new(&symbols(&[3, 4, 3, 4])));
         assert_eq!(s.scores(&symbols(&[3, 4])), vec![0.0]);
         assert_eq!(s.scores(&symbols(&[1, 2])), vec![1.0]);
     }
@@ -277,7 +281,9 @@ mod tests {
     #[test]
     fn lfc_smooths_isolated_mismatches() {
         let mut det = StideLfc::new(2, 4);
-        det.train(&symbols(&[1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4]));
+        det.train(&StreamProfile::new(&symbols(&[
+            1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4,
+        ])));
         // Single foreign bigram (2,1) inside an otherwise normal stream.
         let scores = det.scores(&symbols(&[1, 2, 1, 2, 3, 4, 1, 2]));
         // Mismatch raw: (1,2)=0 (2,1)=1 (1,2)=0 (2,3)=0 (3,4)=0 (4,1)=0 (1,2)=0
@@ -291,7 +297,7 @@ mod tests {
     #[test]
     fn lfc_amplifies_clustered_mismatches() {
         let mut det = StideLfc::new(2, 2);
-        det.train(&symbols(&[1, 2, 3, 4, 1, 2, 3, 4]));
+        det.train(&StreamProfile::new(&symbols(&[1, 2, 3, 4, 1, 2, 3, 4])));
         // Two adjacent foreign bigrams: (2,1) and (1,4)? (4,1) known...
         // stream (1,2,1,4): bigrams (1,2)=0 (2,1)=1 (1,4)=1
         let scores = det.scores(&symbols(&[1, 2, 1, 4]));
@@ -303,8 +309,9 @@ mod tests {
         let mut lfc = StideLfc::new(2, 1);
         let mut stide = Stide::new(2);
         let train = symbols(&[1, 2, 3, 1, 2, 3]);
-        lfc.train(&train);
-        stide.train(&train);
+        let profile = StreamProfile::new(&train);
+        lfc.train(&profile);
+        stide.train(&profile);
         let test = symbols(&[1, 2, 1, 3, 2, 2]);
         assert_eq!(lfc.scores(&test), stide.scores(&test));
     }

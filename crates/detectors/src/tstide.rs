@@ -8,8 +8,10 @@
 //! sequences rarer than a threshold as anomalous, sitting between Stide
 //! and the Markov detector in the diversity space.
 
+use std::sync::Arc;
+
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_sequence::{NgramCounter, Symbol, DEFAULT_RARE_THRESHOLD};
+use detdiv_sequence::{NgramCounter, StreamProfile, Symbol, DEFAULT_RARE_THRESHOLD};
 
 /// The t-stide detector: foreign *or rare* fixed-length sequences are
 /// anomalous.
@@ -23,7 +25,7 @@ use detdiv_sequence::{NgramCounter, Symbol, DEFAULT_RARE_THRESHOLD};
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::TStide;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut train = Vec::new();
 /// for _ in 0..300 { train.extend(symbols(&[1, 2, 3, 4])); }
@@ -31,7 +33,7 @@ use detdiv_sequence::{NgramCounter, Symbol, DEFAULT_RARE_THRESHOLD};
 /// for _ in 0..300 { train.extend(symbols(&[1, 2, 3, 4])); }
 ///
 /// let mut det = TStide::new(2);
-/// det.train(&train);
+/// det.train(&StreamProfile::new(&train));
 /// let common = det.scores(&symbols(&[1, 2]))[0];
 /// let rare = det.scores(&symbols(&[2, 4]))[0];
 /// let foreign = det.scores(&symbols(&[1, 3]))[0];
@@ -43,7 +45,8 @@ use detdiv_sequence::{NgramCounter, Symbol, DEFAULT_RARE_THRESHOLD};
 pub struct TStide {
     window: usize,
     rare_threshold: f64,
-    db: NgramCounter,
+    /// The training census at `window`.
+    db: Arc<NgramCounter>,
 }
 
 impl TStide {
@@ -71,7 +74,7 @@ impl TStide {
         TStide {
             window,
             rare_threshold,
-            db: NgramCounter::new(window),
+            db: Arc::new(NgramCounter::new(window)),
         }
     }
 
@@ -114,14 +117,14 @@ impl TrainedModel for TStide {
     fn approx_bytes(&self) -> usize {
         // One (n-gram, count) record per distinct window, plus map
         // bookkeeping.
-        self.db.iter().count()
+        self.db.distinct()
             * (self.window * std::mem::size_of::<Symbol>() + std::mem::size_of::<u64>() + 48)
     }
 }
 
 impl SequenceAnomalyDetector for TStide {
-    fn train(&mut self, training: &[Symbol]) {
-        self.db = NgramCounter::from_stream(training, self.window);
+    fn train(&mut self, profile: &StreamProfile<'_>) {
+        self.db = profile.counter(self.window);
     }
 }
 
@@ -145,14 +148,14 @@ mod tests {
     #[test]
     fn foreign_scores_one() {
         let mut det = TStide::new(2);
-        det.train(&train_data());
+        det.train(&StreamProfile::new(&train_data()));
         assert_eq!(det.scores(&symbols(&[1, 3])), vec![1.0]);
     }
 
     #[test]
     fn rare_exceeds_floor_common_does_not() {
         let mut det = TStide::new(2);
-        det.train(&train_data());
+        det.train(&StreamProfile::new(&train_data()));
         let rare = det.scores(&symbols(&[2, 4]))[0];
         let common = det.scores(&symbols(&[1, 2]))[0];
         assert!(rare >= det.maximal_response_floor() && rare < 1.0);
@@ -173,8 +176,9 @@ mod tests {
         let train = train_data();
         let mut stide = Stide::new(2);
         let mut tstide = TStide::new(2);
-        stide.train(&train);
-        tstide.train(&train);
+        let profile = StreamProfile::new(&train);
+        stide.train(&profile);
+        tstide.train(&profile);
         let test = symbols(&[1, 2, 4, 2, 3, 4, 1]);
         let s = stide.scores(&test);
         let t = tstide.scores(&test);

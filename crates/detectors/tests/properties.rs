@@ -7,7 +7,7 @@ use detdiv_detectors::{
 };
 use std::collections::BTreeSet;
 
-use detdiv_sequence::{Symbol, DEFAULT_RARE_THRESHOLD};
+use detdiv_sequence::{StreamProfile, Symbol, DEFAULT_RARE_THRESHOLD};
 use proptest::prelude::*;
 
 fn stream(max_sym: u32, min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<Symbol>> {
@@ -21,7 +21,7 @@ proptest! {
     fn stide_accepts_its_training_data(s in stream(4, 6, 120), dw in 2usize..6) {
         prop_assume!(s.len() >= dw);
         let mut det = Stide::new(dw);
-        det.train(&s);
+        det.train(&StreamProfile::new(&s));
         let scores = det.scores(&s);
         prop_assert!(scores.iter().all(|&x| x == 0.0));
     }
@@ -51,7 +51,7 @@ proptest! {
         dw in 1usize..=15,
     ) {
         let mut det = LaneBrodley::new(dw);
-        det.train(&train);
+        det.train(&StreamProfile::new(&train));
         let normals: BTreeSet<&[Symbol]> = train.windows(dw).collect();
         let brute = |w: &[Symbol]| {
             let best = normals
@@ -90,7 +90,7 @@ proptest! {
             Box::new(LaneBrodley::new(dw)),
         ];
         for det in detectors.iter_mut() {
-            det.train(&train);
+            det.train(&StreamProfile::new(&train));
             let scores = det.scores(&test);
             let expected = if test.len() < dw { 0 } else { test.len() - dw + 1 };
             prop_assert_eq!(scores.len(), expected, "{}", det.name());
@@ -112,8 +112,9 @@ proptest! {
         prop_assume!(train.len() >= dw);
         let mut stide = Stide::new(dw);
         let mut tstide = TStide::new(dw);
-        stide.train(&train);
-        tstide.train(&train);
+        let profile = StreamProfile::new(&train);
+        stide.train(&profile);
+        tstide.train(&profile);
         let s = stide.scores(&test);
         let t = tstide.scores(&test);
         for i in 0..s.len() {
@@ -137,7 +138,7 @@ proptest! {
     ) {
         prop_assume!(train.len() > dw);
         let mut det = MarkovDetector::new(dw);
-        det.train(&train);
+        det.train(&StreamProfile::new(&train));
         let scores = det.scores(&train);
         for (i, &score) in scores.iter().enumerate() {
             if score >= det.maximal_response_floor() {
@@ -160,8 +161,9 @@ proptest! {
         prop_assume!(train.len() >= dw);
         let mut plain = Stide::new(dw);
         let mut lfc = StideLfc::new(dw, frame);
-        plain.train(&train);
-        lfc.train(&train);
+        let profile = StreamProfile::new(&train);
+        plain.train(&profile);
+        lfc.train(&profile);
         let raw = plain.scores(&test);
         let smooth = lfc.scores(&test);
         for i in 0..raw.len() {

@@ -20,10 +20,10 @@
 
 use std::sync::Arc;
 
-use detdiv_cache::CacheKey;
+use detdiv_cache::{CacheKey, ModelCache};
 use detdiv_core::TrainedModel;
 use detdiv_resil::{CellOutcome, RetryPolicy};
-use detdiv_sequence::Symbol;
+use detdiv_sequence::{StreamProfile, Symbol};
 
 use crate::kinds::DetectorKind;
 
@@ -81,7 +81,13 @@ pub fn trained_model_with_origin(
     window: usize,
 ) -> (Arc<dyn TrainedModel>, ModelOrigin) {
     let corpus = detdiv_cache::fingerprint_stream(training);
-    trained_model_fingerprinted(corpus, training, kind, window)
+    trained_model_in(
+        detdiv_cache::global(),
+        corpus,
+        &StreamProfile::new(training),
+        kind,
+        window,
+    )
 }
 
 /// The cache key of `kind` at `window` trained on `training`, whose
@@ -96,26 +102,28 @@ pub(crate) fn model_key(
     CacheKey::for_fingerprint(corpus, training, format!("{kind:?}"), window)
 }
 
-/// [`trained_model_with_origin`] for a caller that already holds the
-/// training stream's fingerprint `corpus` — a sweep computes it once
-/// for all of its models.
-pub(crate) fn trained_model_fingerprinted(
+/// [`trained_model_with_origin`] from `cache`, for a caller that
+/// already holds the training stream's census `profile` and its
+/// fingerprint `corpus` — a sweep builds both once for all of its
+/// models, which then train from the profile's shared counters.
+pub(crate) fn trained_model_in(
+    cache: &ModelCache,
     corpus: u64,
-    training: &[Symbol],
+    profile: &StreamProfile<'_>,
     kind: &DetectorKind,
     window: usize,
 ) -> (Arc<dyn TrainedModel>, ModelOrigin) {
-    let key = model_key(corpus, training, kind, window);
+    let key = model_key(corpus, profile.stream(), kind, window);
     let site = format!("train/{}", kind.name());
     let outcome = detdiv_resil::supervised(&site, &RetryPolicy::default(), || {
-        detdiv_cache::global().get_or_train_traced(&key, || {
+        cache.get_or_train_traced(&key, || {
             let mut detector = kind.build(window);
             {
                 let _train = detdiv_obs::span!("train", detector = kind.name(), window = window);
                 if detdiv_resil::armed() {
                     detdiv_resil::point(&site);
                 }
-                detector.train(training);
+                detector.train(profile);
             }
             Arc::new(detector) as Arc<dyn TrainedModel>
         })
@@ -153,6 +161,7 @@ mod tests {
     #[test]
     fn same_request_shares_a_model() {
         // Distinct window from other tests so this key is ours alone.
+        let _guard = crate::test_lock();
         let s = stream();
         let a = trained_model(&s, &DetectorKind::Stide, 5);
         let b = trained_model(&s, &DetectorKind::Stide, 5);
@@ -165,6 +174,7 @@ mod tests {
     #[test]
     fn origin_reports_cache_outcome_and_identity() {
         // Window 9 is this test's alone, so the first request leads.
+        let _guard = crate::test_lock();
         let s = stream();
         let (_, first) = trained_model_with_origin(&s, &DetectorKind::Stide, 9);
         let (_, second) = trained_model_with_origin(&s, &DetectorKind::Stide, 9);
@@ -207,7 +217,7 @@ mod tests {
         let s = stream();
         let cached = trained_model(&s, &DetectorKind::Markov, 3);
         let mut fresh = DetectorKind::Markov.build(3);
-        fresh.train(&s);
+        fresh.train(&StreamProfile::new(&s));
         assert_eq!(cached.scores(&s), fresh.scores(&s));
     }
 }

@@ -300,6 +300,7 @@ mod tests {
     fn comb3_matches_inline_trained_detectors() {
         use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
         use detdiv_detectors::{MarkovDetector, Stide};
+        use detdiv_sequence::StreamProfile;
 
         let corpus = corpus();
         let config = SuppressionConfig {
@@ -323,12 +324,13 @@ mod tests {
                 case.anomaly_len(),
             )
             .unwrap();
+            let profile = StreamProfile::new(case.training());
             let mut markov =
                 MarkovDetector::with_rare_threshold(window, config.markov_rare_threshold);
-            markov.train(case.training());
+            markov.train(&profile);
             let markov_alarms = alarms_at(&markov.scores(test), markov.maximal_response_floor());
             let mut stide = Stide::new(window);
-            stide.train(case.training());
+            stide.train(&profile);
             let stide_alarms = alarms_at(&stide.scores(test), stide.maximal_response_floor());
             let suppressed = suppress_alarms(&markov_alarms, &stide_alarms).unwrap();
             for (name, alarms) in [

@@ -2,10 +2,11 @@
 //!
 //! For each detector window DW of the corpus, a detector is trained
 //! once on the training stream (through the single-flight model cache —
-//! see `detdiv-cache`) and evaluated on every anomaly size AS; the
-//! blind/weak/capable verdict fills the (AS, DW) cell. The x-axis
-//! additionally carries the paper's *undefined* column at AS = 1 (a
-//! size-1 sequence cannot be simultaneously foreign and rare, §6).
+//! see `detdiv-cache` — from the sweep's one census of that stream, a
+//! `detdiv_sequence::StreamProfile`) and evaluated on every anomaly
+//! size AS; the blind/weak/capable verdict fills the (AS, DW) cell. The
+//! x-axis additionally carries the paper's *undefined* column at AS = 1
+//! (a size-1 sequence cannot be simultaneously foreign and rare, §6).
 //!
 //! # Parallelism
 //!
@@ -17,11 +18,13 @@
 //! computation regardless of `DETDIV_THREADS` (asserted by
 //! `tests/par_determinism.rs`).
 
+use detdiv_cache::ModelCache;
 use detdiv_core::{evaluate_case, evaluate_scores, CellStatus, CoverageMap, LabeledCase};
 use detdiv_resil::{CellOutcome, RetryPolicy};
+use detdiv_sequence::StreamProfile;
 use detdiv_synth::Corpus;
 
-use crate::cached::trained_model_fingerprinted;
+use crate::cached::trained_model_in;
 use crate::checkpoint;
 use crate::error::HarnessError;
 use crate::kinds::DetectorKind;
@@ -38,22 +41,48 @@ fn row_policy() -> RetryPolicy {
     RetryPolicy::default()
 }
 
-/// Obtains the `(kind, window)` model — trained on first demand, shared
-/// from the single-flight cache thereafter — and scores it against every
-/// anomaly size of the corpus, returning the row's cells in ascending AS
-/// order. This is the unit of parallel work: rows share nothing but the
-/// read-only corpus and the immutable cached models. `fingerprint` is
-/// the training stream's [`detdiv_cache::fingerprint_stream`], computed
-/// once per sweep rather than once per row.
-fn coverage_row(
-    corpus: &Corpus,
+/// What the rows of one sweep share: the read-only corpus, its training
+/// stream's census and [`detdiv_cache::fingerprint_stream`] — each
+/// built once per sweep rather than once per row — and the model cache.
+struct Sweep<'a> {
+    corpus: &'a Corpus,
+    profile: StreamProfile<'a>,
     fingerprint: u64,
+    cache: &'a ModelCache,
+}
+
+impl<'a> Sweep<'a> {
+    /// Fingerprints the training stream and counts its windows at the
+    /// corpus's largest DW, so the counter of every smaller DW is a fold
+    /// of that one rather than another pass over the stream.
+    fn new(corpus: &'a Corpus, cache: &'a ModelCache) -> Self {
+        let training = corpus.training();
+        let profile = StreamProfile::new(training);
+        profile.counter(corpus.config().max_window());
+        Sweep {
+            corpus,
+            profile,
+            fingerprint: detdiv_cache::fingerprint_stream(training),
+            cache,
+        }
+    }
+}
+
+/// Obtains the `(kind, window)` model — trained from the sweep's census
+/// on first demand, shared from the single-flight cache thereafter — and
+/// scores it against every anomaly size of the corpus, returning the
+/// row's cells in ascending AS order. This is the unit of parallel work:
+/// rows share nothing but the read-only [`Sweep`] and the immutable
+/// cached models.
+fn coverage_row(
+    sweep: &Sweep<'_>,
     kind: &DetectorKind,
     window: usize,
 ) -> Result<CoverageRow, HarnessError> {
+    let corpus = sweep.corpus;
     let config = corpus.config();
     let (detector, origin) =
-        trained_model_fingerprinted(fingerprint, corpus.training(), kind, window);
+        trained_model_in(sweep.cache, sweep.fingerprint, &sweep.profile, kind, window);
     let mut row = Vec::with_capacity(config.anomaly_sizes().count());
     for anomaly_size in config.anomaly_sizes() {
         let cell_started = std::time::Instant::now();
@@ -152,8 +181,8 @@ pub fn coverage_map(corpus: &Corpus, kind: &DetectorKind) -> Result<CoverageMap,
     // Re-root worker-thread span stacks under this experiment so their
     // `train` spans and grid cells carry the right context.
     let parent = detdiv_obs::current_path();
-    let fingerprint = detdiv_cache::fingerprint_stream(corpus.training());
-    let tag = checkpoint::corpus_tag(corpus, fingerprint);
+    let sweep = Sweep::new(corpus, detdiv_cache::global());
+    let tag = checkpoint::corpus_tag(corpus, sweep.fingerprint);
     let rows = detdiv_par::par_try_map_supervised(
         &windows,
         &row_policy(),
@@ -166,7 +195,7 @@ pub fn coverage_map(corpus: &Corpus, kind: &DetectorKind) -> Result<CoverageMap,
                 return Ok(row);
             }
             let _ctx = detdiv_obs::context(&parent);
-            let row = coverage_row(corpus, fingerprint, kind, window)?;
+            let row = coverage_row(&sweep, kind, window)?;
             if let Some(tag) = tag.as_deref() {
                 checkpoint::record(tag, kind, window, &row);
             }
@@ -227,14 +256,23 @@ pub fn coverage_maps_for(
     corpus: &Corpus,
     kinds: &[DetectorKind],
 ) -> Result<Vec<CoverageMap>, HarnessError> {
+    coverage_maps_in(corpus, kinds, detdiv_cache::global())
+}
+
+/// [`coverage_maps_for`], acquiring its models through `cache`.
+fn coverage_maps_in(
+    corpus: &Corpus,
+    kinds: &[DetectorKind],
+    cache: &ModelCache,
+) -> Result<Vec<CoverageMap>, HarnessError> {
     let config = corpus.config();
     let windows: Vec<usize> = config.windows().collect();
     let jobs: Vec<(usize, usize)> = (0..kinds.len())
         .flat_map(|kind_index| windows.iter().map(move |&window| (kind_index, window)))
         .collect();
     let parent = detdiv_obs::current_path();
-    let fingerprint = detdiv_cache::fingerprint_stream(corpus.training());
-    let tag = checkpoint::corpus_tag(corpus, fingerprint);
+    let sweep = Sweep::new(corpus, cache);
+    let tag = checkpoint::corpus_tag(corpus, sweep.fingerprint);
     let rows = detdiv_par::par_try_map_supervised(
         &jobs,
         &row_policy(),
@@ -249,7 +287,7 @@ pub fn coverage_maps_for(
             }
             let _ctx = detdiv_obs::context(&parent);
             let _span = detdiv_obs::span!("coverage", detector = kind.name());
-            let row = coverage_row(corpus, fingerprint, kind, window)?;
+            let row = coverage_row(&sweep, kind, window)?;
             if let Some(tag) = tag.as_deref() {
                 checkpoint::record(tag, kind, window, &row);
             }
@@ -407,6 +445,7 @@ mod tests {
         // The sweep keys models by a fingerprint it computes once; if
         // that key drifted from the per-call one, every later
         // `trained_model` would silently retrain.
+        let _guard = crate::test_lock();
         let corpus = corpus();
         let training = corpus.training();
         let fingerprint = detdiv_cache::fingerprint_stream(training);
@@ -427,6 +466,63 @@ mod tests {
                         crate::cached::trained_model_with_origin(training, kind, window);
                     assert_eq!(origin.cache, "hit", "{} at DW {window}", kind.name());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_census_sweep_equals_per_call_models_at_every_width_and_cache_mode() {
+        // Every model of the sweep trains from one shared profile; each
+        // cell must equal the verdict of a model `trained_model` trains
+        // from a profile of its own. The census lives beside the sweep,
+        // not in the model cache: one miss per (family, DW), none more.
+        let _guard = crate::test_lock();
+        let corpus = corpus();
+        let config = corpus.config();
+        let kinds = [
+            DetectorKind::Stide,
+            DetectorKind::TStide,
+            DetectorKind::Markov,
+            DetectorKind::LaneBrodley,
+        ];
+        // With the cache off, each `trained_model` call trains afresh
+        // (on the global cache, models a concurrent sweep of this corpus
+        // left behind would answer instead).
+        let cache_was_on = detdiv_cache::enabled();
+        detdiv_cache::set_enabled(false);
+        let mut expected = Vec::new();
+        for kind in &kinds {
+            let mut map = CoverageMap::new(kind.name(), 1..=config.max_anomaly(), config.windows());
+            for window in config.windows() {
+                let model = crate::cached::trained_model(corpus.training(), kind, window);
+                for anomaly_size in config.anomaly_sizes() {
+                    let case = corpus.case(anomaly_size, window).unwrap();
+                    let outcome = evaluate_case(model.as_ref(), &case).unwrap();
+                    map.set(anomaly_size, window, outcome.classification().into())
+                        .unwrap();
+                }
+            }
+            expected.push(map);
+        }
+        for width in [1, 4] {
+            for cache_on in [true, false] {
+                detdiv_par::global().set_threads(Some(width));
+                detdiv_cache::set_enabled(cache_on);
+                let cache = ModelCache::with_capacity(detdiv_cache::DEFAULT_CAPACITY);
+                let maps = coverage_maps_in(&corpus, &kinds, &cache).unwrap();
+                let misses = if cache_on {
+                    kinds.len() * config.windows().count()
+                } else {
+                    0
+                };
+                let stats = cache.stats();
+                detdiv_par::global().set_threads(None);
+                detdiv_cache::set_enabled(cache_was_on);
+                assert_eq!(maps, expected, "width {width}, cache on: {cache_on}");
+                assert_eq!(
+                    stats.misses, misses as u64,
+                    "width {width}, cache on: {cache_on}"
+                );
             }
         }
     }

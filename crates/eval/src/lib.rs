@@ -85,3 +85,12 @@ pub use kinds::DetectorKind;
 pub use masquerade::{masq1_lane_brodley_masquerade, MasqueradeResult};
 pub use report::FullReport;
 pub use streamed::{apply_stream_env, set_stream_scoring, stream_scoring};
+
+/// Serializes the unit tests that switch the process-wide model cache
+/// or pool width, or assert on what the global cache holds.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

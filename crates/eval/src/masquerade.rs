@@ -11,7 +11,7 @@
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_detectors::LaneBrodley;
-use detdiv_sequence::SymbolTable;
+use detdiv_sequence::{StreamProfile, SymbolTable};
 use detdiv_trace::{generate_command_stream, UserProfile};
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +55,7 @@ pub fn masq1_lane_brodley_masquerade(
     let masquerade_session = generate_command_stream(&analyst, 800, seed + 2, &mut table)?;
 
     let mut lb = LaneBrodley::new(window);
-    lb.train(&history);
+    lb.train(&StreamProfile::new(&history));
 
     let mean_similarity = |stream: &[detdiv_sequence::Symbol]| -> f64 {
         let scores = lb.scores(stream);

@@ -179,14 +179,9 @@ pub fn install_panic_hook() {
 mod tests {
     use super::*;
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     #[test]
     fn overflow_keeps_the_newest_events_in_order() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         for i in 0..(BLACKBOX_CAPACITY + 10) {
             note(&format!("{{\"t\":\"test\",\"i\":{i}}}"));
@@ -207,7 +202,7 @@ mod tests {
 
     #[test]
     fn tail_limits_from_the_newest_end() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         for i in 0..5 {
             note(&format!("e{i}"));
@@ -218,7 +213,7 @@ mod tests {
 
     #[test]
     fn render_is_checksummed_and_ordered() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         note("{\"t\":\"test\",\"i\":0}");
         note("{\"t\":\"test\",\"i\":1}");
@@ -234,7 +229,7 @@ mod tests {
 
     #[test]
     fn dump_writes_a_journal_loadable_artifact() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         let dir =
             std::env::temp_dir().join(format!("detdiv-flight-blackbox-{}", std::process::id()));
@@ -251,7 +246,7 @@ mod tests {
 
     #[test]
     fn header_reports_deltas_since_previous_dump() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         // First render establishes the baseline; the second must show a
         // zero delta when no records were accepted in between.

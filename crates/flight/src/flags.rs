@@ -53,6 +53,7 @@ mod tests {
 
     #[test]
     fn flags_reflect_their_setters() {
+        let _guard = crate::test_lock();
         set_stream_scoring(true);
         set_serving(true);
         let s = subsystems();

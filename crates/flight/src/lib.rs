@@ -80,3 +80,14 @@ pub use recorder::{
     arm, armed, disarm, drain, dropped, env_path, export, flush_thread, path, record, recorded,
     reset, RING_CAPACITY, SINK_CAPACITY,
 };
+
+/// Serializes the unit tests that touch this crate's process-global
+/// state — the recorder, the blackbox ring, the stream registry and the
+/// subsystem flags — which are entangled: [`reset`] also clears the
+/// blackbox, and the registry's tests disarm the recorder.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -244,13 +244,6 @@ mod tests {
     use super::*;
     use crate::record::StreamRecord;
 
-    /// Arming is process-global; unit tests that toggle it serialize
-    /// here.
-    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn sample(i: u64) -> String {
         StreamRecord {
             stream_label: "unit",
@@ -268,7 +261,7 @@ mod tests {
 
     #[test]
     fn disarmed_records_nothing() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         disarm();
         record(sample(0));
@@ -278,7 +271,7 @@ mod tests {
 
     #[test]
     fn armed_records_and_the_path_is_kept_after_disarm() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         arm("unit.flight");
         record(sample(1));
@@ -293,7 +286,7 @@ mod tests {
 
     #[test]
     fn dump_rendering_is_sorted_and_checksummed() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         let mut payloads = vec![sample(9), sample(1), sample(5)];
         let dump = render_dump(&mut payloads);
@@ -314,7 +307,7 @@ mod tests {
 
     #[test]
     fn sink_overflow_is_counted_not_grown() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         arm("overflow.flight");
         // Fill the sink directly to one ring below capacity, then push
@@ -337,7 +330,7 @@ mod tests {
 
     #[test]
     fn export_writes_a_journal_loadable_file() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         let dir = std::env::temp_dir().join(format!("detdiv-flight-export-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

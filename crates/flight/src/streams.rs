@@ -168,14 +168,9 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     #[test]
     fn disabled_registry_hands_out_nothing() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         crate::disarm();
         assert!(handle(1).is_none());
@@ -184,7 +179,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_snapshot_in_hash_order() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         set_enabled(true);
         let b = handle(0xbbb).unwrap();
@@ -211,7 +206,7 @@ mod tests {
 
     #[test]
     fn handles_are_shared_per_stream() {
-        let _guard = lock();
+        let _guard = crate::test_lock();
         reset();
         set_enabled(true);
         let one = handle(7).unwrap();

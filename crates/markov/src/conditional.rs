@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use detdiv_sequence::{BuildSymbolHasher, Symbol};
+use detdiv_sequence::{BuildSymbolHasher, NgramCounter, Symbol};
 
 use crate::error::MarkovError;
 
@@ -47,7 +47,8 @@ struct SuccessorDist {
 }
 
 /// An order-k conditional model `P(next | k preceding elements)`,
-/// estimated by maximum likelihood from a training stream.
+/// estimated by maximum likelihood from a training stream's counted
+/// `(k + 1)`-grams.
 ///
 /// # Examples
 ///
@@ -77,7 +78,8 @@ pub struct ConditionalModel {
 
 impl ConditionalModel {
     /// Estimates the model from `stream` with contexts of `context_len`
-    /// elements.
+    /// elements: [`ConditionalModel::from_counts`] over the stream's
+    /// `(context_len + 1)`-grams.
     ///
     /// # Errors
     ///
@@ -94,21 +96,33 @@ impl ConditionalModel {
                 needed: context_len + 1,
             });
         }
+        Ok(Self::from_counts(&NgramCounter::from_stream(
+            stream,
+            context_len + 1,
+        )))
+    }
+
+    /// The model of order `counts.ngram_len() − 1`: the counted
+    /// `(k + 1)`-grams regrouped by their `k`-symbol prefix, each gram's
+    /// count becoming its final symbol's count after that context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts.ngram_len() < 2`, which leaves no context.
+    pub fn from_counts(counts: &NgramCounter) -> Self {
+        assert!(
+            counts.ngram_len() >= 2,
+            "a conditional model needs grams of at least 2 symbols"
+        );
+        let context_len = counts.ngram_len() - 1;
         let mut table: HashMap<Box<[Symbol]>, SuccessorDist, BuildSymbolHasher> =
             HashMap::default();
-        for w in stream.windows(context_len + 1) {
-            let (context, next) = (&w[..context_len], w[context_len]);
-            if let Some(dist) = table.get_mut(context) {
-                *dist.counts.entry(next).or_insert(0) += 1;
-                dist.total += 1;
-            } else {
-                let mut dist = SuccessorDist::default();
-                dist.counts.insert(next, 1);
-                dist.total = 1;
-                table.insert(context.to_vec().into_boxed_slice(), dist);
-            }
+        for (gram, count) in counts.iter() {
+            let dist = table.entry(gram[..context_len].into()).or_default();
+            dist.counts.insert(gram[context_len], count);
+            dist.total += count;
         }
-        Ok(ConditionalModel { context_len, table })
+        ConditionalModel { context_len, table }
     }
 
     /// The context length `k` of this model.
@@ -273,6 +287,12 @@ mod tests {
     fn prediction_probability_or_zero() {
         assert_eq!(Prediction::Known(0.25).probability_or_zero(), 0.25);
         assert_eq!(Prediction::UnseenContext.probability_or_zero(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 symbols")]
+    fn from_counts_rejects_unigrams() {
+        let _ = ConditionalModel::from_counts(&NgramCounter::from_stream(&symbols(&[1, 2]), 1));
     }
 
     #[test]

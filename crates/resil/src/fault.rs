@@ -19,6 +19,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::cells;
+use crate::fnv::fnv1a;
 
 /// The kinds of fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,18 +163,6 @@ impl FaultPlan {
         let pick = splitmix64(mixed) as usize % self.kinds.len();
         Some(self.kinds[pick])
     }
-}
-
-/// FNV-1a over bytes (site names).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.

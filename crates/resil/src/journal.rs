@@ -14,20 +14,10 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::io_point;
+use crate::fnv::fnv1a;
 
 /// Fault-injection site claimed once per journal append.
 const APPEND_SITE: &str = "io/journal_append";
-
-/// FNV-1a 64-bit, the same hash the workspace uses for corpus
-/// fingerprints — stable across platforms and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Renders `payload` as one checksummed journal line **without** the
 /// trailing newline: `<fnv1a-hex-16> <payload>`. This is the exact

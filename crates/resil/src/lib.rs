@@ -67,6 +67,7 @@
 
 mod atomic_file;
 mod fault;
+mod fnv;
 mod journal;
 mod supervise;
 
@@ -75,6 +76,7 @@ pub use fault::{
     arm, arm_from_env, armed, disarm, io_point, point, suppress, would_inject, FaultKind,
     FaultPlan, SuppressGuard,
 };
+pub use fnv::{fnv1a, Fnv1a};
 pub use journal::{checksum_line, Journal};
 pub use supervise::{
     clear_failure_observer, set_failure_observer, supervised, CellOutcome, FailureObserver,

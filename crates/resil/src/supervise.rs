@@ -114,7 +114,7 @@ impl RetryPolicy {
             return base;
         };
         let mixed = crate::fault::splitmix64(
-            seed ^ crate::fault::fnv1a(site.as_bytes())
+            seed ^ crate::fnv::fnv1a(site.as_bytes())
                 ^ crate::fault::splitmix64(u64::from(attempt)),
         );
         // 53 uniform mantissa bits → u in [0, 1); scale into [0.5, 1.5).
@@ -238,6 +238,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Serializes the tests that call `supervised`: it moves the
+    /// process-wide counters they assert deltas of, and the failure
+    /// observer and the panic hook are process-wide too.
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Silences the default panic hook's backtrace spam for panics this
     /// test intentionally catches, restoring the hook afterwards.
     fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
@@ -250,6 +258,7 @@ mod tests {
 
     #[test]
     fn first_attempt_success_consumes_no_retries() {
+        let _guard = lock();
         let before = crate::stats();
         let outcome = supervised("unit/ok", &RetryPolicy::default(), || 7);
         assert_eq!(
@@ -266,6 +275,7 @@ mod tests {
 
     #[test]
     fn transient_panics_are_retried_to_success() {
+        let _guard = lock();
         quiet_panics(|| {
             let tries = AtomicU32::new(0);
             let policy = RetryPolicy {
@@ -295,6 +305,7 @@ mod tests {
 
     #[test]
     fn exhausted_attempts_degrade_with_site_and_message() {
+        let _guard = lock();
         quiet_panics(|| {
             let policy = RetryPolicy {
                 max_attempts: 3,
@@ -326,6 +337,7 @@ mod tests {
 
     #[test]
     fn failure_observer_sees_exhausted_units() {
+        let _guard = lock();
         quiet_panics(|| {
             use std::sync::Arc;
             let seen: Arc<Mutex<Vec<(String, u32, String)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -354,6 +366,7 @@ mod tests {
 
     #[test]
     fn watchdog_flags_slow_attempts() {
+        let _guard = lock();
         let policy = RetryPolicy {
             max_attempts: 1,
             backoff: Duration::ZERO,
@@ -422,6 +435,7 @@ mod tests {
 
     #[test]
     fn zero_max_attempts_still_runs_once() {
+        let _guard = lock();
         let policy = RetryPolicy {
             max_attempts: 0,
             ..RetryPolicy::default()

@@ -1,7 +1,7 @@
 //! A suffix-automaton substring index with occurrence counts.
 //!
-//! [`NgramSet`]/[`NgramCounter`](crate::NgramCounter) answer
-//! presence/frequency questions for **one fixed window length each**;
+//! An [`NgramCounter`](crate::NgramCounter) answers presence/frequency
+//! questions for **one fixed window length**;
 //! profiling a stream at every length up to `L` therefore costs
 //! `O(n · L)` time and memory. A [`SubstringIndex`] is the classic
 //! alternative: one suffix automaton over the stream, built in
@@ -9,8 +9,6 @@
 //! length** in `O(len(pattern))` — which makes the minimal-foreign-
 //! sequence census and the corpus verifier independent of a maximal
 //! profiled length.
-//!
-//! [`NgramSet`]: crate::NgramSet
 
 use crate::symbol::Symbol;
 

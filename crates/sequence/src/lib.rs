@@ -8,14 +8,16 @@
 //!
 //! * [`Symbol`], [`Alphabet`], [`SymbolTable`] — categorical elements and
 //!   their closed universes;
-//! * [`NgramSet`] / [`NgramCounter`] — the "normal database" of DW-sized
-//!   sequences, in presence/absence and counting form;
+//! * [`NgramCounter`] — the "normal database" of DW-sized sequences with
+//!   their occurrence counts;
 //! * [`BuildSymbolHasher`] — the word-at-a-time hasher of every table
 //!   keyed by symbols or symbol windows;
-//! * [`StreamProfile`] — multi-length occurrence profiles supporting the
-//!   study's anomaly taxonomy: *foreign*, *rare* (relative frequency
-//!   below 0.5 %, [`DEFAULT_RARE_THRESHOLD`]) and *minimal foreign*
-//!   sequences (MFS, §5.1 of the paper);
+//! * [`StreamProfile`] — the census of a training stream at every window
+//!   length: one shared counter per length, built once, from which every
+//!   counting detector trains; and the study's anomaly taxonomy over it:
+//!   *foreign*, *rare* (relative frequency below 0.5 %,
+//!   [`DEFAULT_RARE_THRESHOLD`]) and *minimal foreign* sequences (MFS,
+//!   §5.1 of the paper);
 //! * [`SubstringIndex`] — a suffix-automaton index answering the same
 //!   questions for patterns of *any* length in `O(pattern)` time;
 //! * [`minimal_foreign_positions`] — the census tool behind the paper's
@@ -56,6 +58,6 @@ mod symbol;
 pub use error::SequenceError;
 pub use hash::BuildSymbolHasher;
 pub use index::SubstringIndex;
-pub use ngram::{NgramCounter, NgramSet, DEFAULT_RARE_THRESHOLD};
+pub use ngram::{NgramCounter, DEFAULT_RARE_THRESHOLD};
 pub use profile::{minimal_foreign_positions, StreamProfile};
 pub use symbol::{symbols, Alphabet, Symbol, SymbolTable};

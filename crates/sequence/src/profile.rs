@@ -1,18 +1,40 @@
-//! Multi-length stream profiles and foreign/minimal-foreign analysis.
+//! The training census: a stream's n-gram counts at every window length.
+//!
+//! All the detectors of the study learn normal behaviour "by sliding a
+//! detector window of fixed-length size (DW) across the training data,
+//! and storing the DW-sized sequences in a database" (§5.2). A
+//! [`StreamProfile`] holds those databases for one stream, one shared
+//! [`NgramCounter`] per window length, built once on first demand: a
+//! coverage sweep trains every counting family at every DW from one
+//! profile.
 //!
 //! The anomaly of the study is the *minimal foreign sequence* (MFS, §5.1):
 //! a sequence of length `N` that does not occur in the training data, all
 //! of whose proper subsequences do. Deciding minimality requires knowing,
 //! for several window lengths at once, which sequences the training data
-//! contains and how often — that is what a [`StreamProfile`] provides.
+//! contains and how often — the same profile answers that too.
 
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::SequenceError;
 use crate::ngram::{NgramCounter, DEFAULT_RARE_THRESHOLD};
 use crate::symbol::Symbol;
 
-/// Occurrence profile of a stream at every window length `1..=max_len`.
+/// The n-gram census of a borrowed stream, one counter per window
+/// length.
+///
+/// [`StreamProfile::counter`] builds the counter of a length on first
+/// demand and shares it afterwards. A length is folded from the
+/// shortest longer length already built — each longer gram's count
+/// goes to its prefix, which costs one pass over the distinct longer
+/// grams rather than one over the stream — and counted from the stream
+/// when no longer length is built. Counts are integers, so either way
+/// the counter equals [`NgramCounter::from_stream`]. Priming a profile
+/// at the largest length it will serve therefore makes every shorter
+/// length cheap.
+///
+/// A profile is `Sync`: the rows of a parallel sweep share one.
 ///
 /// # Examples
 ///
@@ -26,22 +48,34 @@ use crate::symbol::Symbol;
 /// // (4,2) occurs and (2,4) occurs, but (4,2,4) never does: an MFS.
 /// assert!(profile.is_minimal_foreign(&symbols(&[4, 2, 4])));
 /// ```
-#[derive(Debug, Clone)]
-pub struct StreamProfile {
+#[derive(Debug)]
+pub struct StreamProfile<'a> {
+    stream: &'a [Symbol],
     max_len: usize,
-    counters: Vec<NgramCounter>,
-    stream_len: usize,
+    /// `counters[len - 1]`, once built.
+    counters: Mutex<Vec<Option<Arc<NgramCounter>>>>,
 }
 
-impl StreamProfile {
-    /// Profiles `stream` at every window length `1..=max_len`.
+impl<'a> StreamProfile<'a> {
+    /// An empty census of `stream` serving every window length; nothing
+    /// is counted until a counter is asked for.
+    pub fn new(stream: &'a [Symbol]) -> Self {
+        StreamProfile {
+            stream,
+            max_len: usize::MAX,
+            counters: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Profiles `stream` at window lengths `1..=max_len`, counting
+    /// length `max_len` up front.
     ///
     /// # Errors
     ///
     /// Returns [`SequenceError::InvalidWindow`] if `max_len` is zero, and
     /// [`SequenceError::StreamTooShort`] if the stream is shorter than
     /// `max_len` (no window of the maximal length would fit).
-    pub fn build(stream: &[Symbol], max_len: usize) -> Result<Self, SequenceError> {
+    pub fn build(stream: &'a [Symbol], max_len: usize) -> Result<Self, SequenceError> {
         if max_len == 0 {
             return Err(SequenceError::InvalidWindow { window: max_len });
         }
@@ -51,17 +85,23 @@ impl StreamProfile {
                 needed: max_len,
             });
         }
-        let counters = (1..=max_len)
-            .map(|l| NgramCounter::from_stream(stream, l))
-            .collect();
-        Ok(StreamProfile {
+        let profile = StreamProfile {
             max_len,
-            counters,
-            stream_len: stream.len(),
-        })
+            ..StreamProfile::new(stream)
+        };
+        profile.counter(max_len);
+        Ok(profile)
     }
 
-    /// The largest window length profiled.
+    /// The profiled stream.
+    #[inline]
+    pub const fn stream(&self) -> &'a [Symbol] {
+        self.stream
+    }
+
+    /// The largest window length served: `max_len` for a profile from
+    /// [`StreamProfile::build`], `usize::MAX` for one from
+    /// [`StreamProfile::new`].
     #[inline]
     pub const fn max_len(&self) -> usize {
         self.max_len
@@ -70,21 +110,34 @@ impl StreamProfile {
     /// Length of the profiled stream.
     #[inline]
     pub const fn stream_len(&self) -> usize {
-        self.stream_len
+        self.stream.len()
     }
 
-    /// The counter for window length `len`.
+    /// The counter for window length `len`, built on first demand.
     ///
     /// # Panics
     ///
     /// Panics if `len` is zero or exceeds [`StreamProfile::max_len`].
-    pub fn counter(&self, len: usize) -> &NgramCounter {
+    pub fn counter(&self, len: usize) -> Arc<NgramCounter> {
         assert!(
             (1..=self.max_len).contains(&len),
             "window length {len} outside profiled range 1..={}",
             self.max_len
         );
-        &self.counters[len - 1]
+        // A panic cannot leave a half-built entry: counters are stored
+        // only once complete.
+        let mut counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        if counters.len() < len {
+            counters.resize(len, None);
+        }
+        if let Some(built) = &counters[len - 1] {
+            return Arc::clone(built);
+        }
+        let counter = match counters[len..].iter().flatten().next() {
+            Some(longer) => longer.prefix_fold(self.stream, len),
+            None => NgramCounter::from_stream(self.stream, len),
+        };
+        Arc::clone(counters[len - 1].insert(Arc::new(counter)))
     }
 
     /// Whether `gram` occurs in the stream (any profiled length).
@@ -173,13 +226,13 @@ impl StreamProfile {
     }
 }
 
-impl fmt::Display for StreamProfile {
+impl fmt::Display for StreamProfile<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "stream-profile(stream_len={}, max_len={})",
-            self.stream_len, self.max_len
-        )
+        write!(f, "stream-profile(stream_len={}", self.stream.len())?;
+        if self.max_len < usize::MAX {
+            write!(f, ", max_len={}", self.max_len)?;
+        }
+        f.write_str(")")
     }
 }
 
@@ -209,7 +262,7 @@ impl fmt::Display for StreamProfile {
 /// assert_eq!(hits, vec![3]); // (1,3) foreign, both symbols occur
 /// ```
 pub fn minimal_foreign_positions(
-    profile: &StreamProfile,
+    profile: &StreamProfile<'_>,
     test: &[Symbol],
     len: usize,
 ) -> Result<Vec<usize>, SequenceError> {
@@ -254,7 +307,8 @@ mod tests {
 
     #[test]
     fn counters_cover_all_lengths() {
-        let p = StreamProfile::build(&cycle_stream(10), 4).unwrap();
+        let s = cycle_stream(10);
+        let p = StreamProfile::build(&s, 4).unwrap();
         for l in 1..=4 {
             assert_eq!(p.counter(l).ngram_len(), l);
             assert!(!p.counter(l).is_empty());
@@ -264,13 +318,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside profiled range")]
     fn counter_out_of_range_panics() {
-        let p = StreamProfile::build(&cycle_stream(4), 2).unwrap();
+        let s = cycle_stream(4);
+        let p = StreamProfile::build(&s, 2).unwrap();
         let _ = p.counter(3);
     }
 
     #[test]
     fn foreignness_matches_occurrence() {
-        let p = StreamProfile::build(&cycle_stream(10), 3).unwrap();
+        let s = cycle_stream(10);
+        let p = StreamProfile::build(&s, 3).unwrap();
         assert!(p.contains(&symbols(&[2, 3, 4])));
         assert!(p.is_foreign(&symbols(&[2, 4, 3])));
         assert!(!p.is_foreign(&symbols(&[4, 1, 2])));
@@ -293,7 +349,8 @@ mod tests {
 
     #[test]
     fn length_one_never_minimal_foreign() {
-        let p = StreamProfile::build(&cycle_stream(5), 2).unwrap();
+        let s = cycle_stream(5);
+        let p = StreamProfile::build(&s, 2).unwrap();
         assert!(!p.is_minimal_foreign(&symbols(&[9])));
         assert!(!p.is_minimal_foreign(&symbols(&[1])));
     }
@@ -340,21 +397,46 @@ mod tests {
 
     #[test]
     fn census_rejects_bad_lengths() {
-        let p = StreamProfile::build(&cycle_stream(5), 3).unwrap();
+        let s = cycle_stream(5);
+        let p = StreamProfile::build(&s, 3).unwrap();
         assert!(minimal_foreign_positions(&p, &[], 1).is_err());
         assert!(minimal_foreign_positions(&p, &[], 4).is_err());
     }
 
     #[test]
     fn census_short_test_stream_is_empty() {
-        let p = StreamProfile::build(&cycle_stream(5), 3).unwrap();
+        let s = cycle_stream(5);
+        let p = StreamProfile::build(&s, 3).unwrap();
         let hits = minimal_foreign_positions(&p, &symbols(&[1]), 2).unwrap();
         assert!(hits.is_empty());
     }
 
     #[test]
+    fn counters_are_built_once_and_shared() {
+        let s = cycle_stream(10);
+        let p = StreamProfile::new(&s);
+        let first = p.counter(3);
+        assert!(Arc::ptr_eq(&first, &p.counter(3)));
+        assert_eq!(*first, NgramCounter::from_stream(&s, 3));
+        // Shorter lengths fold from the built one; longer ones count.
+        assert_eq!(*p.counter(2), NgramCounter::from_stream(&s, 2));
+        assert_eq!(*p.counter(5), NgramCounter::from_stream(&s, 5));
+    }
+
+    #[test]
+    fn unbounded_profile_serves_lengths_beyond_the_stream() {
+        let s = cycle_stream(1);
+        let p = StreamProfile::new(&s);
+        assert_eq!(p.max_len(), usize::MAX);
+        assert!(p.counter(9).is_empty());
+        assert_eq!(p.counter(4).total_windows(), 1);
+        assert_eq!(p.stream(), s.as_slice());
+    }
+
+    #[test]
     fn display_is_nonempty() {
-        let p = StreamProfile::build(&cycle_stream(5), 2).unwrap();
+        let s = cycle_stream(5);
+        let p = StreamProfile::build(&s, 2).unwrap();
         assert!(!p.to_string().is_empty());
     }
 }

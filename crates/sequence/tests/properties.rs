@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use detdiv_sequence::{minimal_foreign_positions, NgramCounter, NgramSet, StreamProfile, Symbol};
+use detdiv_sequence::{minimal_foreign_positions, NgramCounter, StreamProfile, Symbol};
 use proptest::prelude::*;
 
 /// Strategy: a stream of symbols over a small alphabet, long enough for
@@ -80,29 +80,47 @@ proptest! {
         random in prop::collection::vec(0usize..64, 0..=60),
     ) {
         let (alphabet, s) = corpus;
-        let set = NgramSet::from_stream(&s, len);
         let counter = NgramCounter::from_stream(&s, len);
         let occurrences = |g: &[Symbol]| s.windows(len).filter(|w| *w == g).count() as u64;
         for probe in probes(&alphabet, &s, len, &random) {
             let expected = if probe.len() == len { occurrences(&probe) } else { 0 };
-            prop_assert_eq!(set.contains(&probe), expected > 0, "{:?}", probe);
+            prop_assert_eq!(counter.contains(&probe), expected > 0, "{:?}", probe);
             prop_assert_eq!(counter.count(&probe), expected, "{:?}", probe);
         }
         prop_assert_eq!(counter.total_windows(), s.windows(len).count() as u64);
         let distinct: BTreeSet<&[Symbol]> = s.windows(len).collect();
         prop_assert_eq!(counter.distinct(), distinct.len());
-        prop_assert_eq!(set.len(), distinct.len());
     }
 
-    /// Every window of the source stream is contained in the set built
-    /// from it, and its count in the counter is positive.
+    /// Every window of the source stream is contained in the counter
+    /// built from it, with a positive count.
     #[test]
     fn all_windows_are_members(s in stream(6, 8, 128), len in 1usize..5) {
-        let set = NgramSet::from_stream(&s, len);
         let counter = NgramCounter::from_stream(&s, len);
         for w in s.windows(len) {
-            prop_assert!(set.contains(w));
+            prop_assert!(counter.contains(w));
             prop_assert!(counter.count(w) > 0);
+        }
+    }
+
+    /// The census's counters equal direct counting — counts, distinct
+    /// grams and `total_windows` — whatever order the lengths are asked
+    /// for in, so whichever longer length each one is folded from. The
+    /// lengths run past the stream's length, down to 1, on every
+    /// alphabet.
+    #[test]
+    fn census_counters_equal_direct_counting_in_any_order(
+        corpus in alphabet_stream(120),
+        lengths in prop::collection::vec(1usize..=20, 1..=12),
+    ) {
+        let (_, s) = corpus;
+        let profile = StreamProfile::new(&s);
+        for &len in &lengths {
+            let direct = NgramCounter::from_stream(&s, len);
+            let census = profile.counter(len);
+            prop_assert_eq!(census.total_windows(), direct.total_windows(), "len {}", len);
+            prop_assert_eq!(census.total_windows(), (s.len() + 1).saturating_sub(len) as u64);
+            prop_assert_eq!(&*census, &direct, "len {} after {:?}", len, lengths);
         }
     }
 

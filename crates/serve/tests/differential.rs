@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use detdiv_core::SequenceAnomalyDetector;
 use detdiv_detectors::Stide;
 use detdiv_guard::{DegradationLevel, GuardConfig};
-use detdiv_sequence::{symbols, Symbol};
+use detdiv_sequence::{symbols, StreamProfile, Symbol};
 use detdiv_serve::{
     IngestService, RejectReason, ServeConfig, Tier1Config, VerdictEvent, VerdictSink,
 };
@@ -33,7 +33,7 @@ fn bank_factory() -> impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + C
     for _ in 0..30 {
         train.extend(symbols(&[1, 2, 3, 4]));
     }
-    stide.train(&train);
+    stide.train(&StreamProfile::new(&train));
     let model: Arc<dyn detdiv_core::TrainedModel> = Arc::new(stide);
     move || {
         vec![

@@ -38,11 +38,11 @@ pub const REASON_NORMAL: &str = "normal";
 /// use std::sync::Arc;
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 /// use detdiv_detectors::Stide;
-/// use detdiv_sequence::symbols;
+/// use detdiv_sequence::{symbols, StreamProfile};
 /// use detdiv_stream::{ModelAdapter, SignalContext, StreamDetector};
 ///
 /// let mut stide = Stide::new(2);
-/// stide.train(&symbols(&[1, 2, 3, 1, 2, 3]));
+/// stide.train(&StreamProfile::new(&symbols(&[1, 2, 3, 1, 2, 3])));
 /// let mut adapter = ModelAdapter::new(Arc::new(stide));
 ///
 /// let mut out = Vec::new();
@@ -191,7 +191,7 @@ mod tests {
     use super::*;
     use detdiv_core::SequenceAnomalyDetector;
     use detdiv_detectors::{MarkovDetector, Stide};
-    use detdiv_sequence::symbols;
+    use detdiv_sequence::{symbols, StreamProfile};
 
     fn trained_stide(window: usize) -> Arc<dyn TrainedModel> {
         let mut s = Stide::new(window);
@@ -199,7 +199,7 @@ mod tests {
         for _ in 0..20 {
             train.extend(symbols(&[1, 2, 3, 4]));
         }
-        s.train(&train);
+        s.train(&StreamProfile::new(&train));
         Arc::new(s)
     }
 
@@ -306,7 +306,9 @@ mod tests {
         // Markov: a rare-but-seen transition scores strictly between 0
         // and the floor... use probability complements: P(2|1) = 5/7.
         let mut det = MarkovDetector::new(2);
-        det.train(&symbols(&[1, 2, 1, 2, 1, 3, 1, 2, 1, 2, 1, 3, 1, 2]));
+        det.train(&StreamProfile::new(&symbols(&[
+            1, 2, 1, 2, 1, 3, 1, 2, 1, 2, 1, 3, 1, 2,
+        ])));
         let model: Arc<dyn TrainedModel> = Arc::new(det);
         let mut adapter = ModelAdapter::new(model);
         adapter.update(&SignalContext::from_symbol(0, 0, symbols(&[1])[0]));

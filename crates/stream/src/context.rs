@@ -8,9 +8,6 @@
 
 use detdiv_sequence::Symbol;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Hashes a stream identifier to the `u64` carried by every
 /// [`SignalContext`] of that stream (FNV-1a, stable across platforms
 /// and runs).
@@ -27,12 +24,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// assert_ne!(a, hash_stream_id("host-b/auditd"));
 /// ```
 pub fn hash_stream_id(id: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    detdiv_resil::fnv1a(id.as_bytes())
 }
 
 /// One event pushed into a stream detector.

@@ -1,18 +1,10 @@
-//! Genuinely-online zero-dependency detectors.
+//! A genuinely-online zero-dependency detector.
 //!
 //! The model adapters of [`crate::adapter`] replay a batch-trained model
-//! over a sliding window; the detectors here never see a training set at
-//! all. They maintain running statistics that adapt as the stream
-//! evolves, covering the classic change-detection repertoire:
-//!
-//! * [`Ewma`] — exponentially weighted moving average and variance with
-//!   a squashed z-score response;
-//! * [`Cusum`] — two-sided cumulative sums (Page 1954), with an
-//!   *enhanced* mode that re-estimates the reference level online;
-//! * [`AdaptiveThreshold`] — a decaying envelope that flags values
-//!   escaping their own recent range;
-//! * [`FadingHistogram`] — exponentially faded symbol frequencies
-//!   scoring each event by its recent rarity.
+//! over a sliding window; [`Ewma`] never sees a training set at all. It
+//! keeps an exponentially weighted moving average and variance that
+//! adapt as the stream evolves, and responds with a squashed z-score —
+//! the serve path's always-on tier-1 gate.
 //!
 //! All state is plain `f64` arithmetic updated in a fixed order, so
 //! replaying a stream reproduces every verdict bit-identically. Scores
@@ -168,298 +160,6 @@ impl StreamDetector for Ewma {
     }
 }
 
-/// Two-sided CUSUM change detector (Page 1954).
-///
-/// Tracks `g⁺ = max(0, g⁺ + (x − μ − k))` and
-/// `g⁻ = max(0, g⁻ − (x − μ + k))` against a reference level `μ`; the
-/// score is `max(g⁺, g⁻) / h` clamped to 1, so crossing the decision
-/// interval `h` is a maximal response.
-///
-/// In *enhanced* mode (the default constructor), the reference level is
-/// re-estimated online with an EWMA of slack-free observations — the
-/// adaptive-reference variant often called enhanced CUSUM — so the
-/// detector survives slow drifts that would saturate a fixed-reference
-/// CUSUM.
-#[derive(Debug, Clone)]
-pub struct Cusum {
-    k: f64,
-    h: f64,
-    adapt_alpha: Option<f64>,
-    warmup: usize,
-    reference: f64,
-    g_pos: f64,
-    g_neg: f64,
-    observed: u64,
-}
-
-impl Cusum {
-    /// Enhanced CUSUM: slack `k`, decision interval `h`, reference level
-    /// adapted online with smoothing factor `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `h > 0`, `k ≥ 0` and `alpha` is within `(0, 1]`.
-    pub fn enhanced(k: f64, h: f64, alpha: f64, warmup: usize) -> Cusum {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        let mut c = Cusum::fixed(0.0, k, h, warmup);
-        c.adapt_alpha = Some(alpha);
-        c
-    }
-
-    /// Classic CUSUM with a fixed reference level.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `h > 0` and `k ≥ 0`.
-    pub fn fixed(reference: f64, k: f64, h: f64, warmup: usize) -> Cusum {
-        assert!(h > 0.0, "decision interval must be positive");
-        assert!(k >= 0.0, "slack must be non-negative");
-        Cusum {
-            k,
-            h,
-            adapt_alpha: None,
-            warmup,
-            reference,
-            g_pos: 0.0,
-            g_neg: 0.0,
-            observed: 0,
-        }
-    }
-
-    /// The current reference level.
-    pub fn reference(&self) -> f64 {
-        self.reference
-    }
-}
-
-impl StreamDetector for Cusum {
-    fn name(&self) -> &str {
-        if self.adapt_alpha.is_some() {
-            "cusum-enhanced"
-        } else {
-            "cusum"
-        }
-    }
-
-    fn warmup_len(&self) -> usize {
-        self.warmup
-    }
-
-    fn update(&mut self, ctx: &SignalContext) -> Option<DetectionResult> {
-        let x = ctx.value;
-        if let Some(alpha) = self.adapt_alpha {
-            if self.observed == 0 {
-                self.reference = x;
-            } else {
-                self.reference += alpha * (x - self.reference);
-            }
-        }
-        let dev = x - self.reference;
-        self.g_pos = (self.g_pos + dev - self.k).max(0.0);
-        self.g_neg = (self.g_neg - dev - self.k).max(0.0);
-        self.observed += 1;
-        if (self.observed as usize) <= self.warmup {
-            return None;
-        }
-        let g = self.g_pos.max(self.g_neg);
-        Some(DetectionResult {
-            score: (g / self.h).min(1.0),
-            confidence: ramp_confidence(self.observed, self.warmup),
-            reason: if self.g_pos >= self.g_neg {
-                "cusum-upward-shift"
-            } else {
-                "cusum-downward-shift"
-            },
-        })
-    }
-
-    fn reset(&mut self) {
-        self.g_pos = 0.0;
-        self.g_neg = 0.0;
-        self.observed = 0;
-        if self.adapt_alpha.is_some() {
-            self.reference = 0.0;
-        }
-    }
-}
-
-/// Adaptive-threshold envelope: flags values escaping a decaying
-/// min/max band of their own recent history.
-///
-/// The band contracts geometrically toward the running mean at rate
-/// `decay` per event and expands instantly to admit observed values;
-/// the score is the squashed relative overshoot outside the band.
-#[derive(Debug, Clone)]
-pub struct AdaptiveThreshold {
-    decay: f64,
-    warmup: usize,
-    lo: f64,
-    hi: f64,
-    mean: f64,
-    observed: u64,
-}
-
-impl AdaptiveThreshold {
-    /// Creates an envelope with per-event contraction rate `decay`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `decay` is within `[0, 1)`.
-    pub fn new(decay: f64, warmup: usize) -> AdaptiveThreshold {
-        assert!((0.0..1.0).contains(&decay), "decay must be in [0, 1)");
-        AdaptiveThreshold {
-            decay,
-            warmup,
-            lo: 0.0,
-            hi: 0.0,
-            mean: 0.0,
-            observed: 0,
-        }
-    }
-
-    /// The current envelope as `(low, high)`.
-    pub fn band(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-}
-
-impl StreamDetector for AdaptiveThreshold {
-    fn name(&self) -> &str {
-        "adaptive-threshold"
-    }
-
-    fn warmup_len(&self) -> usize {
-        self.warmup
-    }
-
-    fn update(&mut self, ctx: &SignalContext) -> Option<DetectionResult> {
-        let x = ctx.value;
-        if self.observed == 0 {
-            self.lo = x;
-            self.hi = x;
-            self.mean = x;
-        } else {
-            self.mean += 0.05 * (x - self.mean);
-            // Contract toward the mean, then admit the new value.
-            self.lo += self.decay * (self.mean - self.lo);
-            self.hi += self.decay * (self.mean - self.hi);
-        }
-        let width = (self.hi - self.lo).max(f64::MIN_POSITIVE);
-        let overshoot = if x > self.hi {
-            (x - self.hi) / width
-        } else if x < self.lo {
-            (self.lo - x) / width
-        } else {
-            0.0
-        };
-        self.lo = self.lo.min(x);
-        self.hi = self.hi.max(x);
-        self.observed += 1;
-        if (self.observed as usize) <= self.warmup {
-            return None;
-        }
-        Some(DetectionResult {
-            score: squash(overshoot),
-            confidence: ramp_confidence(self.observed, self.warmup),
-            reason: "threshold-escape",
-        })
-    }
-
-    fn reset(&mut self) {
-        self.lo = 0.0;
-        self.hi = 0.0;
-        self.mean = 0.0;
-        self.observed = 0;
-    }
-}
-
-/// Exponentially faded symbol histogram scoring each event by recent
-/// rarity.
-///
-/// Per-symbol masses decay by `lambda` per event, applied *lazily*: a
-/// bin stores its mass and the event index at which that mass was
-/// current, and pays `lambda^Δ` only when touched — the hot path is
-/// O(1) regardless of alphabet size. The score for symbol `s` arriving
-/// at total faded mass `M` is `1 − mass(s)/M`, so symbols the stream
-/// has recently favoured score low and novel or faded-out symbols score
-/// high.
-#[derive(Debug, Clone)]
-pub struct FadingHistogram {
-    lambda: f64,
-    warmup: usize,
-    bins: Vec<(f64, u64)>, // (mass, as-of event index), indexed by symbol id
-    total: f64,
-    observed: u64,
-}
-
-impl FadingHistogram {
-    /// Creates a histogram with per-event fading factor `lambda`
-    /// (mass surviving each event; 1 disables fading).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lambda` is within `(0, 1]`.
-    pub fn new(lambda: f64, warmup: usize) -> FadingHistogram {
-        assert!(lambda > 0.0 && lambda <= 1.0, "lambda must be in (0, 1]");
-        FadingHistogram {
-            lambda,
-            warmup,
-            bins: Vec::new(),
-            total: 0.0,
-            observed: 0,
-        }
-    }
-
-    fn faded(&self, mass: f64, as_of: u64) -> f64 {
-        let age = self.observed - as_of;
-        if age == 0 || mass == 0.0 {
-            mass
-        } else {
-            // powi is exact-deterministic for the u32 ages we see.
-            mass * self.lambda.powi(age.min(u64::from(u32::MAX)) as i32)
-        }
-    }
-}
-
-impl StreamDetector for FadingHistogram {
-    fn name(&self) -> &str {
-        "fading-histogram"
-    }
-
-    fn warmup_len(&self) -> usize {
-        self.warmup
-    }
-
-    fn update(&mut self, ctx: &SignalContext) -> Option<DetectionResult> {
-        let idx = ctx.symbol.index();
-        if idx >= self.bins.len() {
-            // Growth happens once per newly seen symbol id, not per event.
-            self.bins.resize(idx + 1, (0.0, 0));
-        }
-        // Fade the total and this bin up to the current event, then add.
-        self.total = self.total * self.lambda + 1.0;
-        let (mass, as_of) = self.bins[idx];
-        let current = self.faded(mass, as_of) * self.lambda + 1.0;
-        self.observed += 1;
-        self.bins[idx] = (current, self.observed);
-        if (self.observed as usize) <= self.warmup {
-            return None;
-        }
-        let score = 1.0 - (current / self.total).clamp(0.0, 1.0);
-        Some(DetectionResult {
-            score,
-            confidence: ramp_confidence(self.observed, self.warmup),
-            reason: "symbol-rarity",
-        })
-    }
-
-    fn reset(&mut self) {
-        self.bins.clear();
-        self.total = 0.0;
-        self.observed = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,13 +170,6 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &v)| det.update(&SignalContext::new(i as u64, 0, Symbol::new(0), v)))
-            .collect()
-    }
-
-    fn feed_symbols(det: &mut dyn StreamDetector, ids: &[u32]) -> Vec<Option<DetectionResult>> {
-        ids.iter()
-            .enumerate()
-            .map(|(i, &id)| det.update(&SignalContext::from_symbol(i as u64, 0, Symbol::new(id))))
             .collect()
     }
 
@@ -523,74 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn cusum_detects_a_sustained_shift() {
-        let mut det = Cusum::fixed(5.0, 0.5, 8.0, 4);
-        let mut values = vec![5.0; 40];
-        for v in values.iter_mut().skip(20) {
-            *v = 7.0; // persistent +2 shift, accumulates at 1.5/event
-        }
-        let results = feed(&mut det, &values);
-        assert_contract(&results, 4);
-        assert!(results[10].unwrap().score < 0.2);
-        assert_eq!(results[39].unwrap().score, 1.0, "shift crosses h");
-        assert_eq!(results[39].unwrap().reason, "cusum-upward-shift");
-    }
-
-    #[test]
-    fn enhanced_cusum_absorbs_slow_drift() {
-        // Drift of +0.01/event: the adaptive reference follows, the
-        // fixed reference saturates.
-        let values: Vec<f64> = (0..600).map(|i| 5.0 + 0.01 * i as f64).collect();
-        let enhanced = feed(&mut Cusum::enhanced(0.5, 8.0, 0.1, 4), &values);
-        let fixed = feed(&mut Cusum::fixed(5.0, 0.5, 8.0, 4), &values);
-        assert!(enhanced[599].unwrap().score < 0.2, "drift absorbed");
-        assert_eq!(fixed[599].unwrap().score, 1.0, "fixed reference saturates");
-        assert_eq!(Cusum::enhanced(0.5, 8.0, 0.1, 4).name(), "cusum-enhanced");
-    }
-
-    #[test]
-    fn adaptive_threshold_flags_escapes_only() {
-        let mut det = AdaptiveThreshold::new(0.05, 8);
-        let mut values: Vec<f64> = (0..80).map(|i| 10.0 + ((i % 5) as f64)).collect();
-        values[70] = 1_000.0;
-        let results = feed(&mut det, &values);
-        assert_contract(&results, 8);
-        // i = 63 is mid-cycle (value 13), comfortably inside the band.
-        assert!(results[63].unwrap().score == 0.0, "in-band is normal");
-        assert!(results[70].unwrap().score > 0.9, "escape flagged");
-    }
-
-    #[test]
-    fn fading_histogram_scores_novelty_high_and_refavours() {
-        let mut det = FadingHistogram::new(0.95, 8);
-        let mut ids = vec![0u32; 50];
-        ids.extend([1u32; 1]); // novel symbol at event 50
-        ids.extend([0u32; 10]);
-        let results = feed_symbols(&mut det, &ids);
-        assert_contract(&results, 8);
-        let novel = results[50].unwrap().score;
-        let usual = results[49].unwrap().score;
-        assert!(novel > 0.9, "novel symbol is rare: {novel}");
-        assert!(usual < 0.2, "dominant symbol is common: {usual}");
-    }
-
-    #[test]
-    fn fading_histogram_lazy_decay_matches_replay() {
-        // Alternate two symbols with a long gap; replay must be
-        // bit-identical (lazy decay is order-insensitive bookkeeping).
-        let ids: Vec<u32> = (0..300).map(|i| u32::from(i % 7 == 0)).collect();
-        let a = feed_symbols(&mut FadingHistogram::new(0.9, 4), &ids);
-        let b = feed_symbols(&mut FadingHistogram::new(0.9, 4), &ids);
-        for (x, y) in a.iter().zip(&b) {
-            match (x, y) {
-                (Some(x), Some(y)) => assert_eq!(x.score.to_bits(), y.score.to_bits()),
-                (None, None) => {}
-                _ => panic!("emission pattern diverged"),
-            }
-        }
-    }
-
-    #[test]
     fn confidence_ramps_to_one() {
         let mut det = Ewma::new(0.1, 4);
         let values = vec![1.0; 20];
@@ -611,7 +236,7 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         let values: Vec<f64> = (0..50).map(|i| (i % 9) as f64).collect();
-        let mut det = Cusum::enhanced(0.5, 8.0, 0.1, 4);
+        let mut det = Ewma::new(0.1, 4);
         let first = feed(&mut det, &values);
         det.reset();
         let second = feed(&mut det, &values);
@@ -653,17 +278,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ewma_rejects_bad_alpha() {
         let _ = Ewma::new(0.0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "decision interval")]
-    fn cusum_rejects_bad_interval() {
-        let _ = Cusum::fixed(0.0, 0.5, 0.0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "lambda")]
-    fn histogram_rejects_bad_lambda() {
-        let _ = FadingHistogram::new(1.5, 4);
     }
 }

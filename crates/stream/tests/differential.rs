@@ -24,7 +24,7 @@ use detdiv_detectors::{
     HmmConfig, HmmDetector, LaneBrodley, MarkovDetector, NeuralConfig, NeuralDetector,
     RipperDetector, Stide, TStide,
 };
-use detdiv_sequence::{symbols, Symbol};
+use detdiv_sequence::{symbols, StreamProfile, Symbol};
 use detdiv_stream::{
     hash_stream_id, stream_scores, ModelAdapter, SignalContext, StreamDetector, StreamEngine,
 };
@@ -63,10 +63,11 @@ fn families(window: usize) -> Vec<Box<dyn SequenceAnomalyDetector>> {
 }
 
 fn trained_families(training: &[Symbol], window: usize) -> Vec<Arc<dyn TrainedModel>> {
+    let profile = StreamProfile::new(training);
     families(window)
         .into_iter()
         .map(|mut det| {
-            det.train(training);
+            det.train(&profile);
             Arc::new(det) as Arc<dyn TrainedModel>
         })
         .collect()

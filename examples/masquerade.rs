@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Show a few windows of each session with their similarity scores.
     let window = 5;
     let mut lb = LaneBrodley::new(window);
-    lb.train(&history);
+    lb.train(&StreamProfile::new(&history));
 
     let show = |label: &str, stream: &[Symbol]| {
         let scores = lb.scores(stream);

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Evaluate straight from the loaded suite.
     let case = loaded.case(4, 6)?;
     let mut stide = Stide::new(6);
-    stide.train(case.training());
+    stide.train(&StreamProfile::new(case.training()));
     let outcome = evaluate_case(&stide, &case)?;
     println!(
         "stide at (AS 4, DW 6) on the loaded suite: {}",

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    response to the anomaly: blind, weak, or capable.
     for kind in DetectorKind::paper_four() {
         let mut detector = kind.build(window);
-        detector.train(case.training());
+        detector.train(&StreamProfile::new(case.training()));
         let outcome = evaluate_case(&detector, &case)?;
         println!(
             "  {:<16} -> {:<8} (max in-span response {:.4})",
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nsame anomaly, detector window {small_window} (< anomaly size):");
     for kind in DetectorKind::paper_four() {
         let mut detector = kind.build(small_window);
-        detector.train(case_small.training());
+        detector.train(&StreamProfile::new(case_small.training()));
         let outcome = evaluate_case(&detector, &case_small)?;
         println!(
             "  {:<16} -> {:<8} (max in-span response {:.4})",

@@ -43,12 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // which it "can only be expected to produce greater numbers of
     // false alarms than Stide".
     let mut markov = MarkovDetector::with_rare_threshold(window, 0.02);
-    markov.train(case.training());
+    markov.train(&StreamProfile::new(case.training()));
     let markov_alarms = alarms_at(&markov.scores(test), markov.maximal_response_floor());
 
     // Stide at the same window: blind to rare-but-known sequences.
     let mut stide = Stide::new(window);
-    stide.train(case.training());
+    stide.train(&StreamProfile::new(case.training()));
     let stide_alarms = alarms_at(&stide.scores(test), stide.maximal_response_floor());
 
     // The combination: keep only Markov alarms that Stide confirms.

@@ -67,13 +67,13 @@
 //! // Train Stide and ask whether the injected minimal foreign sequence
 //! // is detected: with DW (6) >= AS (4) it must be.
 //! let mut stide = Stide::new(6);
-//! stide.train(case.training());
+//! stide.train(&StreamProfile::new(case.training()));
 //! let outcome = evaluate_case(&stide, &case).unwrap();
 //! assert_eq!(outcome.classification(), Classification::Capable);
 //!
 //! // With DW (2) < AS (4), Stide is blind — the paper's Figure 5.
 //! let mut small = Stide::new(2);
-//! small.train(case.training());
+//! small.train(&StreamProfile::new(case.training()));
 //! let case2 = corpus.case(4, 2).unwrap();
 //! let outcome2 = evaluate_case(&small, &case2).unwrap();
 //! assert_eq!(outcome2.classification(), Classification::Blind);
@@ -111,7 +111,7 @@ pub mod prelude {
     };
     pub use detdiv_eval::{coverage_map, DetectorKind, FullReport};
     pub use detdiv_sequence::{
-        symbols, Alphabet, NgramCounter, NgramSet, StreamProfile, SubstringIndex, Symbol,
+        symbols, Alphabet, NgramCounter, StreamProfile, SubstringIndex, Symbol,
         DEFAULT_RARE_THRESHOLD,
     };
     pub use detdiv_serve::{IngestService, ServeConfig, Tier1Config, Tiering, VerdictSink};

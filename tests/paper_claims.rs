@@ -96,9 +96,9 @@ fn claim4_parameters_flip_detectability() {
     let case_small = corpus.case(4, 2).expect("case");
 
     let mut stide6 = Stide::new(6);
-    stide6.train(case_big.training());
+    stide6.train(&StreamProfile::new(case_big.training()));
     let mut stide2 = Stide::new(2);
-    stide2.train(case_small.training());
+    stide2.train(&StreamProfile::new(case_small.training()));
 
     assert_eq!(
         evaluate_case(&stide6, &case_big)
@@ -171,10 +171,11 @@ fn hypothesis_rejected() {
     let corpus = corpus();
     let case = corpus.case(5, 2).expect("case");
 
+    let profile = StreamProfile::new(case.training());
     let mut markov = MarkovDetector::new(2);
-    markov.train(case.training());
+    markov.train(&profile);
     let mut stide = Stide::new(2);
-    stide.train(case.training());
+    stide.train(&profile);
 
     let markov_outcome = evaluate_case(&markov, &case).expect("outcome");
     let stide_outcome = evaluate_case(&stide, &case).expect("outcome");

@@ -35,7 +35,7 @@ fn footnote1_maximum_response_always_registers() {
     let corpus = corpus();
     let case = corpus.case(3, 4).expect("case");
     let mut det = MarkovDetector::new(4);
-    det.train(case.training());
+    det.train(&StreamProfile::new(case.training()));
     let scores = det.scores(case.test_stream());
     let span = IncidentSpan::compute(
         case.test_stream().len(),
@@ -77,11 +77,11 @@ fn union_ensemble_equals_markov_coverage() {
                 Box::new(MarkovDetector::new(window)),
             ],
         );
-        ensemble.train(case.training());
+        ensemble.train(&StreamProfile::new(case.training()));
         let ensemble_outcome = evaluate_case(&ensemble, &case).expect("outcome");
 
         let mut markov = MarkovDetector::new(window);
-        markov.train(case.training());
+        markov.train(&StreamProfile::new(case.training()));
         let markov_outcome = evaluate_case(&markov, &case).expect("outcome");
 
         assert_eq!(
@@ -108,7 +108,7 @@ fn intersection_of_stide_and_lb_is_empty() {
                 Box::new(LaneBrodley::new(window)),
             ],
         );
-        ensemble.train(case.training());
+        ensemble.train(&StreamProfile::new(case.training()));
         let outcome = evaluate_case(&ensemble, &case).expect("outcome");
         assert_ne!(
             outcome.classification(),
@@ -129,7 +129,7 @@ fn tstide_extends_stide_coverage() {
     let case = corpus.case(4, 3).expect("case"); // DW < AS: Stide blind
 
     let mut stide = Stide::new(3);
-    stide.train(case.training());
+    stide.train(&StreamProfile::new(case.training()));
     assert_eq!(
         evaluate_case(&stide, &case)
             .expect("outcome")
@@ -138,7 +138,7 @@ fn tstide_extends_stide_coverage() {
     );
 
     let mut tstide = TStide::new(3);
-    tstide.train(case.training());
+    tstide.train(&StreamProfile::new(case.training()));
     assert_eq!(
         evaluate_case(&tstide, &case)
             .expect("outcome")
@@ -156,14 +156,14 @@ fn lfc_pipeline_smooths_stide() {
     let case = corpus.case(2, 4).expect("case");
 
     let mut plain = Stide::new(4);
-    plain.train(case.training());
+    plain.train(&StreamProfile::new(case.training()));
     let plain_alarm_count = alarms_at(&plain.scores(case.test_stream()), 1.0)
         .iter()
         .filter(|&&a| a)
         .count();
 
     let mut lfc = StideLfc::new(4, 16);
-    lfc.train(case.training());
+    lfc.train(&StreamProfile::new(case.training()));
     let lfc_alarm_count = alarms_at(&lfc.scores(case.test_stream()), 1.0)
         .iter()
         .filter(|&&a| a)
@@ -201,7 +201,7 @@ fn detectors_work_on_trace_streams() {
     // Stide at DW = 6 must flag every window containing a full MFS of
     // length <= 6 (foreignness is upward closed).
     let mut stide = Stide::new(6);
-    stide.train(&monday);
+    stide.train(&StreamProfile::new(&monday));
     let scores = stide.scores(&tuesday);
     let profile = StreamProfile::build(&monday, 6).expect("profile");
     let mut checked = 0;
@@ -245,7 +245,7 @@ fn noisy_and_clean_cases_agree_on_hits() {
     let noisy = corpus.noisy_case(3, 8192, 17).expect("noisy case");
 
     let mut stide = Stide::new(5);
-    stide.train(clean.training());
+    stide.train(&StreamProfile::new(clean.training()));
 
     let clean_outcome = evaluate_case(&stide, &clean).expect("outcome");
     let noisy_outcome = evaluate_case(&stide, &noisy).expect("outcome");

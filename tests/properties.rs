@@ -38,7 +38,7 @@ proptest! {
         let case = corpus.case(3, window).expect("case in grid");
         for kind in DetectorKind::paper_four() {
             let mut det = kind.build(window);
-            det.train(case.training());
+            det.train(&StreamProfile::new(case.training()));
             let scores = det.scores(case.test_stream());
             prop_assert_eq!(
                 scores.len(),
@@ -50,7 +50,7 @@ proptest! {
             }
         }
         let mut stide = Stide::new(window);
-        stide.train(case.training());
+        stide.train(&StreamProfile::new(case.training()));
         for &s in &stide.scores(case.test_stream()) {
             prop_assert!(s == 0.0 || s == 1.0);
         }
@@ -63,7 +63,7 @@ proptest! {
         let corpus = small_corpus(seed);
         let case = corpus.case(4, window).expect("case in grid");
         let mut stide = Stide::new(window);
-        stide.train(case.training());
+        stide.train(&StreamProfile::new(case.training()));
         let scores = stide.scores(case.test_stream());
         let profile = StreamProfile::build(case.training(), window).expect("profile");
         for (i, w) in case.test_stream().windows(window).enumerate() {
@@ -78,10 +78,11 @@ proptest! {
     fn markov_dominates_stide_pointwise(seed in 0u64..1000, window in 2usize..=5) {
         let corpus = small_corpus(seed);
         let case = corpus.case(3, window).expect("case in grid");
+        let profile = StreamProfile::new(case.training());
         let mut stide = Stide::new(window);
-        stide.train(case.training());
+        stide.train(&profile);
         let mut markov = MarkovDetector::new(window);
-        markov.train(case.training());
+        markov.train(&profile);
         let s = stide.scores(case.test_stream());
         let m = markov.scores(case.test_stream());
         for i in 0..s.len() {
@@ -102,7 +103,7 @@ proptest! {
         let corpus = small_corpus(seed);
         let case = corpus.case(anomaly_size, window).expect("case in grid");
         let mut det = MarkovDetector::new(window);
-        det.train(case.training());
+        det.train(&StreamProfile::new(case.training()));
         let a = evaluate_case(&det, &case).expect("outcome");
         let b = evaluate_case(&det, &case).expect("outcome");
         prop_assert_eq!(a.clone(), b);
@@ -117,7 +118,7 @@ proptest! {
         let corpus = small_corpus(seed);
         let case = corpus.case(4, window).expect("case in grid");
         let mut lb = LaneBrodley::new(window);
-        lb.train(case.training());
+        lb.train(&StreamProfile::new(case.training()));
         for (i, &s) in lb.scores(case.test_stream()).iter().enumerate() {
             prop_assert!(s < 1.0, "position {i}: {s}");
         }
