@@ -10,7 +10,9 @@
 //!   carry an intact `detdiv-resil` journal checksum and parse as
 //!   JSON, the payloads (footer excluded) must be sorted — the
 //!   recorder's byte-determinism contract — and the trailing `footer`
-//!   record must agree with the line count and report zero drops.
+//!   record must agree with the line count and report zero drops. A
+//!   dump holding nothing but its footer is rejected too: an armed
+//!   recorder that recorded nothing is evidence of nothing.
 //! * `--report PATH` — the `paper_report.json` of the *same* run.
 //!   When given, the paper-grid coverage maps (fig3–fig6) are
 //!   reconstructed from the dump's `cell` records: every
@@ -154,6 +156,11 @@ fn check_dump(path: &str) -> Result<Vec<(String, Value)>, String> {
         return Err(format!(
             "{path}: footer counts {counted} records, file holds {}",
             records.len()
+        ));
+    }
+    if records.is_empty() {
+        return Err(format!(
+            "{path}: no records before the footer; the recorder recorded nothing"
         ));
     }
     let dropped = field_u64(&footer, "dropped", "footer")?;

@@ -1,14 +1,15 @@
 //! Load generator for the sharded ingest service: drives millions of
 //! distinct synthetic keyed streams through one [`IngestService`] in a
-//! single process and writes a machine-readable baseline
-//! (`BENCH_pr9.json`-shaped) recording sustained events/sec and the
-//! enqueue→verdict latency distribution (p50/p99).
+//! single process and prints what happened to every event — the
+//! deterministic digest and accounting lines CI compares across worker
+//! widths. It takes no timings; the serve path is measured by
+//! `perfbench`.
 //!
 //! ```text
 //! loadgen [--streams N] [--events-per-stream N] [--shards N]
 //!         [--queue-cap N] [--threads N] [--full-tiering]
 //!         [--overload] [--guard-bytes N] [--flight PATH]
-//!         [--fault SPEC] [--snapshot PATH] [--resume PATH] [--out PATH]
+//!         [--fault SPEC] [--snapshot PATH] [--resume PATH]
 //! ```
 //!
 //! Events are synthesized deterministically (a splitmix64 mix of the
@@ -52,7 +53,6 @@
 
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use detdiv_core::SequenceAnomalyDetector;
 use detdiv_detectors::Stide;
@@ -64,66 +64,9 @@ use detdiv_serve::{
     VerdictSink,
 };
 use detdiv_stream::{ModelAdapter, SignalContext, StreamDetector};
-use serde::Serialize;
-
-/// Sample one enqueue→verdict latency out of this many verdicts: keeps
-/// the sample vector small at millions of events while staying dense
-/// enough for stable percentiles. Prime, so the sampling never locks
-/// onto a per-stream emission period.
-const LATENCY_SAMPLE_EVERY: u64 = 997;
 
 /// One spike stream per this many streams escalates to tier-2.
 const SPIKE_PERIOD: u64 = 257;
-
-#[derive(Debug, Serialize)]
-struct Baseline {
-    bench: String,
-    streams: u64,
-    events_per_stream: u64,
-    shards: usize,
-    queue_capacity: usize,
-    threads: usize,
-    /// Total events processed (every synthesized event, exactly once).
-    events: u64,
-    /// Verdicts emitted across both tiers.
-    emitted: u64,
-    /// Streams escalated from the tier-1 gate to the tier-2 bank.
-    escalated: u64,
-    /// Backpressure rejections absorbed by drain-and-retry.
-    rejections: u64,
-    /// Detector slots degraded during the run (non-zero under --fault).
-    degraded: u64,
-    /// Ingest wall time: first enqueue to final drain, ms.
-    wall_ms: f64,
-    /// Sustained throughput over the ingest wall time, events/sec.
-    serve_events_per_sec: f64,
-    /// Median enqueue→verdict latency, microseconds.
-    serve_p50_us: f64,
-    /// 99th-percentile enqueue→verdict latency, microseconds.
-    serve_p99_us: f64,
-    /// Latencies the percentiles were computed from.
-    latency_samples: usize,
-    /// Events offered by the producer (== `events` except under
-    /// `--overload`, where shed events are offered but not delivered).
-    offered: u64,
-    /// Events shed (guard shedding + queue-full drops) under
-    /// `--overload`; always 0 otherwise.
-    shed: u64,
-    /// Shed events rejected by the guard's shedding ladder level.
-    shed_guard: u64,
-    /// Shed events dropped on a full queue while overloaded.
-    shed_queue: u64,
-    /// Drain cycles the recovery phase needed to return every ladder to
-    /// `Full` with empty queues (0 outside `--overload`).
-    recovery_cycles: u64,
-    /// `shed_guard / offered` — the guard's shed rate under overload.
-    guard_shed_rate: f64,
-    /// Peak summed resident detector-state bytes reported by the guard
-    /// (0 without `--overload`).
-    serve_resident_bytes_peak: u64,
-    /// Combined per-shard verdict digest (the determinism check).
-    digest: String,
-}
 
 struct Args {
     streams: u64,
@@ -138,7 +81,6 @@ struct Args {
     fault: Option<String>,
     snapshot: Option<String>,
     resume: Option<String>,
-    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -155,7 +97,6 @@ fn parse_args() -> Result<Args, String> {
         fault: None,
         snapshot: None,
         resume: None,
-        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -205,15 +146,14 @@ fn parse_args() -> Result<Args, String> {
             "--fault" => args.fault = Some(value("--fault")?),
             "--snapshot" => args.snapshot = Some(value("--snapshot")?),
             "--resume" => args.resume = Some(value("--resume")?),
-            "--out" => args.out = Some(value("--out")?),
             "--help" | "-h" => {
                 println!(
                     "usage: loadgen [--streams N] [--events-per-stream N] [--shards N]\n\
                      \x20       [--queue-cap N] [--threads N] [--full-tiering]\n\
                      \x20       [--overload] [--guard-bytes N] [--flight PATH]\n\
-                     \x20       [--fault SPEC] [--snapshot PATH] [--resume PATH] [--out PATH]\n\
+                     \x20       [--fault SPEC] [--snapshot PATH] [--resume PATH]\n\
                      Drives N synthetic keyed streams through a sharded ingest service and\n\
-                     prints a deterministic verdict digest; --out writes the BENCH baseline.\n\
+                     prints a deterministic verdict digest.\n\
                      --overload attaches the guard and offers load at 2x drain capacity,\n\
                      shedding (never silently dropping) the overflow."
                 );
@@ -260,22 +200,18 @@ fn event(i: u64, seq: u64) -> SignalContext {
     SignalContext::new(seq, id, symbol, value)
 }
 
-/// Per-shard FNV-1a verdict digests plus sampled latencies. Per-shard
-/// folding is what makes the combined digest width-independent: one
-/// worker drains a shard at a time, so each shard's verdict order is
-/// deterministic even when shards interleave freely.
+/// Per-shard FNV-1a verdict digests. Per-shard folding is what makes
+/// the combined digest width-independent: one worker drains a shard at
+/// a time, so each shard's verdict order is deterministic even when
+/// shards interleave freely.
 struct LoadSink {
     digests: Vec<Mutex<Fnv1a>>,
-    latencies: Mutex<Vec<u64>>,
-    seen: Mutex<u64>,
 }
 
 impl LoadSink {
     fn new(shards: usize) -> LoadSink {
         LoadSink {
             digests: (0..shards).map(|_| Mutex::new(Fnv1a::new())).collect(),
-            latencies: Mutex::new(Vec::new()),
-            seen: Mutex::new(0),
         }
     }
 
@@ -300,34 +236,7 @@ impl VerdictSink for LoadSink {
         ] {
             digest.write(&word.to_le_bytes());
         }
-        drop(digest);
-        let mut seen = self.seen.lock().unwrap();
-        *seen += 1;
-        let sample = seen.is_multiple_of(LATENCY_SAMPLE_EVERY);
-        drop(seen);
-        if sample {
-            let micros = event.latency.as_nanos() as u64 / 1000;
-            self.latencies.lock().unwrap().push(micros);
-        }
     }
-}
-
-/// Exact percentile over the sorted samples (nearest-rank).
-fn percentile(sorted: &[u64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((pct / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1] as f64
-}
-
-fn bench_label(out: &str) -> String {
-    std::path::Path::new(out)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| out.to_owned())
-        .trim_start_matches("BENCH_")
-        .to_owned()
 }
 
 fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -358,7 +267,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The tier-2 bank: one trained sliding-window model per stream.
-    // Training happens once, outside the timed region; escalated
+    // Training happens once, before ingest starts; escalated
     // streams share the model through the Arc and keep only their own
     // window state.
     let mut stide = Stide::new(3);
@@ -436,7 +345,6 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let mut shed_guard = 0u64;
     let mut shed_queue = 0u64;
     let mut recovery_cycles = 0u64;
-    let started = Instant::now();
     if args.overload {
         // Open-loop overload in alternating waves. A *burst* wave
         // offers two full queue generations back to back with a single
@@ -572,7 +480,6 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    let wall = started.elapsed();
     if args.fault.is_some() {
         detdiv_resil::disarm();
     }
@@ -601,17 +508,6 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    let mut latencies = std::mem::take(&mut *sink.latencies.lock().unwrap());
-    latencies.sort_unstable();
-    let p50 = percentile(&latencies, 50.0);
-    let p99 = percentile(&latencies, 99.0);
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let events_per_sec = if wall.as_secs_f64() > 0.0 {
-        processed as f64 / wall.as_secs_f64()
-    } else {
-        0.0
-    };
-
     if let Some(path) = &args.snapshot {
         let stats = service.snapshot(path)?;
         eprintln!(
@@ -621,12 +517,9 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     eprintln!(
-        "loadgen: {processed} events over {} stream(s) in {wall_ms:.0} ms \
-         ({events_per_sec:.0} events/s), {emitted} verdicts, {escalated} escalated, \
-         {degraded} degraded, {rejections} backpressure rejections, \
-         p50 {p50:.0} us, p99 {p99:.0} us ({} samples)",
+        "loadgen: {processed} events over {} stream(s), {emitted} verdicts, \
+         {escalated} escalated, {degraded} degraded, {rejections} backpressure rejections",
         service.stream_count(),
-        latencies.len()
     );
     if args.overload {
         eprintln!(
@@ -637,9 +530,9 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     // stdout carries only the deterministic facts CI diffs across
-    // worker counts; timing stays on stderr. (resident peak is *not*
-    // printed here: per-shard cycles overlap freely, so the instant the
-    // peak is sampled at differs across widths.)
+    // worker counts. (resident peak is *not* printed here: per-shard
+    // cycles overlap freely, so the instant the peak is sampled at
+    // differs across widths.)
     if args.overload {
         println!(
             "loadgen: overload streams={} offered={offered} delivered={processed} \
@@ -664,41 +557,6 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    if let Some(out) = &args.out {
-        let baseline = Baseline {
-            bench: bench_label(out),
-            streams: args.streams,
-            events_per_stream: args.events_per_stream,
-            shards: args.shards,
-            queue_capacity: args.queue_cap,
-            threads,
-            events: processed,
-            emitted,
-            escalated,
-            rejections,
-            degraded,
-            wall_ms,
-            serve_events_per_sec: events_per_sec,
-            serve_p50_us: p50,
-            serve_p99_us: p99,
-            latency_samples: latencies.len(),
-            offered,
-            shed,
-            shed_guard,
-            shed_queue,
-            recovery_cycles,
-            guard_shed_rate: if offered > 0 {
-                shed_guard as f64 / offered as f64
-            } else {
-                0.0
-            },
-            serve_resident_bytes_peak: resident_peak,
-            digest: format!("{:016x}", sink.combined()),
-        };
-        // Crash-safe: the baseline appears complete or not at all.
-        detdiv_resil::AtomicFile::write(out, serde_json::to_string_pretty(&baseline)?)?;
-        eprintln!("loadgen: wrote {out}");
-    }
     if let Some(dir) = &spill_dir {
         drop(service);
         // Hibernation segments are scratch state; drop them with the

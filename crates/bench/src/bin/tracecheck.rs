@@ -16,7 +16,10 @@
 //!    the innermost open `B` of the same name, and no `B` is left open
 //!    at end of file;
 //! 5. every `--expect-thread NAME` matches some `thread_name` metadata
-//!    event's `args.name` (substring match), e.g. `par-worker-1`.
+//!    event's `args.name` (substring match), e.g. `par-worker-1`;
+//! 6. no `detdiv/trace_dropped` counter event is present: the exporter
+//!    writes one only when the recorder's sink overflowed, and a trace
+//!    with silently missing events is not evidence.
 //!
 //! Prints a one-line summary on success; on any violation prints the
 //! offending event index and exits nonzero.
@@ -129,6 +132,18 @@ fn check(doc: &Value) -> Result<Check, String> {
             {
                 thread_names.push(thread.to_owned());
             }
+        }
+
+        // 6. A dropped-events marker means the sink overflowed.
+        if phase == "C" && name == "detdiv/trace_dropped" {
+            let dropped = event
+                .get("args")
+                .and_then(|args| args.get("value"))
+                .and_then(as_u64)
+                .unwrap_or(0);
+            return Err(fail(&format!(
+                "the recorder dropped {dropped} event(s) (sink overflow)"
+            )));
         }
     }
 

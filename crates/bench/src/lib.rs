@@ -1,14 +1,9 @@
-//! Shared fixtures for the `detdiv` benchmark harness.
-//!
-//! The Criterion benches and the `regenerate` binary both need corpora
-//! of controlled size; this tiny library centralises their
-//! construction so bench targets agree on what "small" and "paper
-//! scale" mean.
+//! Shared helpers for the `detdiv` harness binaries: the `DETDIV_*`
+//! environment preflight every binary runs first, and the paper-grid
+//! corpus `streamcheck` sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
-
-pub mod perfhist;
 
 use detdiv_synth::{Corpus, SynthesisConfig};
 
@@ -93,26 +88,6 @@ fn env_value(name: &str) -> Result<Option<String>, String> {
         Err(std::env::VarError::NotPresent) => Ok(None),
         Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name}: not valid Unicode")),
     }
-}
-
-/// A reduced corpus for microbenchmarks: 60 k training elements, AS
-/// 2–4, DW 2–6.
-///
-/// # Panics
-///
-/// Panics if synthesis fails — benchmarks cannot proceed without their
-/// fixture.
-pub fn small_corpus() -> Corpus {
-    let config = SynthesisConfig::builder()
-        .training_len(60_000)
-        .anomaly_sizes(2..=4)
-        .windows(2..=6)
-        .background_len(1024)
-        .plant_repeats(4)
-        .seed(2005)
-        .build()
-        .expect("small benchmark configuration is valid");
-    Corpus::synthesize(&config).expect("small benchmark corpus synthesizes")
 }
 
 /// A mid-size corpus exercising the full paper grid (AS 2–9, DW 2–15)
@@ -206,8 +181,6 @@ mod tests {
 
     #[test]
     fn fixtures_build() {
-        let c = small_corpus();
-        assert_eq!(c.anomalies().count(), 3);
         let g = grid_corpus(60_000);
         assert_eq!(g.anomalies().count(), 8);
     }

@@ -200,4 +200,28 @@ fn tracecheck_rejects_invalid_and_unbalanced_input() {
     assert!(!output.status.success(), "mismatched B/E must be rejected");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("mismatched nesting"), "{stderr:?}");
+
+    // Well-formed and balanced, but carrying the marker the exporter
+    // appends when the recorder's sink overflowed.
+    let dropped = temp_path("dropped");
+    std::fs::write(
+        &dropped,
+        r#"{"traceEvents":[
+            {"name":"a","ph":"B","ts":1.0,"pid":1,"tid":1},
+            {"name":"a","ph":"E","ts":2.0,"pid":1,"tid":1},
+            {"name":"detdiv/trace_dropped","ph":"C","ts":3.0,"pid":1,"tid":0,"args":{"value":7}}
+        ]}"#,
+    )
+    .unwrap();
+    let output = tracecheck()
+        .arg(&dropped)
+        .output()
+        .expect("spawn tracecheck");
+    let _ = std::fs::remove_file(&dropped);
+    assert!(
+        !output.status.success(),
+        "a trace that dropped events must be rejected"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("dropped 7 event(s)"), "{stderr:?}");
 }

@@ -10,12 +10,12 @@
 //! Determinism: shard assignment is `hash % shards`, drains process
 //! each shard FIFO, and the pool writes results to pre-indexed slots —
 //! so per-stream verdict sequences are identical at every worker
-//! count. Wall-clock latency is the only thing that varies.
+//! count.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use detdiv_guard::introspect::GuardStats;
 use detdiv_guard::{DegradationLevel, GuardConfig, HibernationStore, PressureSample};
@@ -88,10 +88,6 @@ pub struct VerdictEvent {
     pub slot: usize,
     /// The verdict itself.
     pub result: DetectionResult,
-    /// Enqueue→verdict latency. Wall-clock: the only
-    /// scheduling-dependent field, so deterministic sinks must ignore
-    /// it.
-    pub latency: Duration,
 }
 
 /// Receives verdicts during a drain. Called from pool workers, hence
@@ -138,7 +134,7 @@ pub(crate) struct Tier1 {
 }
 
 pub(crate) struct Shard {
-    pub(crate) queue: VecDeque<(SignalContext, Instant)>,
+    pub(crate) queue: VecDeque<SignalContext>,
     pub(crate) engine: StreamEngine<BankFactory>,
     /// Keyed by stream hash; present for every stream the shard has
     /// seen when tiering is gated, empty under full tiering.
@@ -382,7 +378,7 @@ impl IngestService {
                 capacity: self.config.queue_capacity,
             });
         }
-        shard.queue.push_back((ctx, Instant::now()));
+        shard.queue.push_back(ctx);
         let depth = shard.queue.len() as u64;
         drop(shard);
         let stats = &self.stats.shards[index];
@@ -486,13 +482,12 @@ impl IngestService {
         }
         let degraded_before = shard.engine.degraded_slots();
         let mut slot_buf: Vec<SlotResult> = Vec::new();
-        while let Some((ctx, enqueued_at)) = shard.queue.pop_front() {
+        while let Some(ctx) = shard.queue.pop_front() {
             drain.processed += 1;
             match self.config.tiering {
                 Tiering::Full => {
                     slot_buf.clear();
                     shard.engine.push(&ctx, &mut slot_buf);
-                    let latency = enqueued_at.elapsed();
                     for slot in &slot_buf {
                         drain.emitted += 1;
                         sink.on_verdict(&VerdictEvent {
@@ -502,7 +497,6 @@ impl IngestService {
                             tier: Tier::Model,
                             slot: slot.slot,
                             result: slot.result,
-                            latency,
                         });
                     }
                 }
@@ -512,7 +506,6 @@ impl IngestService {
                         shard,
                         index,
                         &ctx,
-                        enqueued_at,
                         tier1_cfg,
                         sink,
                         &mut slot_buf,
@@ -733,12 +726,10 @@ fn rehydrate_if_hibernated(shard: &mut Shard, ctx: &SignalContext, tier1_cfg: Ti
 /// Without a guard (or with one at `Full` and a closed breaker) the
 /// emission sequence is byte-identical to the pre-guard service, which
 /// the differential suite pins down.
-#[allow(clippy::too_many_arguments)]
 fn drive_gated(
     shard: &mut Shard,
     index: usize,
     ctx: &SignalContext,
-    enqueued_at: Instant,
     tier1_cfg: Tier1Config,
     sink: &dyn VerdictSink,
     slot_buf: &mut Vec<SlotResult>,
@@ -786,7 +777,6 @@ fn drive_gated(
             tier: Tier::Gate,
             slot: 0,
             result,
-            latency: enqueued_at.elapsed(),
         });
         if !(wants_escalation && admit) {
             return emitted;
@@ -817,7 +807,6 @@ fn drive_gated(
                 tier: Tier::Gate,
                 slot: 0,
                 result,
-                latency: enqueued_at.elapsed(),
             });
             if detdiv_flight::armed() {
                 detdiv_flight::record(
@@ -845,7 +834,6 @@ fn drive_gated(
     };
     slot_buf.clear();
     shard.engine.push(ctx, slot_buf);
-    let latency = enqueued_at.elapsed();
     for slot in slot_buf.iter() {
         emitted += 1;
         sink.on_verdict(&VerdictEvent {
@@ -855,7 +843,6 @@ fn drive_gated(
             tier: Tier::Model,
             slot: slot.slot,
             result: slot.result,
-            latency,
         });
     }
     // Breaker accounting: a push that newly degraded a slot is a

@@ -33,7 +33,6 @@
 
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 use detdiv_resil::{checksum_line, AtomicFile, Journal};
 use detdiv_sequence::Symbol;
@@ -294,7 +293,7 @@ impl IngestService {
                 body.push('\n');
                 streams += 1;
             }
-            for (ctx, _) in &shard.queue {
+            for ctx in &shard.queue {
                 let line = format!(
                     "queued {:016x} {:016x} {:08x} {:016x}",
                     ctx.seq,
@@ -420,11 +419,11 @@ impl IngestService {
         }
         // Re-enqueue the queued residue in file order (shard order, FIFO
         // within a shard — exactly the order a post-snapshot drain would
-        // have processed it). Latency clocks restart at recovery time.
+        // have processed it).
         for ctx in residue {
             let index = self.shard_of(ctx.stream_id_hash);
             let mut shard = self.shard(index);
-            shard.queue.push_back((ctx, Instant::now()));
+            shard.queue.push_back(ctx);
             let depth = shard.queue.len() as u64;
             drop(shard);
             self.stats().shards[index]

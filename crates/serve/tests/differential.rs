@@ -44,8 +44,7 @@ fn bank_factory() -> impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + C
 }
 
 /// The comparable fingerprint of one verdict: everything except the
-/// wall-clock latency (the one field the determinism contract
-/// excludes) and the shard index (engine feeds have no shard).
+/// shard index (engine feeds have no shard).
 type Fingerprint = (u64, usize, u64, u64, &'static str);
 
 fn fingerprint(event: &VerdictEvent) -> Fingerprint {
@@ -116,7 +115,6 @@ fn run_engine_alone(feed: &[(u64, u64, u32)], hash: u64) -> Vec<Fingerprint> {
                 tier: detdiv_serve::Tier::Model,
                 slot: slot.slot,
                 result: slot.result,
-                latency: std::time::Duration::ZERO,
             }));
         }
     }

@@ -53,7 +53,7 @@ fn bank_factory() -> impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + C
     }
 }
 
-/// Everything comparable about a verdict except wall-clock latency.
+/// The comparable fields of a verdict.
 type Fingerprint = (u64, usize, u64, bool);
 
 #[derive(Default)]

@@ -96,7 +96,6 @@ where
 {
     factory: F,
     streams: HashMap<u64, StreamEntry>,
-    events: u64,
     emitted: u64,
     degraded: u64,
 }
@@ -108,7 +107,6 @@ where
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamEngine")
             .field("streams", &self.streams.len())
-            .field("events", &self.events)
             .field("emitted", &self.emitted)
             .field("degraded", &self.degraded)
             .finish()
@@ -125,7 +123,6 @@ where
         StreamEngine {
             factory,
             streams: HashMap::new(),
-            events: 0,
             emitted: 0,
             degraded: 0,
         }
@@ -139,7 +136,6 @@ where
     /// counted, and the slot skips all subsequent events. `push` itself
     /// never panics on detector failure.
     pub fn push(&mut self, ctx: &SignalContext, out: &mut Vec<SlotResult>) {
-        self.events += 1;
         let entry = self
             .streams
             .entry(ctx.stream_id_hash)
@@ -268,11 +264,6 @@ where
     /// Number of distinct streams seen so far.
     pub fn stream_count(&self) -> usize {
         self.streams.len()
-    }
-
-    /// Total events pushed.
-    pub fn events(&self) -> u64 {
-        self.events
     }
 
     /// Total verdicts emitted across all slots.
@@ -418,7 +409,6 @@ mod tests {
         }
         assert_eq!(engine.stream_count(), 2);
         assert_eq!(out.len(), 1, "only stream a is past warmup");
-        assert_eq!(engine.events(), 6);
         assert_eq!(engine.emitted(), 1);
     }
 
