@@ -67,8 +67,9 @@
 //!   decision (cell verdicts with score/threshold/span/cache
 //!   provenance, streaming emissions, supervised failures), sorted so
 //!   repeated runs of the same configuration produce byte-identical
-//!   dumps. Overrides the `DETDIV_FLIGHT` environment variable. A
-//!   panic additionally dumps the crash blackbox — the last wide
+//!   dumps. Overrides the `DETDIV_FLIGHT` environment variable. A run
+//!   that fails writes no audit log and removes any file already at
+//!   `PATH` (stderr says so). A panic additionally dumps the crash blackbox — the last wide
 //!   events before the failure — to `PATH.crash`. The recorder never
 //!   writes telemetry or report state, so artifacts are byte-identical
 //!   with and without it — CI enforces this with `cmp`.
@@ -605,16 +606,29 @@ fn main() -> ExitCode {
     }
     if let Some(path) = &args.flight {
         detdiv_flight::disarm();
-        match detdiv_flight::export(path) {
-            Ok(records) => {
-                obs::info!("wrote flight audit log", path = path, records = records);
-                // Unconditional: the flight gate runs under --log off
-                // and parses this confirmation line.
-                eprintln!("regenerate: wrote {records} flight records to {path}");
+        if outcome.is_err() {
+            // A failed run leaves no audit log at PATH: a dump, fresh or
+            // left by an earlier run, would read as this run's record.
+            // (A panic's crash blackbox at PATH.crash is written by the
+            // hook regardless.)
+            eprintln!("regenerate: run failed; no flight audit log written to {path}");
+            match std::fs::remove_file(path) {
+                Ok(()) => eprintln!("regenerate: removed the earlier flight audit log at {path}"),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => eprintln!("regenerate: could not remove flight audit log {path}: {e}"),
             }
-            Err(e) => {
-                eprintln!("regenerate: failed to write flight audit log {path}: {e}");
-                return ExitCode::FAILURE;
+        } else {
+            match detdiv_flight::export(path) {
+                Ok(records) => {
+                    obs::info!("wrote flight audit log", path = path, records = records);
+                    // Unconditional: the flight gate runs under --log off
+                    // and parses this confirmation line.
+                    eprintln!("regenerate: wrote {records} flight records to {path}");
+                }
+                Err(e) => {
+                    eprintln!("regenerate: failed to write flight audit log {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
         }
     }

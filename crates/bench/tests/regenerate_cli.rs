@@ -108,6 +108,41 @@ fn unknown_experiment_fails_with_diagnostic_under_log_off() {
     );
 }
 
+/// A run that fails (here: a training length the synthesis preflight
+/// refuses) exits non-zero and leaves no flight audit log behind — not
+/// even a stale one from an earlier run at the same path — and says so
+/// on stderr.
+#[test]
+fn failed_run_writes_no_flight_dump() {
+    let target = std::env::temp_dir().join(format!(
+        "detdiv_cli_failed_flight_{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&target, "a dump from an earlier run\n").expect("write stale dump");
+    let output = regenerate()
+        .args(["--log", "off", "--training-len", "10000", "--flight"])
+        .arg(&target)
+        .output()
+        .expect("spawn regenerate");
+    assert!(
+        !output.status.success(),
+        "the synthesis preflight must fail"
+    );
+    assert!(
+        !target.exists(),
+        "a failed run must not leave a flight dump at {target:?}"
+    );
+    let stderr = stderr_of(&output);
+    assert!(
+        stderr.contains("no flight audit log written"),
+        "stderr should say the dump was withheld: {stderr:?}"
+    );
+    assert!(
+        stderr.contains("removed the earlier flight audit log"),
+        "stderr should say the stale dump was removed: {stderr:?}"
+    );
+}
+
 /// A corpus-free experiment succeeds under an explicit thread override.
 #[test]
 fn corpus_free_experiment_succeeds_with_thread_override() {

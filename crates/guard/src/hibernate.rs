@@ -76,11 +76,6 @@ impl HibernationStore {
         self.recalled
     }
 
-    /// Whether `hash` is hibernated here.
-    pub fn contains(&self, hash: u64) -> bool {
-        self.index.contains_key(&hash)
-    }
-
     /// Hibernated stream hashes, sorted (deterministic iteration for
     /// snapshot inclusion).
     pub fn hashes(&self) -> Vec<u64> {
@@ -178,13 +173,12 @@ mod tests {
         store.spill(7, "stream 0007 esc=0 t1=ab slots=0").unwrap();
         store.spill(9, "stream 0009 esc=1 t1=- slots=0").unwrap();
         assert_eq!(store.resident(), 2);
-        assert!(store.contains(7));
         assert_eq!(store.hashes(), vec![7, 9]);
         assert_eq!(
             store.recall(7).unwrap().as_deref(),
             Some("stream 0007 esc=0 t1=ab slots=0")
         );
-        assert!(!store.contains(7));
+        assert_eq!(store.hashes(), vec![9]);
         assert_eq!(store.recall(7).unwrap(), None, "recall is consuming");
         assert_eq!(store.recalled(), 1);
         let _ = std::fs::remove_file(&path);
@@ -214,7 +208,7 @@ mod tests {
         bytes[last] = bytes[last].wrapping_add(1);
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.recall(5).is_err(), "checksum must catch the flip");
-        assert!(!store.contains(5), "the unusable entry is dropped");
+        assert!(store.hashes().is_empty(), "the unusable entry is dropped");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -3,9 +3,11 @@
 /// Tier-1 gate parameters: a cheap per-stream EWMA band that decides
 /// which streams earn a full (tier-2) detector bank.
 ///
-/// The gate reuses [`detdiv_stream::Ewma`] verbatim — same squashed
-/// z-score response, same warmup semantics — so its verdicts obey the
-/// workspace-wide score contract (`[0, 1]`, bit-deterministic replay).
+/// Each stream's gate is a bare [`detdiv_stream::EwmaState`] driven with
+/// these shared parameters — the same math as [`detdiv_stream::Ewma`],
+/// same squashed z-score response, same warmup semantics — so its
+/// verdicts obey the workspace-wide score contract (`[0, 1]`,
+/// bit-deterministic replay).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tier1Config {
     /// EWMA smoothing factor in `(0, 1]`.

@@ -8,7 +8,6 @@
 //! `drain_shard` under the shard lock, so none of this needs its own
 //! synchronization.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use detdiv_guard::introspect::GuardStats;
@@ -44,10 +43,9 @@ pub(crate) struct GuardEvent {
 pub(crate) struct GuardShard {
     pub(crate) ladder: Ladder,
     pub(crate) breaker: Breaker,
+    /// Hibernated streams; each stream's LRU key lives in its
+    /// resident record (`StreamRecord::last_touch`).
     pub(crate) store: Option<HibernationStore>,
-    /// Stream hash → drain cycle of its last event (LRU order for the
-    /// hibernation pass).
-    pub(crate) last_touch: HashMap<u64, u64>,
     /// Full ladder-transition history (the determinism suite compares
     /// these across worker widths).
     pub(crate) transitions: Vec<LadderTransition>,
@@ -68,7 +66,6 @@ impl GuardShard {
             ladder: Ladder::new(config.cool_cycles),
             breaker: Breaker::new(config.breaker),
             store,
-            last_touch: HashMap::new(),
             transitions: Vec::new(),
             events: Vec::new(),
             seq: 0,

@@ -16,7 +16,8 @@
 //!   buffers unboundedly. Load shedding is the caller's explicit
 //!   decision, not an OOM kill's.
 //! * **Two-tier detection** — under [`Tiering::Gated`], a cheap
-//!   always-on EWMA band fronts the expensive detector banks; only
+//!   always-on EWMA band fronts the expensive detector banks; each
+//!   gated stream is one 40-byte record in its shard's table, and only
 //!   streams that escalate past the gate get (and keep) tier-2 state.
 //!   [`Tiering::Full`] feeds banks directly and is byte-equivalent to
 //!   the bare engine — the differential suite pins this down.

@@ -12,7 +12,8 @@
 //! so per-stream verdict sequences are identical at every worker
 //! count.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -21,7 +22,7 @@ use detdiv_guard::introspect::GuardStats;
 use detdiv_guard::{DegradationLevel, GuardConfig, HibernationStore, PressureSample};
 use detdiv_resil::RetryPolicy;
 use detdiv_stream::{
-    DetectionResult, Ewma, SignalContext, SlotResult, StreamDetector, StreamEngine,
+    DetectionResult, EwmaState, SignalContext, SlotResult, StreamDetector, StreamEngine,
 };
 
 use crate::config::{ServeConfig, Tier1Config, Tiering};
@@ -125,20 +126,33 @@ pub struct DrainSummary {
 /// Shared bank factory: every shard's engine builds per-stream banks
 /// from the same recipe.
 type SharedFactory = Arc<dyn Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync>;
-type BankFactory = Box<dyn FnMut() -> Vec<Box<dyn StreamDetector>> + Send>;
+pub(crate) type BankFactory = Box<dyn FnMut() -> Vec<Box<dyn StreamDetector>> + Send>;
 
-/// Tier-1 gate state for one stream (gated tiering only).
-pub(crate) struct Tier1 {
-    pub(crate) gate: Ewma,
+/// One gated stream's per-stream state: its tier-1 gate statistics,
+/// whether it has escalated to tier 2, and the guard's LRU key. The
+/// gate's `alpha` and `warmup` are service-wide ([`Tier1Config`]), so
+/// the record holds only what differs per stream — 40 bytes.
+#[derive(Default)]
+pub(crate) struct StreamRecord {
+    pub(crate) gate: EwmaState,
+    /// Drain cycle of the stream's last event under a guard (0 without
+    /// one): the hibernation pass spills in `(last_touch, hash)` order.
+    pub(crate) last_touch: u64,
     pub(crate) escalated: bool,
 }
 
 pub(crate) struct Shard {
     pub(crate) queue: VecDeque<SignalContext>,
     pub(crate) engine: StreamEngine<BankFactory>,
-    /// Keyed by stream hash; present for every stream the shard has
-    /// seen when tiering is gated, empty under full tiering.
-    pub(crate) tier1: std::collections::HashMap<u64, Tier1>,
+    /// Stream hash → record, for every resident stream the shard has
+    /// seen when tiering is gated; empty under full tiering. A
+    /// hibernated stream is in the guard's store instead, never in
+    /// both. Keeps std's keyed `RandomState`: stream ids arrive from
+    /// live traffic, and an unkeyed hasher (such as
+    /// `detdiv_sequence::BuildSymbolHasher`, about 10 % faster here)
+    /// would let a sender who chooses ids pile them into one probe
+    /// chain.
+    pub(crate) records: HashMap<u64, StreamRecord>,
     /// Overload-protection state; `None` unless the service was built
     /// with [`IngestService::with_guard`].
     pub(crate) guard: Option<GuardShard>,
@@ -191,10 +205,20 @@ struct ShardDrain {
 impl IngestService {
     /// Creates a service; `factory` is the tier-2 bank recipe, shared
     /// by all shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if gated tiering's `alpha` is outside `(0, 1]`.
     pub fn new(
         config: ServeConfig,
         factory: impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + 'static,
     ) -> IngestService {
+        if let Tiering::Gated(tier1) = config.tiering {
+            assert!(
+                tier1.alpha > 0.0 && tier1.alpha <= 1.0,
+                "alpha must be in (0, 1]"
+            );
+        }
         let factory: SharedFactory = Arc::new(factory);
         let shards = (0..config.shards)
             .map(|_| {
@@ -202,7 +226,7 @@ impl IngestService {
                 Mutex::new(Shard {
                     queue: VecDeque::new(),
                     engine: StreamEngine::new(Box::new(move || f()) as BankFactory),
-                    tier1: std::collections::HashMap::new(),
+                    records: HashMap::new(),
                     guard: None,
                 })
             })
@@ -240,9 +264,10 @@ impl IngestService {
             matches!(config.tiering, Tiering::Gated(_)),
             "the guard requires gated tiering"
         );
-        // Estimate per-stream costs once from a probe bank: the gate is
-        // a small fixed-size EWMA plus map-entry overhead; a tier-2
-        // bank is each slot's state-bytes cap plus the same overhead.
+        // Estimate per-stream costs once from a probe bank: a gated
+        // stream is its fixed-size record plus map-entry overhead; a
+        // tier-2 bank is each slot's state-bytes cap plus the same
+        // overhead.
         let gate_cost = 64u64;
         let bank_cost: u64 = factory()
             .iter()
@@ -456,7 +481,13 @@ impl IngestService {
             degraded: 0,
             deferred: false,
         };
-        let started = Instant::now();
+        // The clock is read only when the watchdog has a deadline to
+        // hold the drain to.
+        let started = self
+            .guard
+            .as_ref()
+            .and_then(|rt| rt.config.drain_deadline)
+            .map(|_| Instant::now());
         // Guard cycle begin: advance the breaker's cooldown clock, then
         // classify this cycle's pressure sample and let the ladder
         // react. Every input is a deterministic counter (the queue
@@ -481,11 +512,11 @@ impl IngestService {
             }
         }
         let degraded_before = shard.engine.degraded_slots();
-        let mut slot_buf: Vec<SlotResult> = Vec::new();
-        while let Some(ctx) = shard.queue.pop_front() {
-            drain.processed += 1;
-            match self.config.tiering {
-                Tiering::Full => {
+        match self.config.tiering {
+            Tiering::Full => {
+                let mut slot_buf: Vec<SlotResult> = Vec::new();
+                while let Some(ctx) = shard.queue.pop_front() {
+                    drain.processed += 1;
                     slot_buf.clear();
                     shard.engine.push(&ctx, &mut slot_buf);
                     for slot in &slot_buf {
@@ -500,29 +531,48 @@ impl IngestService {
                         });
                     }
                 }
-                Tiering::Gated(tier1_cfg) => {
-                    rehydrate_if_hibernated(shard, &ctx, tier1_cfg);
-                    drain.emitted += drive_gated(
-                        shard,
-                        index,
-                        &ctx,
-                        tier1_cfg,
-                        sink,
-                        &mut slot_buf,
-                        &mut drain.escalated,
-                    );
-                    if let Some(g) = shard.guard.as_mut() {
-                        let cycle = g.ladder.cycle();
-                        g.last_touch.insert(ctx.stream_id_hash, cycle);
-                    }
+            }
+            Tiering::Gated(cfg) => {
+                let Shard {
+                    queue,
+                    engine,
+                    records,
+                    guard,
+                } = shard;
+                // The ladder's cycle only moves between drains, so one
+                // read stamps every event of this cycle.
+                let touch = guard.as_ref().map_or(0, |g| g.ladder.cycle());
+                let mut gated = GatedDrain {
+                    index,
+                    cfg,
+                    sink,
+                    engine,
+                    guard: guard.as_mut(),
+                    slot_buf: Vec::new(),
+                    escalated: 0,
+                };
+                while let Some(ctx) = queue.pop_front() {
+                    drain.processed += 1;
+                    // A resident stream costs this one probe; the
+                    // hibernation store is asked only about a stream
+                    // the table does not hold.
+                    let record = match records.entry(ctx.stream_id_hash) {
+                        Entry::Occupied(entry) => entry.into_mut(),
+                        Entry::Vacant(entry) => {
+                            entry.insert(gated.rehydrate_or_new(ctx.stream_id_hash))
+                        }
+                    };
+                    record.last_touch = touch;
+                    drain.emitted += gated.event(record, &ctx);
                 }
+                drain.escalated = gated.escalated;
             }
         }
         drain.degraded = shard.engine.degraded_slots() - degraded_before;
         self.guard_cycle_end(index, shard, started);
         let streams = match self.config.tiering {
             Tiering::Full => shard.engine.stream_count(),
-            Tiering::Gated(_) => shard.tier1.len(),
+            Tiering::Gated(_) => shard.records.len(),
         };
         let stats = &self.stats.shards[index];
         stats.depth.store(0, Ordering::Relaxed);
@@ -541,7 +591,7 @@ impl IngestService {
     /// Guard end-of-cycle work: the stuck-shard watchdog, the resident
     /// estimate + hibernation pass, and publishing gauges/flight
     /// records. Runs under the shard lock, after the queue has drained.
-    fn guard_cycle_end(&self, index: usize, shard: &mut Shard, started: Instant) {
+    fn guard_cycle_end(&self, index: usize, shard: &mut Shard, started: Option<Instant>) {
         let Some(rt) = self.guard.as_ref() else {
             return;
         };
@@ -551,7 +601,7 @@ impl IngestService {
         // Stuck-shard watchdog: a drain that blew its wall-clock
         // deadline counts as a breaker failure, degrades the shard to
         // tier-1 immediately, and raises pressure for the next cycle.
-        if let Some(deadline) = rt.config.drain_deadline {
+        if let (Some(started), Some(deadline)) = (started, rt.config.drain_deadline) {
             if started.elapsed() > deadline {
                 g.deadline_breached = true;
                 if let Some((from, to)) = g.breaker.on_failure() {
@@ -567,10 +617,10 @@ impl IngestService {
                 g.push_event("watchdog", from, to, 0);
             }
         }
-        // Resident estimate: every gated stream costs a gate entry;
+        // Resident estimate: every gated stream costs a record;
         // escalated streams (those with a bank in the engine) cost the
         // bank on top.
-        let mut resident = shard.tier1.len() as u64 * rt.gate_cost
+        let mut resident = shard.records.len() as u64 * rt.gate_cost
             + shard.engine.stream_count() as u64 * rt.bank_cost;
         // Hibernation: while over the shard's budget slice, spill the
         // least-recently-touched streams to the checksummed segment.
@@ -579,9 +629,9 @@ impl IngestService {
         if let Some(budget) = rt.config.shard_budget(self.config.shards) {
             if resident > budget && g.store.is_some() {
                 let mut candidates: Vec<(u64, u64)> = shard
-                    .tier1
-                    .keys()
-                    .map(|&h| (g.last_touch.get(&h).copied().unwrap_or(0), h))
+                    .records
+                    .iter()
+                    .map(|(&hash, record)| (record.last_touch, hash))
                     .collect();
                 candidates.sort_unstable();
                 for (_, hash) in candidates {
@@ -590,7 +640,7 @@ impl IngestService {
                     }
                     let slots = shard.engine.snapshot_stream(hash).unwrap_or_default();
                     let line =
-                        crate::snapshot::render_stream_line(hash, shard.tier1.get(&hash), &slots);
+                        crate::snapshot::render_stream_line(hash, shard.records.get(&hash), &slots);
                     let store = g.store.as_mut().expect("checked above");
                     if store.spill(hash, &line).is_err() {
                         // An unwritable segment leaves the stream
@@ -598,9 +648,8 @@ impl IngestService {
                         // losing state.
                         continue;
                     }
-                    shard.tier1.remove(&hash);
+                    shard.records.remove(&hash);
                     let had_bank = shard.engine.close_stream(hash);
-                    g.last_touch.remove(&hash);
                     resident = resident
                         .saturating_sub(rt.gate_cost + if had_bank { rt.bank_cost } else { 0 });
                     g.push_event("hibernate", "", "spilled", hash);
@@ -668,7 +717,7 @@ impl IngestService {
                 let shard = self.shard(i);
                 match self.config.tiering {
                     Tiering::Full => shard.engine.stream_count(),
-                    Tiering::Gated(_) => shard.tier1.len(),
+                    Tiering::Gated(_) => shard.records.len(),
                 }
             })
             .sum()
@@ -692,166 +741,171 @@ impl Drop for IngestService {
     }
 }
 
-/// Rehydrates a hibernated stream before its event is processed: the
-/// spilled line is recalled from the segment, checksum-verified, parsed
-/// and applied. A corrupt or unparsable record degrades the stream to a
-/// cold start (it rebuilds from gate warmup) — never a panic.
-fn rehydrate_if_hibernated(shard: &mut Shard, ctx: &SignalContext, tier1_cfg: Tier1Config) {
-    let hash = ctx.stream_id_hash;
-    let payload = match shard.guard.as_mut().and_then(|g| g.store.as_mut()) {
-        Some(store) if store.contains(hash) => store.recall(hash).ok().flatten(),
-        _ => return,
-    };
-    let parsed = payload
-        .as_deref()
-        .and_then(crate::snapshot::parse_stream_line);
-    if let Some(p) = &parsed {
-        crate::snapshot::apply_parsed_stream(shard, p, Some(tier1_cfg));
-    }
-    if let Some(g) = shard.guard.as_mut() {
+/// One shard's gated drain: what every event needs besides its own
+/// stream's record. Borrows the shard's engine and guard state for the
+/// cycle; the record table is borrowed separately by the drain loop.
+struct GatedDrain<'a> {
+    index: usize,
+    cfg: Tier1Config,
+    sink: &'a dyn VerdictSink,
+    engine: &'a mut StreamEngine<BankFactory>,
+    guard: Option<&'a mut GuardShard>,
+    slot_buf: Vec<SlotResult>,
+    /// Streams escalated this cycle.
+    escalated: u64,
+}
+
+impl GatedDrain<'_> {
+    /// The record of a stream the table does not hold. A hibernated
+    /// stream is rehydrated: its spilled line is recalled from the
+    /// segment, checksum-verified, parsed and applied. A corrupt or
+    /// unparsable record degrades the stream to a cold start (it
+    /// rebuilds from gate warmup) — never a panic. Any other stream
+    /// starts fresh.
+    fn rehydrate_or_new(&mut self, hash: u64) -> StreamRecord {
+        let Some(g) = self.guard.as_deref_mut() else {
+            return StreamRecord::default();
+        };
+        let payload = match g.store.as_mut().map(|store| store.recall(hash)) {
+            None | Some(Ok(None)) => return StreamRecord::default(),
+            Some(Ok(Some(payload))) => Some(payload),
+            Some(Err(_)) => None,
+        };
+        let parsed = payload
+            .as_deref()
+            .and_then(crate::snapshot::parse_stream_line);
         g.push_event(
             "rehydrate",
             "",
             if parsed.is_some() { "restored" } else { "cold" },
             hash,
         );
-    }
-}
-
-/// Runs one event through the tier-1 gate and, once escalated, the
-/// tier-2 bank — subject to the guard's degradation level and circuit
-/// breaker when one is attached. Returns the number of verdicts
-/// emitted.
-///
-/// Without a guard (or with one at `Full` and a closed breaker) the
-/// emission sequence is byte-identical to the pre-guard service, which
-/// the differential suite pins down.
-fn drive_gated(
-    shard: &mut Shard,
-    index: usize,
-    ctx: &SignalContext,
-    tier1_cfg: Tier1Config,
-    sink: &dyn VerdictSink,
-    slot_buf: &mut Vec<SlotResult>,
-    escalated: &mut u64,
-) -> u64 {
-    let (level, breaker_admits) = match &shard.guard {
-        Some(g) => (g.ladder.level(), g.breaker.admits()),
-        None => (DegradationLevel::Full, true),
-    };
-    let guarded = shard.guard.is_some();
-    let tier1 = shard
-        .tier1
-        .entry(ctx.stream_id_hash)
-        .or_insert_with(|| Tier1 {
-            gate: Ewma::new(tier1_cfg.alpha, tier1_cfg.warmup),
-            escalated: false,
-        });
-    let mut emitted = 0u64;
-    if !tier1.escalated {
-        let Some(result) = tier1.gate.update(ctx) else {
-            return 0; // gate warmup: no verdict yet
-        };
-        let wants_escalation = result.score >= tier1_cfg.escalate_score;
-        // New escalations are admitted only at Full with a non-open
-        // breaker; a deferred escalation still emits the gate verdict,
-        // retagged so consumers can see the degradation.
-        let admit = level == DegradationLevel::Full && breaker_admits;
-        let result = if wants_escalation && !admit {
-            DetectionResult {
-                reason: if level != DegradationLevel::Full {
-                    REASON_ESCALATION_DEFERRED
-                } else {
-                    REASON_ESCALATION_DEFERRED_BREAKER
-                },
-                ..result
+        match parsed {
+            Some(p) => {
+                p.restore_bank(self.engine);
+                p.record()
             }
-        } else {
-            result
-        };
-        emitted += 1;
-        sink.on_verdict(&VerdictEvent {
-            shard: index,
-            stream_hash: ctx.stream_id_hash,
-            seq: ctx.seq,
-            tier: Tier::Gate,
-            slot: 0,
-            result,
-        });
-        if !(wants_escalation && admit) {
-            return emitted;
+            None => StreamRecord::default(),
         }
-        tier1.escalated = true;
-        *escalated += 1;
-        // Fall through: the escalating event is also tier 2's first.
-    } else if level >= DegradationLevel::Tier1Only || !breaker_admits {
-        // Degraded fallback: the escalated stream's tier-2 bank is
-        // suppressed this cycle; its gate verdict stands in at halved
-        // confidence so downstream consumers can discount it.
-        let reason = if !breaker_admits {
-            REASON_BREAKER_FALLBACK
-        } else {
-            REASON_TIER1_ONLY
+    }
+
+    /// Runs one event through the tier-1 gate and, once escalated, the
+    /// tier-2 bank — subject to the guard's degradation level and
+    /// circuit breaker when one is attached. Returns the number of
+    /// verdicts emitted.
+    ///
+    /// Without a guard (or with one at `Full` and a closed breaker) the
+    /// emission sequence is byte-identical to the pre-guard service,
+    /// which the differential suite pins down.
+    fn event(&mut self, record: &mut StreamRecord, ctx: &SignalContext) -> u64 {
+        let (level, breaker_admits) = match &self.guard {
+            Some(g) => (g.ladder.level(), g.breaker.admits()),
+            None => (DegradationLevel::Full, true),
         };
-        if let Some(result) = tier1.gate.update(ctx) {
-            let result = DetectionResult {
-                confidence: result.confidence * 0.5,
-                reason,
-                ..result
+        let (alpha, warmup) = (self.cfg.alpha, self.cfg.warmup);
+        let mut emitted = 0u64;
+        if !record.escalated {
+            let Some(result) = record.gate.update(alpha, warmup, ctx) else {
+                return 0; // gate warmup: no verdict yet
+            };
+            let wants_escalation = result.score >= self.cfg.escalate_score;
+            // New escalations are admitted only at Full with a non-open
+            // breaker; a deferred escalation still emits the gate
+            // verdict, retagged so consumers can see the degradation.
+            let admit = level == DegradationLevel::Full && breaker_admits;
+            let result = if wants_escalation && !admit {
+                DetectionResult {
+                    reason: if level != DegradationLevel::Full {
+                        REASON_ESCALATION_DEFERRED
+                    } else {
+                        REASON_ESCALATION_DEFERRED_BREAKER
+                    },
+                    ..result
+                }
+            } else {
+                result
             };
             emitted += 1;
-            sink.on_verdict(&VerdictEvent {
-                shard: index,
+            self.sink.on_verdict(&VerdictEvent {
+                shard: self.index,
                 stream_hash: ctx.stream_id_hash,
                 seq: ctx.seq,
                 tier: Tier::Gate,
                 slot: 0,
                 result,
             });
-            if detdiv_flight::armed() {
-                detdiv_flight::record(
-                    detdiv_flight::StreamRecord {
-                        stream_label: "",
-                        stream_hash: ctx.stream_id_hash,
-                        slot: 0,
-                        detector: "guard-fallback",
-                        event_index: ctx.seq,
-                        score: result.score,
-                        confidence: result.confidence,
-                        reason,
-                        warmup: false,
-                    }
-                    .render(),
-                );
+            if !(wants_escalation && admit) {
+                return emitted;
             }
+            record.escalated = true;
+            self.escalated += 1;
+            // Fall through: the escalating event is also tier 2's first.
+        } else if level >= DegradationLevel::Tier1Only || !breaker_admits {
+            // Degraded fallback: the escalated stream's tier-2 bank is
+            // suppressed this cycle; its gate verdict stands in at
+            // halved confidence so downstream consumers can discount it.
+            let reason = if !breaker_admits {
+                REASON_BREAKER_FALLBACK
+            } else {
+                REASON_TIER1_ONLY
+            };
+            if let Some(result) = record.gate.update(alpha, warmup, ctx) {
+                let result = DetectionResult {
+                    confidence: result.confidence * 0.5,
+                    reason,
+                    ..result
+                };
+                emitted += 1;
+                self.sink.on_verdict(&VerdictEvent {
+                    shard: self.index,
+                    stream_hash: ctx.stream_id_hash,
+                    seq: ctx.seq,
+                    tier: Tier::Gate,
+                    slot: 0,
+                    result,
+                });
+                if detdiv_flight::armed() {
+                    detdiv_flight::record(
+                        detdiv_flight::StreamRecord {
+                            stream_label: "",
+                            stream_hash: ctx.stream_id_hash,
+                            slot: 0,
+                            detector: "guard-fallback",
+                            event_index: ctx.seq,
+                            score: result.score,
+                            confidence: result.confidence,
+                            reason,
+                            warmup: false,
+                        }
+                        .render(),
+                    );
+                }
+            }
+            return emitted;
         }
-        return emitted;
-    }
-    let degraded_before = if guarded {
-        shard.engine.degraded_slots()
-    } else {
-        0
-    };
-    slot_buf.clear();
-    shard.engine.push(ctx, slot_buf);
-    for slot in slot_buf.iter() {
-        emitted += 1;
-        sink.on_verdict(&VerdictEvent {
-            shard: index,
-            stream_hash: ctx.stream_id_hash,
-            seq: ctx.seq,
-            tier: Tier::Model,
-            slot: slot.slot,
-            result: slot.result,
-        });
-    }
-    // Breaker accounting: a push that newly degraded a slot is a
-    // supervised failure; a clean push is a success (and closes a
-    // half-open breaker's probe).
-    if guarded {
-        let failed = shard.engine.degraded_slots() > degraded_before;
-        if let Some(g) = shard.guard.as_mut() {
-            let transition = if failed {
+        let degraded_before = if self.guard.is_some() {
+            self.engine.degraded_slots()
+        } else {
+            0
+        };
+        self.slot_buf.clear();
+        self.engine.push(ctx, &mut self.slot_buf);
+        for slot in &self.slot_buf {
+            emitted += 1;
+            self.sink.on_verdict(&VerdictEvent {
+                shard: self.index,
+                stream_hash: ctx.stream_id_hash,
+                seq: ctx.seq,
+                tier: Tier::Model,
+                slot: slot.slot,
+                result: slot.result,
+            });
+        }
+        // Breaker accounting: a push that newly degraded a slot is a
+        // supervised failure; a clean push is a success (and closes a
+        // half-open breaker's probe).
+        if let Some(g) = self.guard.as_deref_mut() {
+            let transition = if self.engine.degraded_slots() > degraded_before {
                 g.breaker.on_failure()
             } else {
                 g.breaker.on_success()
@@ -860,15 +914,15 @@ fn drive_gated(
                 g.push_event("breaker", from.name(), to.name(), ctx.stream_id_hash);
             }
         }
+        emitted
     }
-    emitted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use detdiv_sequence::Symbol;
-    use detdiv_stream::hash_stream_id;
+    use detdiv_stream::{hash_stream_id, Ewma};
     use std::sync::Mutex as StdMutex;
 
     fn ewma_bank() -> Vec<Box<dyn StreamDetector>> {
@@ -916,6 +970,25 @@ mod tests {
             assert_eq!(e.shard, service.shard_of(e.stream_hash));
             assert_eq!(e.tier, Tier::Model);
         }
+    }
+
+    #[test]
+    fn stream_record_stays_compact() {
+        // A record that repeated the gate's `alpha` and `warmup` (a full
+        // `Ewma` plus the flag) made a 56-byte table bucket; a prototype
+        // that also carried an 8-byte tier-2 bank pointer was back at 56
+        // and lost most of the hot-path gain. Keep the record at 40.
+        assert!(std::mem::size_of::<StreamRecord>() <= 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha")]
+    fn gated_service_rejects_bad_alpha() {
+        let tier1 = Tier1Config {
+            alpha: 0.0,
+            ..Tier1Config::default()
+        };
+        let _ = IngestService::new(ServeConfig::new(1, 8).gated(tier1), ewma_bank);
     }
 
     #[test]

@@ -36,10 +36,10 @@ use std::sync::atomic::Ordering;
 
 use detdiv_resil::{checksum_line, AtomicFile, Journal};
 use detdiv_sequence::Symbol;
-use detdiv_stream::{Ewma, SignalContext, SlotState, StreamDetector};
+use detdiv_stream::{EwmaState, SignalContext, SlotState, StreamEngine};
 
-use crate::config::{Tier1Config, Tiering};
-use crate::service::{IngestService, Shard, Tier1};
+use crate::config::Tiering;
+use crate::service::{BankFactory, IngestService, StreamRecord};
 
 /// What a snapshot wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,16 +120,19 @@ pub(crate) struct ParsedStream {
 /// Renders one stream's serialized state as a `stream …` line — the
 /// format shared by snapshot files and the guard's hibernation
 /// segments.
-pub(crate) fn render_stream_line(hash: u64, tier1: Option<&Tier1>, slots: &[SlotState]) -> String {
-    let (escalated, tier1_state) = match tier1 {
-        Some(t1) => (t1.escalated, t1.gate.state_bytes()),
+pub(crate) fn render_stream_line(
+    hash: u64,
+    record: Option<&StreamRecord>,
+    slots: &[SlotState],
+) -> String {
+    let (escalated, gate) = match record {
+        Some(record) => (record.escalated, to_hex(&record.gate.to_bytes())),
         // Full tiering: every stream feeds the bank directly.
-        None => (true, None),
+        None => (true, "-".to_owned()),
     };
     let mut line = format!(
-        "stream {hash:016x} esc={} t1={} slots={}",
+        "stream {hash:016x} esc={} t1={gate} slots={}",
         u8::from(escalated),
-        opt_hex(&tier1_state),
         slots.len()
     );
     for slot in slots {
@@ -141,30 +144,27 @@ pub(crate) fn render_stream_line(hash: u64, tier1: Option<&Tier1>, slots: &[Slot
     line
 }
 
-/// Applies a parsed stream line to a shard: rebuilds the tier-1 gate
-/// (gated tiering only) and restores the tier-2 slots. Returns `false`
-/// when the bank shape no longer matched and the stream restarts from
-/// warmup instead of resuming wrong state.
-pub(crate) fn apply_parsed_stream(
-    shard: &mut Shard,
-    p: &ParsedStream,
-    tier1_cfg: Option<Tier1Config>,
-) -> bool {
-    if let Some(cfg) = tier1_cfg {
-        let mut gate = Ewma::new(cfg.alpha, cfg.warmup);
-        if let Some(bytes) = &p.tier1_state {
-            // Rejected bytes leave the gate reset: cold start.
-            let _ = gate.restore_state(bytes);
+impl ParsedStream {
+    /// The gated-tiering record this line describes. Rejected gate
+    /// bytes leave the gate reset: cold start.
+    pub(crate) fn record(&self) -> StreamRecord {
+        StreamRecord {
+            gate: self
+                .tier1_state
+                .as_deref()
+                .and_then(EwmaState::from_bytes)
+                .unwrap_or_default(),
+            escalated: self.escalated,
+            last_touch: 0,
         }
-        shard.tier1.insert(
-            p.hash,
-            Tier1 {
-                gate,
-                escalated: p.escalated,
-            },
-        );
     }
-    p.slots.is_empty() || shard.engine.restore_stream(p.hash, &p.slots)
+
+    /// Restores the tier-2 slots into `engine`. Returns `false` when
+    /// the bank shape no longer matched and the stream restarts from
+    /// warmup instead of resuming wrong state.
+    pub(crate) fn restore_bank(&self, engine: &mut StreamEngine<BankFactory>) -> bool {
+        self.slots.is_empty() || engine.restore_stream(self.hash, &self.slots)
+    }
 }
 
 pub(crate) fn parse_stream_line(line: &str) -> Option<ParsedStream> {
@@ -261,7 +261,7 @@ impl IngestService {
             let hashes: Vec<u64> = match config.tiering {
                 Tiering::Full => shard.engine.stream_ids(),
                 Tiering::Gated(_) => {
-                    let mut keys: Vec<u64> = shard.tier1.keys().copied().collect();
+                    let mut keys: Vec<u64> = shard.records.keys().copied().collect();
                     keys.sort_unstable();
                     keys
                 }
@@ -274,7 +274,7 @@ impl IngestService {
                 let slots = shard.engine.snapshot_stream(hash).unwrap_or_default();
                 lines.push((
                     hash,
-                    render_stream_line(hash, shard.tier1.get(&hash), &slots),
+                    render_stream_line(hash, shard.records.get(&hash), &slots),
                 ));
             }
             if let Some(store) = shard.guard.as_mut().and_then(|g| g.store.as_mut()) {
@@ -401,16 +401,16 @@ impl IngestService {
                 residue.len()
             ));
         }
-        let tier1_cfg = match config.tiering {
-            Tiering::Gated(cfg) => Some(cfg),
-            Tiering::Full => None,
-        };
+        let gated = matches!(config.tiering, Tiering::Gated(_));
         let mut streams = 0u64;
         let mut skipped = 0u64;
         for p in parsed {
             let index = self.shard_of(p.hash);
             let mut shard = self.shard(index);
-            if !apply_parsed_stream(&mut shard, &p, tier1_cfg) {
+            if gated {
+                shard.records.insert(p.hash, p.record());
+            }
+            if !p.restore_bank(&mut shard.engine) {
                 // Bank shape drifted since the snapshot: the stream
                 // restarts from warmup instead of resuming wrong state.
                 skipped += 1;
@@ -434,7 +434,7 @@ impl IngestService {
             let shard = self.shard(index);
             let resident = match config.tiering {
                 Tiering::Full => shard.engine.stream_count(),
-                Tiering::Gated(_) => shard.tier1.len(),
+                Tiering::Gated(_) => shard.records.len(),
             };
             self.stats().shards[index]
                 .streams

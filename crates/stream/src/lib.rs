@@ -15,7 +15,8 @@
 //!   differential suite in `tests/differential.rs` enforces this for
 //!   every family × window cell of the paper grid);
 //! * [`Ewma`] — a genuinely-online zero-dependency detector with no
-//!   training set at all, the serve path's tier-1 gate;
+//!   training set at all; its bare running statistics ([`EwmaState`])
+//!   are the serve path's per-stream tier-1 gate;
 //! * [`StreamEngine`] — multi-stream routing by pre-hashed id with
 //!   per-slot panic isolation, degradation accounting, and per-stream
 //!   snapshot/restore ([`SlotState`]) for crash-safe serving.
@@ -40,4 +41,4 @@ pub use adapter::{stream_scores, ModelAdapter, REASON_ELEVATED, REASON_MAXIMAL, 
 pub use context::{hash_stream_id, DetectionResult, SignalContext};
 pub use detector::StreamDetector;
 pub use engine::{SlotResult, SlotState, StreamEngine};
-pub use online::{Ewma, DEFAULT_WARMUP};
+pub use online::{Ewma, EwmaState, DEFAULT_WARMUP};

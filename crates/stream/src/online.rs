@@ -31,8 +31,110 @@ fn squash(d: f64) -> f64 {
     d2 / (1.0 + d2)
 }
 
+/// The per-stream running statistics of an EWMA tracker, without its
+/// configuration: 24 bytes of `mean`, `var` and `observed`.
+///
+/// [`Ewma`] pairs one of these with its `alpha` and `warmup`. A service
+/// that gates many streams under one configuration keeps a bare
+/// `EwmaState` per stream and passes the shared parameters to
+/// [`update`](EwmaState::update), so the math has one implementation
+/// and the per-stream record does not repeat the configuration.
+///
+/// # Examples
+///
+/// ```
+/// use detdiv_stream::{Ewma, EwmaState, SignalContext, StreamDetector};
+/// use detdiv_sequence::Symbol;
+///
+/// let mut bare = EwmaState::default();
+/// let mut det = Ewma::new(0.2, 2);
+/// for (i, v) in [5.0, 6.0, 5.5, 40.0].into_iter().enumerate() {
+///     let ctx = SignalContext::new(i as u64, 0, Symbol::new(0), v);
+///     assert_eq!(bare.update(0.2, 2, &ctx), det.update(&ctx));
+/// }
+/// assert_eq!(det.state_bytes(), Some(bare.to_bytes().to_vec()));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EwmaState {
+    mean: f64,
+    var: f64,
+    observed: u64,
+}
+
+impl EwmaState {
+    /// Folds one event into the statistics and scores it; `None` while
+    /// the first `warmup` events are consumed. `alpha` must be within
+    /// `(0, 1]` ([`Ewma::new`] checks it).
+    #[inline]
+    pub fn update(
+        &mut self,
+        alpha: f64,
+        warmup: usize,
+        ctx: &SignalContext,
+    ) -> Option<DetectionResult> {
+        let x = ctx.value;
+        // Score against the PRE-update statistics — folding the event in
+        // first would let a spike partially absorb its own surprise —
+        // then update with West's incremental EWM mean/variance.
+        let z = if self.observed == 0 {
+            self.mean = x;
+            self.var = 0.0;
+            0.0
+        } else {
+            let sigma = self.var.sqrt();
+            let dev = (x - self.mean).abs();
+            let z = if sigma > 0.0 {
+                dev / sigma
+            } else if dev == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            };
+            let delta = x - self.mean;
+            self.mean += alpha * delta;
+            self.var = (1.0 - alpha) * (self.var + alpha * delta * delta);
+            z
+        };
+        self.observed += 1;
+        if (self.observed as usize) <= warmup {
+            return None;
+        }
+        let score = if z.is_finite() { squash(z / 3.0) } else { 1.0 };
+        Some(DetectionResult {
+            score,
+            confidence: ramp_confidence(self.observed, warmup),
+            reason: "ewma-deviation",
+        })
+    }
+
+    /// The serialized statistics: `mean` and `var` as `f64` bits, then
+    /// `observed`, all little-endian.
+    pub fn to_bytes(&self) -> [u8; 24] {
+        let mut out = [0u8; 24];
+        out[..8].copy_from_slice(&self.mean.to_bits().to_le_bytes());
+        out[8..16].copy_from_slice(&self.var.to_bits().to_le_bytes());
+        out[16..].copy_from_slice(&self.observed.to_le_bytes());
+        out
+    }
+
+    /// Parses [`to_bytes`](EwmaState::to_bytes) output; `None` unless
+    /// `bytes` is exactly 24 long.
+    pub fn from_bytes(bytes: &[u8]) -> Option<EwmaState> {
+        let fixed = <[u8; 24]>::try_from(bytes).ok()?;
+        let word = |i: usize| {
+            u64::from_le_bytes(fixed[i * 8..(i + 1) * 8].try_into().expect("8-byte slice"))
+        };
+        Some(EwmaState {
+            mean: f64::from_bits(word(0)),
+            var: f64::from_bits(word(1)),
+            observed: word(2),
+        })
+    }
+}
+
 /// EWMA mean/variance tracker scoring each value by its squashed
-/// z-score against the running statistics.
+/// z-score against the running statistics: an [`EwmaState`] plus its
+/// smoothing factor and warmup.
 ///
 /// # Examples
 ///
@@ -53,9 +155,7 @@ fn squash(d: f64) -> f64 {
 pub struct Ewma {
     alpha: f64,
     warmup: usize,
-    mean: f64,
-    var: f64,
-    observed: u64,
+    state: EwmaState,
 }
 
 impl Ewma {
@@ -70,15 +170,13 @@ impl Ewma {
         Ewma {
             alpha,
             warmup,
-            mean: 0.0,
-            var: 0.0,
-            observed: 0,
+            state: EwmaState::default(),
         }
     }
 
     /// The running mean.
     pub fn mean(&self) -> f64 {
-        self.mean
+        self.state.mean
     }
 }
 
@@ -92,67 +190,29 @@ impl StreamDetector for Ewma {
     }
 
     fn update(&mut self, ctx: &SignalContext) -> Option<DetectionResult> {
-        let x = ctx.value;
-        // Score against the PRE-update statistics — folding the event in
-        // first would let a spike partially absorb its own surprise —
-        // then update with West's incremental EWM mean/variance.
-        let z = if self.observed == 0 {
-            self.mean = x;
-            self.var = 0.0;
-            0.0
-        } else {
-            let sigma = self.var.sqrt();
-            let dev = (x - self.mean).abs();
-            let z = if sigma > 0.0 {
-                dev / sigma
-            } else if dev == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            };
-            let delta = x - self.mean;
-            self.mean += self.alpha * delta;
-            self.var = (1.0 - self.alpha) * (self.var + self.alpha * delta * delta);
-            z
-        };
-        self.observed += 1;
-        if (self.observed as usize) <= self.warmup {
-            return None;
-        }
-        let score = if z.is_finite() { squash(z / 3.0) } else { 1.0 };
-        Some(DetectionResult {
-            score,
-            confidence: ramp_confidence(self.observed, self.warmup),
-            reason: "ewma-deviation",
-        })
+        self.state.update(self.alpha, self.warmup, ctx)
     }
 
     fn reset(&mut self) {
-        self.mean = 0.0;
-        self.var = 0.0;
-        self.observed = 0;
+        self.state = EwmaState::default();
     }
 
     fn state_bytes(&self) -> Option<Vec<u8>> {
-        // mean, var (f64 bits) then observed, all little-endian: the
-        // running statistics are the entire per-stream state.
-        let mut out = Vec::with_capacity(24);
-        out.extend_from_slice(&self.mean.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.var.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.observed.to_le_bytes());
-        Some(out)
+        // The running statistics are the entire per-stream state.
+        Some(self.state.to_bytes().to_vec())
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let Ok(fixed) = <[u8; 24]>::try_from(bytes) else {
-            self.reset();
-            return false;
-        };
-        let word = |i: usize| u64::from_le_bytes(fixed[i * 8..(i + 1) * 8].try_into().unwrap());
-        self.mean = f64::from_bits(word(0));
-        self.var = f64::from_bits(word(1));
-        self.observed = word(2);
-        true
+        match EwmaState::from_bytes(bytes) {
+            Some(state) => {
+                self.state = state;
+                true
+            }
+            None => {
+                self.reset();
+                false
+            }
+        }
     }
 
     fn state_bytes_cap(&self) -> usize {
@@ -278,5 +338,51 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ewma_rejects_bad_alpha() {
         let _ = Ewma::new(0.0, 4);
+    }
+
+    proptest::proptest! {
+        /// `Ewma` is config plus an `EwmaState`: fed the same values, a
+        /// bare state given the same `alpha` and `warmup` produces
+        /// bit-identical verdicts and state bytes, and restoring those
+        /// bytes mid-stream changes nothing that follows.
+        #[test]
+        fn bare_state_matches_ewma_bit_for_bit(
+            values in proptest::collection::vec(-1.0e6f64..1.0e6, 1..120),
+            alpha in 0.001f64..=1.0,
+            warmup in 0usize..24,
+            cut in 0usize..120,
+        ) {
+            let mut det = Ewma::new(alpha, warmup);
+            let mut bare = EwmaState::default();
+            let cut = cut % values.len();
+            let mut resumed = None;
+            for (i, &v) in values.iter().enumerate() {
+                let ctx = SignalContext::new(i as u64, 0, Symbol::new(0), v);
+                if i == cut {
+                    let bytes = det.state_bytes().expect("ewma is snapshotable");
+                    proptest::prop_assert_eq!(&bytes[..], &bare.to_bytes()[..]);
+                    let restored = EwmaState::from_bytes(&bytes).expect("24 bytes");
+                    proptest::prop_assert_eq!(restored.to_bytes(), bare.to_bytes());
+                    let mut again = Ewma::new(alpha, warmup);
+                    proptest::prop_assert!(again.restore_state(&bytes));
+                    resumed = Some((again, restored));
+                }
+                let want = det.update(&ctx);
+                let got = bare.update(alpha, warmup, &ctx);
+                let bits = |r: Option<DetectionResult>| {
+                    r.map(|r| (r.score.to_bits(), r.confidence.to_bits(), r.reason))
+                };
+                proptest::prop_assert_eq!(bits(got), bits(want));
+                if let Some((again, restored)) = resumed.as_mut() {
+                    proptest::prop_assert_eq!(bits(again.update(&ctx)), bits(want));
+                    proptest::prop_assert_eq!(bits(restored.update(alpha, warmup, &ctx)), bits(want));
+                }
+            }
+            proptest::prop_assert_eq!(
+                det.state_bytes().expect("ewma is snapshotable"),
+                bare.to_bytes().to_vec()
+            );
+            proptest::prop_assert!(EwmaState::from_bytes(&bare.to_bytes()[..23]).is_none());
+        }
     }
 }

@@ -83,13 +83,15 @@
 #                               artifacts while the panic hook leaves a
 #                               parseable crash dump
 #  12. serve gate             — `loadgen`'s deterministic stdout is
-#                               identical at widths 1 and 4, a chaos
+#                               identical at widths 1 and 4 and to the
+#                               committed expected line, a chaos
 #                               run accounts for every event, a
 #                               snapshot/resume chain recovers warm
 #                               state, and the serve suites pass at
 #                               both widths
 #  13. overload gate          — `loadgen --overload`'s accounting line
-#                               is identical at widths 1 and 4, sheds
+#                               is identical at widths 1 and 4 and to
+#                               the committed expected line, sheds
 #                               on both paths, and its guard audit
 #                               trail reconstructs under `flightcheck
 #                               --guard`, chaos variant included
@@ -402,7 +404,11 @@ DETDIV_LOG=off DETDIV_THREADS=1 timeout 300 ./target/release/loadgen \
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
     $LOADGEN_ARGS --threads 4 > "$SERVE_DIR/t4_stdout.txt" 2> /dev/null
 cmp "$SERVE_DIR/t1_stdout.txt" "$SERVE_DIR/t4_stdout.txt"
-echo "loadgen verdict digest identical at widths 1 and 4 ($(cat "$SERVE_DIR/t1_stdout.txt"))"
+# Width agreement alone passes a change that moves every width's bytes
+# the same way; the committed line pins them across commits. After an
+# intentional digest change, rewrite it from the width-1 run above.
+cmp "$SERVE_DIR/t1_stdout.txt" scripts/expected/loadgen_serve.txt
+echo "loadgen verdict digest identical at widths 1 and 4 and to the expected line ($(cat "$SERVE_DIR/t1_stdout.txt"))"
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
     $LOADGEN_ARGS --threads 4 --fault "$FAULT_SPEC" \
     > "$SERVE_DIR/chaos_stdout.txt" 2> "$SERVE_DIR/chaos_stderr.txt"
@@ -450,7 +456,8 @@ DETDIV_LOG=off DETDIV_THREADS=1 timeout 300 ./target/release/loadgen \
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
     $OVERLOAD_ARGS --threads 4 > "$OVERLOAD_DIR/t4_stdout.txt" 2> /dev/null
 cmp "$OVERLOAD_DIR/t1_stdout.txt" "$OVERLOAD_DIR/t4_stdout.txt"
-echo "overload stdout identical at widths 1 and 4 ($(cat "$OVERLOAD_DIR/t1_stdout.txt"))"
+cmp "$OVERLOAD_DIR/t1_stdout.txt" scripts/expected/loadgen_overload.txt
+echo "overload stdout identical at widths 1 and 4 and to the expected line ($(cat "$OVERLOAD_DIR/t1_stdout.txt"))"
 grep -q "offered=80000" "$OVERLOAD_DIR/t1_stdout.txt" || {
     echo "overload gate: not every event was offered" >&2
     exit 1
