@@ -99,7 +99,7 @@ pub fn render(reason: &str) -> String {
     let ring = ring().lock().unwrap_or_else(PoisonError::into_inner);
     let mut header = String::with_capacity(192);
     header.push_str("{\"t\":\"crash\",\"reason\":\"");
-    crate::record::push_json_escaped(&mut header, reason);
+    detdiv_obs::push_json_escaped(&mut header, reason);
     use std::fmt::Write as _;
     let _ = write!(
         header,

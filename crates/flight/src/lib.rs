@@ -12,8 +12,8 @@
 //!    grid (`detdiv-eval`'s coverage rows), the streaming engine
 //!    (`detdiv-stream`), and the supervision failure path
 //!    (`detdiv-resil`). Records are buffered in fixed-capacity
-//!    per-thread rings (the same lock-free discipline as
-//!    `detdiv_obs::trace`) and exported as checksummed JSONL in the
+//!    per-thread rings (`detdiv_obs::ring`, shared with the Chrome
+//!    trace) and exported as checksummed JSONL in the
 //!    `detdiv-resil` journal wire format, so
 //!    [`detdiv_resil::Journal::load`] validates a dump line-by-line.
 //!    Records carry **no timestamps** and the export **sorts payloads
@@ -73,8 +73,7 @@ mod recorder;
 pub mod streams;
 
 pub use record::{
-    push_json_escaped, CellRecord, DegradedRecord, FailureRecord, GuardRecord, HeaderRecord,
-    StreamRecord,
+    CellRecord, DegradedRecord, FailureRecord, GuardRecord, HeaderRecord, StreamRecord,
 };
 pub use recorder::{
     arm, armed, disarm, drain, dropped, env_path, export, flush_thread, path, record, recorded,

@@ -9,23 +9,7 @@
 
 use std::fmt::Write as _;
 
-/// Escapes `s` into `out` as the contents of a JSON string literal
-/// (the same escaping `detdiv_obs::trace` applies to event names).
-pub fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+use detdiv_obs::push_json_escaped;
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');

@@ -1,11 +1,12 @@
 //! The audit-log recorder: per-thread rings, a bounded central sink,
 //! and deterministic checksummed export.
 //!
-//! Same discipline as `detdiv_obs::trace`: recording is a relaxed
-//! atomic load (the armed gate), a thread-local borrow, and a push —
-//! no locks on the hot path. Full rings batch-flush into a central
-//! `Mutex<Vec>`; the sink is capped and overflow is **counted**, never
-//! blocking and never growing without bound.
+//! Records are buffered in the per-thread rings of
+//! [`detdiv_obs::ring`], the same rings the Chrome trace uses:
+//! recording is a relaxed atomic load (the armed gate), a thread-local
+//! borrow, and a push — no locks on the hot path. Full rings
+//! batch-flush into a central sink; the sink is capped and overflow is
+//! **counted**, never blocking and never growing without bound.
 //!
 //! Unlike the trace recorder, records carry no timestamps and the
 //! export sorts payloads lexicographically before writing, so two runs
@@ -16,6 +17,8 @@ use std::cell::RefCell;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
+
+use detdiv_obs::ring::{Collector, ThreadRing};
 
 use crate::blackbox;
 
@@ -30,62 +33,19 @@ pub const SINK_CAPACITY: usize = 1_000_000;
 /// Whether the recorder is armed. Checked first by every record path.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Records dropped because the sink was full.
-static DROPPED: AtomicU64 = AtomicU64::new(0);
+/// The central sink every thread's ring flushes into.
+static COLLECTOR: Collector<String> = Collector::new(RING_CAPACITY, SINK_CAPACITY);
 
 /// Records accepted since arm (or the last [`reset`]).
 static RECORDED: AtomicU64 = AtomicU64::new(0);
-
-fn sink() -> &'static Mutex<Vec<String>> {
-    static SINK: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
-}
 
 fn armed_path() -> &'static Mutex<Option<String>> {
     static PATH: OnceLock<Mutex<Option<String>>> = OnceLock::new();
     PATH.get_or_init(|| Mutex::new(None))
 }
 
-struct ThreadRing {
-    records: Vec<String>,
-}
-
-impl ThreadRing {
-    fn push(&mut self, record: String) {
-        if self.records.capacity() == 0 {
-            self.records.reserve_exact(RING_CAPACITY);
-        }
-        self.records.push(record);
-        if self.records.len() >= RING_CAPACITY {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.records.is_empty() {
-            return;
-        }
-        let mut sink = sink().lock().unwrap_or_else(PoisonError::into_inner);
-        let room = SINK_CAPACITY.saturating_sub(sink.len());
-        if room >= self.records.len() {
-            sink.append(&mut self.records);
-        } else {
-            let overflow = (self.records.len() - room) as u64;
-            sink.extend(self.records.drain(..).take(room));
-            self.records.clear();
-            DROPPED.fetch_add(overflow, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Drop for ThreadRing {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 thread_local! {
-    static RING: RefCell<ThreadRing> = const { RefCell::new(ThreadRing { records: Vec::new() }) };
+    static RING: RefCell<ThreadRing<String>> = const { RefCell::new(ThreadRing::new(&COLLECTOR)) };
 }
 
 /// Whether the recorder is armed: one relaxed atomic load, the only
@@ -156,7 +116,7 @@ pub fn record(payload: String) {
 
 /// Records dropped so far because the central sink was full.
 pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    COLLECTOR.dropped()
 }
 
 /// Records accepted so far (including any later dropped at a flush).
@@ -166,11 +126,8 @@ pub fn recorded() -> u64 {
 
 /// Flushes the calling thread's ring into the central sink.
 ///
-/// **Scoped threads must call this before returning** — the same
-/// TLS-destructor caveat as `detdiv_obs::trace::flush_thread`: a
-/// `std::thread::scope` can observe the closure's return before the
-/// thread's exit flush runs, so the `detdiv-par` workers flush
-/// explicitly at the end of their closure.
+/// **Scoped threads must call this before returning**: see
+/// [`detdiv_obs::ring`] for why the exit flush can come too late.
 pub fn flush_thread() {
     RING.with(|ring| ring.borrow_mut().flush());
 }
@@ -180,20 +137,15 @@ pub fn flush_thread() {
 /// order, *not* deterministic — [`export`] sorts.
 pub fn drain() -> Vec<String> {
     flush_thread();
-    let mut sink = sink().lock().unwrap_or_else(PoisonError::into_inner);
-    std::mem::take(&mut *sink)
+    COLLECTOR.drain()
 }
 
 /// Clears the sink, the calling thread's ring, the counters, the
 /// armed path, and the blackbox (test hook; also useful between
 /// repeated armed runs in one process).
 pub fn reset() {
-    RING.with(|ring| ring.borrow_mut().records.clear());
-    sink()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    DROPPED.store(0, Ordering::Relaxed);
+    RING.with(|ring| ring.borrow_mut().clear());
+    COLLECTOR.clear();
     RECORDED.store(0, Ordering::Relaxed);
     *armed_path().lock().unwrap_or_else(PoisonError::into_inner) = None;
     blackbox::reset();
@@ -313,7 +265,7 @@ mod tests {
         // Fill the sink directly to one ring below capacity, then push
         // two rings' worth through the thread ring.
         {
-            let mut sink = sink().lock().unwrap();
+            let mut sink = COLLECTOR.sink();
             sink.clear();
             sink.resize(SINK_CAPACITY - RING_CAPACITY / 2, String::new());
         }
@@ -323,7 +275,7 @@ mod tests {
         flush_thread();
         disarm();
         assert!(dropped() >= RING_CAPACITY as u64 / 2, "{}", dropped());
-        let sunk = sink().lock().unwrap().len();
+        let sunk = COLLECTOR.sink().len();
         assert_eq!(sunk, SINK_CAPACITY);
         reset();
     }

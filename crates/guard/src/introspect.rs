@@ -1,13 +1,10 @@
-//! Live guard counters, exposed to `detdiv-scope`'s `/guardz` endpoint
-//! through the same registered-singleton pattern as
-//! `detdiv-serve::introspect`.
+//! Live guard counters, exposed to `detdiv-scope`'s `/guardz` endpoint.
 //!
 //! The serve layer updates plain atomics at drain-cycle boundaries (no
-//! locks on the hot path); the registry holds at most one registered
-//! guard — the daemon case — and renders a JSON snapshot on demand.
+//! locks on the hot path) and publishes [`GuardStats::render_json`] as
+//! the `"guard"` introspection page when a guarded service registers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::pressure::DegradationLevel;
 
@@ -127,46 +124,13 @@ impl GuardStats {
     }
 }
 
-fn slot() -> &'static Mutex<Option<Arc<GuardStats>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<GuardStats>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Registers `stats` as the process's introspectable guard, replacing
-/// any previous registration.
-pub fn register(stats: Arc<GuardStats>) {
-    *slot().lock().unwrap_or_else(PoisonError::into_inner) = Some(stats);
-}
-
-/// Clears the registration if `stats` is still the registered guard (a
-/// later registration wins and is left in place).
-pub fn deregister(stats: &Arc<GuardStats>) {
-    let mut guard = slot().lock().unwrap_or_else(PoisonError::into_inner);
-    if guard.as_ref().is_some_and(|s| Arc::ptr_eq(s, stats)) {
-        *guard = None;
-    }
-}
-
-/// JSON snapshot of the registered guard, or `{"registered":false}`
-/// when no guarded service has registered.
-pub fn render_json() -> String {
-    match slot()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-    {
-        Some(stats) => stats.render_json(),
-        None => "{\"registered\":false}".to_owned(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn registry_registers_renders_and_deregisters() {
-        let stats = Arc::new(GuardStats::new(2));
+    fn levels_peak_and_render_follow_the_counters() {
+        let stats = GuardStats::new(2);
         stats.shards[0]
             .level
             .store(DegradationLevel::Shedding.index(), Ordering::Relaxed);
@@ -177,14 +141,11 @@ mod tests {
         assert_eq!(stats.shard_level(9), DegradationLevel::Full);
         assert!(!stats.all_full());
         assert_eq!(stats.update_resident_peak(), 96);
-        register(Arc::clone(&stats));
-        let json = render_json();
+        let json = stats.render_json();
         assert!(json.contains("\"registered\":true"), "{json}");
         assert!(json.contains("\"level\":\"shedding\""), "{json}");
         assert!(json.contains("\"shed\":5"), "{json}");
         assert!(json.contains("\"resident_peak\":96"), "{json}");
-        deregister(&stats);
-        assert_eq!(render_json(), "{\"registered\":false}");
     }
 
     #[test]

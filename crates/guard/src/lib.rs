@@ -29,9 +29,8 @@
 //!   file and rehydrate on their next event, capping resident memory
 //!   under a `DETDIV_GUARD_BYTES` budget.
 //!
-//! Live counters are exported through [`introspect`] (scope's
-//! `/guardz` endpoint) in the same registered-singleton pattern as
-//! `detdiv-serve`'s `/servez`.
+//! Live counters live in [`introspect`]; the serve layer publishes
+//! them as scope's `/guardz` page.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

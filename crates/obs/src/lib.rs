@@ -23,6 +23,9 @@
 //!    `FullReport` and the regeneration binary writes it as
 //!    `paper_telemetry.json`.
 //!
+//! Shared plumbing: [`ring`], the per-thread rings under [`mod@trace`] and
+//! the flight recorder; [`introspect`], the named pages scope serves.
+//!
 //! # Example
 //!
 //! ```
@@ -45,9 +48,11 @@
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod histogram;
+pub mod introspect;
 mod level;
 mod profile;
 mod registry;
+pub mod ring;
 mod snapshot;
 mod span;
 pub mod trace;
@@ -84,6 +89,24 @@ pub fn __log(
     let stderr = std::io::stderr();
     let mut handle = stderr.lock();
     let _ = handle.write_all(line.as_bytes());
+}
+
+/// Escapes `s` into `out` as the contents of a JSON string literal.
+pub fn push_json_escaped(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 /// Writes pre-formatted multi-line text (e.g. a telemetry summary

@@ -12,19 +12,15 @@
 //!
 //! # Recording model
 //!
-//! * Each thread owns a **fixed-capacity event ring** (a thread-local
-//!   `Vec` of [`Event`]s, capacity [`RING_CAPACITY`]); recording an
-//!   event is a relaxed atomic load (the armed gate), a thread-local
-//!   borrow, and a push — **no locks on the hot path**.
-//! * When a ring fills, it is **flushed** in one batch into the central
-//!   sink (one short mutex acquisition per [`RING_CAPACITY`] events);
-//!   a thread's ring is also flushed automatically when the thread
-//!   exits, which is how the scoped `detdiv-par` workers hand their
-//!   events over before the pool joins them.
-//! * The sink itself is capped at [`SINK_CAPACITY`] events; beyond
-//!   that, new events are counted as dropped (see [`dropped`]) rather
-//!   than growing without bound. Nothing blocks and nothing reallocs
-//!   unpredictably mid-sweep.
+//! * Events are buffered in the shared per-thread rings of
+//!   [`crate::ring`]: recording an event is a relaxed atomic load (the
+//!   armed gate), a thread-local borrow, and a push — **no locks on the
+//!   hot path**. A ring holds [`RING_CAPACITY`] events before it
+//!   batch-flushes into the central sink, and flushes when its thread
+//!   exits.
+//! * The sink is capped at [`SINK_CAPACITY`] events; beyond that, new
+//!   events are counted as dropped (see [`dropped`]) rather than
+//!   growing without bound.
 //! * Timestamps are monotonic nanoseconds from a process-wide epoch
 //!   ([`std::time::Instant`]); within one thread, recorded timestamps
 //!   never decrease, and flush batches preserve per-thread order, so
@@ -65,9 +61,11 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+use crate::ring::{Collector, ThreadRing};
 
 /// Per-thread ring capacity, in events, before a batch flush to the
 /// central sink.
@@ -80,8 +78,8 @@ pub const SINK_CAPACITY: usize = 4_000_000;
 /// Whether tracing is armed. Checked first by every record path.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Events dropped because the sink was full.
-static DROPPED: AtomicU64 = AtomicU64::new(0);
+/// The central sink every thread's ring flushes into.
+static COLLECTOR: Collector<Event> = Collector::new(RING_CAPACITY, SINK_CAPACITY);
 
 /// Next trace thread id; 0 is reserved for process-level metadata.
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
@@ -95,11 +93,6 @@ fn epoch() -> Instant {
 
 fn now_nanos() -> u64 {
     epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-fn sink() -> &'static Mutex<Vec<Event>> {
-    static SINK: OnceLock<Mutex<Vec<Event>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// Chrome trace-event phase of one recorded [`Event`].
@@ -170,56 +163,18 @@ pub struct Event {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-/// The calling thread's event ring plus its assigned trace id; flushed
-/// into the sink when full and when the thread exits.
-struct ThreadRing {
+/// The calling thread's event ring plus its trace id, assigned on the
+/// thread's first use of the ring.
+struct TraceRing {
     tid: u32,
-    events: Vec<Event>,
-}
-
-impl ThreadRing {
-    fn new() -> ThreadRing {
-        ThreadRing {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            events: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, event: Event) {
-        if self.events.capacity() == 0 {
-            self.events.reserve_exact(RING_CAPACITY);
-        }
-        self.events.push(event);
-        if self.events.len() >= RING_CAPACITY {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.events.is_empty() {
-            return;
-        }
-        let mut sink = sink().lock().expect("trace sink poisoned");
-        let room = SINK_CAPACITY.saturating_sub(sink.len());
-        if room >= self.events.len() {
-            sink.append(&mut self.events);
-        } else {
-            let overflow = (self.events.len() - room) as u64;
-            sink.extend(self.events.drain(..).take(room));
-            self.events.clear();
-            DROPPED.fetch_add(overflow, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Drop for ThreadRing {
-    fn drop(&mut self) {
-        self.flush();
-    }
+    events: ThreadRing<Event>,
 }
 
 thread_local! {
-    static RING: RefCell<ThreadRing> = RefCell::new(ThreadRing::new());
+    static RING: RefCell<TraceRing> = RefCell::new(TraceRing {
+        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+        events: ThreadRing::new(&COLLECTOR),
+    });
 }
 
 /// Whether tracing is armed: one relaxed atomic load, the only cost the
@@ -255,21 +210,17 @@ pub fn env_path() -> Option<String> {
 
 /// Events dropped so far because the central sink was full.
 pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    COLLECTOR.dropped()
 }
 
 /// Flushes the calling thread's ring into the central sink. Export
 /// helpers call this automatically for the exporting thread; other
 /// threads flush when their ring fills and when they exit.
 ///
-/// **Scoped threads must call this before returning.** A
-/// [`std::thread::scope`] observes completion when the spawned closure
-/// returns, which can be *before* the thread's TLS destructors (the
-/// automatic exit flush) have run — so a drain right after the scope
-/// could miss the last worker's ring. The `detdiv-par` workers flush
-/// explicitly at the end of their closure for exactly this reason.
+/// **Scoped threads must call this before returning**: see
+/// [`crate::ring`] for why the exit flush can come too late.
 pub fn flush_thread() {
-    RING.with(|ring| ring.borrow_mut().flush());
+    RING.with(|ring| ring.borrow_mut().events.flush());
 }
 
 /// Drains every flushed event out of the central sink (flushing the
@@ -278,10 +229,7 @@ pub fn flush_thread() {
 /// order preserved.
 pub fn drain() -> Vec<Event> {
     flush_thread();
-    let mut events = {
-        let mut sink = sink().lock().expect("trace sink poisoned");
-        std::mem::take(&mut *sink)
-    };
+    let mut events = COLLECTOR.drain();
     // Stable: equal timestamps keep their flush order, so per-tid
     // streams stay monotonic and stack-ordered.
     events.sort_by_key(|e| e.nanos);
@@ -292,8 +240,7 @@ pub fn drain() -> Vec<Event> {
 /// counter (test hook; also useful between repeated traced runs).
 pub fn reset() {
     RING.with(|ring| ring.borrow_mut().events.clear());
-    sink().lock().expect("trace sink poisoned").clear();
-    DROPPED.store(0, Ordering::Relaxed);
+    COLLECTOR.clear();
 }
 
 fn display_args(args: &[(&'static str, &dyn fmt::Display)]) -> Vec<(&'static str, ArgValue)> {
@@ -302,31 +249,34 @@ fn display_args(args: &[(&'static str, &dyn fmt::Display)]) -> Vec<(&'static str
         .collect()
 }
 
-/// Records a span-begin (`B`) event. No-op unless [`armed`].
-pub fn begin(name: &str, args: &[(&'static str, &dyn fmt::Display)]) {
-    if !armed() {
-        return;
-    }
+/// Appends one event to the calling thread's ring.
+fn push(nanos: u64, dur_nanos: u64, phase: Phase, name: &str, args: Vec<(&'static str, ArgValue)>) {
     RING.with(|ring| {
         let mut ring = ring.borrow_mut();
         let tid = ring.tid;
-        ring.push(Event {
-            nanos: now_nanos(),
-            dur_nanos: 0,
+        ring.events.push(Event {
+            nanos,
+            dur_nanos,
             tid,
-            phase: Phase::Begin,
+            phase,
             name: name.to_owned(),
-            args: display_args(args),
+            args,
         });
     });
 }
 
+/// Records a span-begin (`B`) event. No-op unless [`armed`].
+pub fn begin(name: &str, args: &[(&'static str, &dyn fmt::Display)]) {
+    if armed() {
+        push(now_nanos(), 0, Phase::Begin, name, display_args(args));
+    }
+}
+
 /// Records a span-end (`E`) event. No-op unless [`armed`].
 pub fn end(name: &str) {
-    if !armed() {
-        return;
+    if armed() {
+        end_paired(name);
     }
-    end_paired(name);
 }
 
 /// Ungated span-end used by [`crate::SpanGuard`]: a guard that emitted
@@ -334,126 +284,52 @@ pub fn end(name: &str) {
 /// while the span was open, so per-thread B/E balance survives
 /// mid-span disarms.
 pub(crate) fn end_paired(name: &str) {
-    RING.with(|ring| {
-        let mut ring = ring.borrow_mut();
-        let tid = ring.tid;
-        ring.push(Event {
-            nanos: now_nanos(),
-            dur_nanos: 0,
-            tid,
-            phase: Phase::End,
-            name: name.to_owned(),
-            args: Vec::new(),
-        });
-    });
+    push(now_nanos(), 0, Phase::End, name, Vec::new());
 }
 
 /// Records an instant (`i`) event. No-op unless [`armed`].
 pub fn instant(name: &str, args: &[(&'static str, &dyn fmt::Display)]) {
-    if !armed() {
-        return;
+    if armed() {
+        push(now_nanos(), 0, Phase::Instant, name, display_args(args));
     }
-    RING.with(|ring| {
-        let mut ring = ring.borrow_mut();
-        let tid = ring.tid;
-        ring.push(Event {
-            nanos: now_nanos(),
-            dur_nanos: 0,
-            tid,
-            phase: Phase::Instant,
-            name: name.to_owned(),
-            args: display_args(args),
-        });
-    });
 }
 
 /// Records a complete (`X`) event that *ended now* and lasted
 /// `duration` — the timestamp is backdated accordingly. Used for the
 /// evaluation grid's per-cell events. No-op unless [`armed`].
 pub fn complete(name: &str, duration: Duration, args: &[(&'static str, &dyn fmt::Display)]) {
-    if !armed() {
-        return;
+    if armed() {
+        let dur_nanos = duration.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let nanos = now_nanos().saturating_sub(dur_nanos);
+        push(nanos, dur_nanos, Phase::Complete, name, display_args(args));
     }
-    let dur_nanos = duration.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let nanos = now_nanos().saturating_sub(dur_nanos);
-    RING.with(|ring| {
-        let mut ring = ring.borrow_mut();
-        let tid = ring.tid;
-        ring.push(Event {
-            nanos,
-            dur_nanos,
-            tid,
-            phase: Phase::Complete,
-            name: name.to_owned(),
-            args: display_args(args),
-        });
-    });
 }
 
 /// Records a counter (`C`) sample; Perfetto renders successive samples
 /// of the same name as a time series. No-op unless [`armed`].
 pub fn counter(name: &str, value: u64) {
-    if !armed() {
-        return;
+    if armed() {
+        let args = vec![("value", ArgValue::Uint(value))];
+        push(now_nanos(), 0, Phase::Counter, name, args);
     }
-    RING.with(|ring| {
-        let mut ring = ring.borrow_mut();
-        let tid = ring.tid;
-        ring.push(Event {
-            nanos: now_nanos(),
-            dur_nanos: 0,
-            tid,
-            phase: Phase::Counter,
-            name: name.to_owned(),
-            args: vec![("value", ArgValue::Uint(value))],
-        });
-    });
 }
 
 /// Names the calling thread in the exported trace (a `thread_name`
 /// metadata event); `detdiv-par` workers call this with
 /// `par-worker-N`. No-op unless [`armed`].
 pub fn set_thread_name(name: &str) {
-    if !armed() {
-        return;
+    if armed() {
+        let args = vec![("name", ArgValue::Text(name.to_owned()))];
+        push(now_nanos(), 0, Phase::Meta, "thread_name", args);
     }
-    RING.with(|ring| {
-        let mut ring = ring.borrow_mut();
-        let tid = ring.tid;
-        ring.push(Event {
-            nanos: now_nanos(),
-            dur_nanos: 0,
-            tid,
-            phase: Phase::Meta,
-            name: "thread_name".to_owned(),
-            args: vec![("name", ArgValue::Text(name.to_owned()))],
-        });
-    });
 }
 
 // ---------------------------------------------------------------------
 // Chrome trace-event JSON export
 // ---------------------------------------------------------------------
 
-/// Escapes `s` into `out` as the contents of a JSON string literal.
-fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_event(out: &mut String, event: &Event) {
+    use crate::push_json_escaped;
     use fmt::Write as _;
     out.push_str("{\"name\":\"");
     push_json_escaped(out, &event.name);
@@ -560,7 +436,7 @@ mod tests {
     /// here (the integration suite in `tests/trace.rs` has its own
     /// lock — the two binaries are separate processes).
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -660,7 +536,7 @@ mod tests {
         disarm();
         // The first RING_CAPACITY events must already be in the sink
         // before any drain-triggered flush.
-        let in_sink = sink().lock().expect("trace sink poisoned").len();
+        let in_sink = COLLECTOR.sink().len();
         assert!(in_sink >= RING_CAPACITY, "sink has {in_sink} events");
         let events = drain();
         assert!(events.len() >= RING_CAPACITY + 10);

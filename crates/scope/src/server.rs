@@ -32,13 +32,14 @@
 //!   label when known.
 //! * `GET /flightz` — the live tail of the flight recorder's crash
 //!   ring: recorder status plus the most recent wide events as JSONL.
-//! * `GET /servez` — per-shard counters of the registered
-//!   `detdiv-serve` ingest service (queue depths, rejections,
-//!   escalations), or `{"registered":false}` when none is running.
-//! * `GET /guardz` — per-shard overload-guard state of the registered
-//!   service (degradation ladder level, breaker state, resident bytes,
-//!   shed and hibernation counters), or `{"registered":false}` when no
-//!   guarded service is running.
+//! * `GET /servez` — the `"serve"` page of [`detdiv_obs::introspect`]:
+//!   per-shard counters of the registered ingest service (queue depths,
+//!   rejections, escalations), or `{"registered":false}` when none is
+//!   running.
+//! * `GET /guardz` — the `"guard"` page: per-shard overload-guard state
+//!   of the registered service (degradation ladder level, breaker
+//!   state, resident bytes, shed and hibernation counters), or
+//!   `{"registered":false}` when no guarded service is running.
 //!
 //! Shutdown sets a flag and pokes the listener with a self-connect so
 //! the accept loop observes it promptly, then joins the thread.
@@ -297,13 +298,13 @@ const ENDPOINTS: &[Endpoint] = &[
         path: "/servez",
         content_type: "application/json; charset=utf-8",
         summary: "ingest service shard counters (queues, rejections, tiering)",
-        render: render_servez,
+        render: |_| render_page("serve"),
     },
     Endpoint {
         path: "/guardz",
         content_type: "application/json; charset=utf-8",
         summary: "overload guard state (ladder levels, breaker, hibernation)",
-        render: render_guardz,
+        render: |_| render_page("guard"),
     },
 ];
 
@@ -433,7 +434,7 @@ fn render_streams(_shared: &Shared) -> String {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!("    {{\"hash\":\"{:016x}\",", snap.stream_hash));
         out.push_str("\"label\":\"");
-        detdiv_flight::push_json_escaped(&mut out, &snap.label);
+        detdiv_obs::push_json_escaped(&mut out, &snap.label);
         out.push('"');
         out.push_str(&format!(
             ",\"events\":{},\"emitted\":{},\"alarms\":{},\"degraded\":{}",
@@ -457,21 +458,10 @@ fn render_streams(_shared: &Shared) -> String {
     out
 }
 
-/// Renders `/servez`: the registered ingest service's per-shard
-/// counters, or `{"registered":false}` when no service is running in
-/// this process.
-fn render_servez(_shared: &Shared) -> String {
-    let mut out = detdiv_serve::introspect::render_json();
-    out.push('\n');
-    out
-}
-
-/// Renders `/guardz`: the registered service's overload-guard state —
-/// per-shard degradation level, breaker state, resident bytes and
-/// shed/hibernation counters — or `{"registered":false}` when no
-/// guarded service is running in this process.
-fn render_guardz(_shared: &Shared) -> String {
-    let mut out = detdiv_guard::introspect::render_json();
+/// Renders `/servez` or `/guardz`: the introspection page registered
+/// under `name`, as one line.
+fn render_page(name: &str) -> String {
+    let mut out = detdiv_obs::introspect::render(name);
     out.push('\n');
     out
 }
@@ -535,6 +525,20 @@ fn respond(status: u16, content_type: &str, body: &str) -> String {
 ///
 /// Connection, I/O, or response-parsing failures as readable messages.
 pub fn http_get(addr: &SocketAddr, path: &str, timeout: Duration) -> Result<(u16, String), String> {
+    http_get_typed(addr, path, timeout).map(|(status, _, body)| (status, body))
+}
+
+/// [`http_get`], also returning the response's `Content-Type` (empty
+/// when the response has none): `(status, content_type, body)`.
+///
+/// # Errors
+///
+/// Connection, I/O, or response-parsing failures as readable messages.
+pub fn http_get_typed(
+    addr: &SocketAddr,
+    path: &str,
+    timeout: Duration,
+) -> Result<(u16, String, String), String> {
     let mut stream =
         TcpStream::connect_timeout(addr, timeout).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
@@ -556,12 +560,17 @@ pub fn http_get(addr: &SocketAddr, path: &str, timeout: Duration) -> Result<(u16
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("malformed status line in response from {addr}"))?;
-    let body = raw
+    let (head, body) = raw
         .split_once("\r\n\r\n")
         .or_else(|| raw.split_once("\n\n"))
-        .map(|(_, b)| b.to_owned())
+        .unwrap_or((raw.as_str(), ""));
+    let content_type = head
+        .lines()
+        .filter_map(|line| line.split_once(':'))
+        .find(|(name, _)| name.trim().eq_ignore_ascii_case("content-type"))
+        .map(|(_, value)| value.trim().to_owned())
         .unwrap_or_default();
-    Ok((status, body))
+    Ok((status, content_type, body.to_owned()))
 }
 
 /// Splits a scrape URL (`http://127.0.0.1:9184/metrics` or bare

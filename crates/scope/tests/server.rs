@@ -319,6 +319,90 @@ fn guardz_reports_the_registered_guard() {
     scope.shutdown().unwrap();
 }
 
+/// `/servez` and `/guardz` byte for byte: unregistered, then a
+/// registered 2-shard guarded service with fixed counters and one
+/// shard shedding, then unregistered again once the service drops.
+#[test]
+fn servez_and_guardz_bodies_are_pinned() {
+    let _guard = SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let scope = Scope::start("127.0.0.1:0", fast_config()).expect("scope starts");
+    let addr = scope.local_addr();
+    let get = |path: &str| {
+        let (status, body) = server::http_get(&addr, path, Duration::from_secs(2)).unwrap();
+        assert_eq!(status, 200, "{path}");
+        body
+    };
+    const UNREGISTERED: &str = "{\"registered\":false}\n";
+    assert_eq!(get("/servez"), UNREGISTERED);
+    assert_eq!(get("/guardz"), UNREGISTERED);
+
+    let service = detdiv_serve::IngestService::with_guard(
+        detdiv_serve::ServeConfig::new(2, 8).gated(detdiv_serve::Tier1Config::default()),
+        detdiv_guard::GuardConfig::default(),
+        || {
+            vec![Box::new(detdiv_stream::Ewma::new(0.2, 2))
+                as Box<dyn detdiv_stream::StreamDetector>]
+        },
+    )
+    .expect("guarded service builds");
+    service.register_introspection();
+    let set = |counter: &std::sync::atomic::AtomicU64, value: u64| {
+        counter.store(value, std::sync::atomic::Ordering::Relaxed);
+    };
+    let stats = service.stats();
+    for (i, shard) in stats.shards.iter().enumerate() {
+        let base = 100 * (i as u64 + 1);
+        set(&shard.depth, base + 1);
+        set(&shard.streams, base + 2);
+        set(&shard.enqueued, base + 3);
+        set(&shard.rejected, base + 4);
+        set(&shard.processed, base + 5);
+        set(&shard.emitted, base + 6);
+        set(&shard.escalated, base + 7);
+        set(&shard.degraded, base + 8);
+        set(&shard.deferred, base + 9);
+    }
+    set(&stats.snapshots, 3);
+    set(&stats.recovered_streams, 2);
+    let guard = service.guard_stats().expect("guarded service");
+    for (i, shard) in guard.shards.iter().enumerate() {
+        let base = 1000 * (i as u64 + 1);
+        set(&shard.breaker_state, i as u64);
+        set(&shard.resident_bytes, base + 1);
+        set(&shard.shed, base + 2);
+        set(&shard.ladder_transitions, base + 3);
+        set(&shard.breaker_opens, base + 4);
+        set(&shard.hibernated, base + 5);
+        set(&shard.rehydrated, base + 6);
+        set(&shard.watchdog_trips, base + 7);
+    }
+    set(
+        &guard.shards[1].level,
+        detdiv_guard::DegradationLevel::Shedding.index(),
+    );
+    set(&guard.resident_peak, 4096);
+
+    assert_eq!(
+        get("/servez"),
+        concat!(
+            r#"{"registered":true,"shards":2,"totals":{"depth":302,"streams":304,"enqueued":306,"rejected":308,"processed":310,"emitted":312,"escalated":314,"degraded":316,"deferred":318},"snapshots":3,"recovered_streams":2,"per_shard":[{"shard":0,"depth":101,"streams":102,"enqueued":103,"rejected":104,"processed":105,"emitted":106,"escalated":107,"degraded":108,"deferred":109},{"shard":1,"depth":201,"streams":202,"enqueued":203,"rejected":204,"processed":205,"emitted":206,"escalated":207,"degraded":208,"deferred":209}]}"#,
+            "\n"
+        )
+    );
+    assert_eq!(
+        get("/guardz"),
+        concat!(
+            r#"{"registered":true,"shards":2,"totals":{"resident_bytes":3002,"resident_peak":4096,"shed":3004,"ladder_transitions":3006,"breaker_opens":3008,"hibernated":3010,"rehydrated":3012,"watchdog_trips":3014},"per_shard":[{"shard":0,"level":"full","breaker":0,"resident_bytes":1001,"shed":1002,"ladder_transitions":1003,"breaker_opens":1004,"hibernated":1005,"rehydrated":1006,"watchdog_trips":1007},{"shard":1,"level":"shedding","breaker":1,"resident_bytes":2001,"shed":2002,"ladder_transitions":2003,"breaker_opens":2004,"hibernated":2005,"rehydrated":2006,"watchdog_trips":2007}]}"#,
+            "\n"
+        )
+    );
+
+    drop(service);
+    assert_eq!(get("/servez"), UNREGISTERED);
+    assert_eq!(get("/guardz"), UNREGISTERED);
+    scope.shutdown().unwrap();
+}
+
 #[test]
 fn oversized_request_heads_answer_400() {
     let _guard = SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -1,15 +1,11 @@
 //! Live counters for a running [`crate::IngestService`], exposed to
-//! `detdiv-scope`'s `/servez` endpoint through a process-global
-//! registry.
+//! `detdiv-scope`'s `/servez` endpoint as the `"serve"` page of
+//! [`detdiv_obs::introspect`].
 //!
-//! The service updates plain atomics (no locks on the hot path); the
-//! registry holds at most one registered service — the daemon case —
-//! and renders a JSON snapshot on demand. Tests construct services
-//! without registering, so parallel test binaries never fight over the
-//! global slot.
+//! The service updates plain atomics (no locks on the hot path);
+//! [`ServiceStats::render_json`] renders them on demand.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Per-shard counters, all monotonic except `depth` and `streams`
 /// (point-in-time gauges).
@@ -110,63 +106,20 @@ impl ServiceStats {
     }
 }
 
-fn slot() -> &'static Mutex<Option<Arc<ServiceStats>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<ServiceStats>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Registers `stats` as the process's introspectable service,
-/// replacing any previous registration.
-pub fn register(stats: Arc<ServiceStats>) {
-    *slot().lock().unwrap_or_else(PoisonError::into_inner) = Some(stats);
-}
-
-/// Clears the registration if `stats` is still the registered service
-/// (a later registration wins and is left in place).
-pub fn deregister(stats: &Arc<ServiceStats>) {
-    let mut guard = slot().lock().unwrap_or_else(PoisonError::into_inner);
-    if guard.as_ref().is_some_and(|s| Arc::ptr_eq(s, stats)) {
-        *guard = None;
-    }
-}
-
-/// JSON snapshot of the registered service, or
-/// `{"registered":false}` when no service has registered.
-pub fn render_json() -> String {
-    match slot()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-    {
-        Some(stats) => stats.render_json(),
-        None => "{\"registered\":false}".to_owned(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn registry_registers_renders_and_deregisters() {
-        let stats = Arc::new(ServiceStats::new(2));
+    fn render_json_sums_shards_into_totals() {
+        let stats = ServiceStats::new(2);
         stats.shards[0].enqueued.store(3, Ordering::Relaxed);
         stats.shards[1].enqueued.store(4, Ordering::Relaxed);
         stats.shards[1].rejected.store(1, Ordering::Relaxed);
-        register(Arc::clone(&stats));
-        let json = render_json();
+        let json = stats.render_json();
         assert!(json.contains("\"registered\":true"), "{json}");
         assert!(json.contains("\"enqueued\":7"), "totals summed: {json}");
         assert!(json.contains("\"rejected\":1"), "{json}");
         assert!(json.contains("\"shard\":1"), "{json}");
-
-        // A newer registration wins; deregistering the old handle is a
-        // no-op, deregistering the new one clears the slot.
-        let newer = Arc::new(ServiceStats::new(1));
-        register(Arc::clone(&newer));
-        deregister(&stats);
-        assert!(render_json().contains("\"shards\":1"));
-        deregister(&newer);
-        assert_eq!(render_json(), "{\"registered\":false}");
     }
 }

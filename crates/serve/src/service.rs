@@ -341,13 +341,14 @@ impl IngestService {
     }
 
     /// Publishes this service's counters on the process-global
-    /// introspection registry (scope's `/servez`, and `/guardz` when a
-    /// guard is attached). The registration is cleared when the service
-    /// is dropped.
+    /// introspection registry ([`detdiv_obs::introspect`]): the
+    /// `"serve"` page (scope's `/servez`), and the `"guard"` page
+    /// (`/guardz`) when a guard is attached. The registration is
+    /// cleared when the service is dropped.
     pub fn register_introspection(&self) {
-        crate::introspect::register(Arc::clone(&self.stats));
+        detdiv_obs::introspect::register("serve", &self.stats, ServiceStats::render_json);
         if let Some(guard) = &self.guard {
-            detdiv_guard::introspect::register(Arc::clone(&guard.stats));
+            detdiv_obs::introspect::register("guard", &guard.stats, GuardStats::render_json);
         }
     }
 
@@ -734,9 +735,9 @@ impl IngestService {
 
 impl Drop for IngestService {
     fn drop(&mut self) {
-        crate::introspect::deregister(&self.stats);
+        detdiv_obs::introspect::deregister("serve", &self.stats);
         if let Some(guard) = &self.guard {
-            detdiv_guard::introspect::deregister(&guard.stats);
+            detdiv_obs::introspect::deregister("guard", &guard.stats);
         }
     }
 }
