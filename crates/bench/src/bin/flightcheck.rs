@@ -32,12 +32,12 @@
 //! * `--guard` — require and validate the overload guard's audit trail
 //!   (`guard` records from `loadgen --overload`): per shard, record
 //!   sequence numbers must be strictly increasing, the degradation
-//!   ladder must form an unbroken transition chain starting at `full`
-//!   (watchdog forcings included), and every breaker chain must start
-//!   at `closed` and step contiguously (`open` ↔ `half-open` ↔
-//!   `closed`). Hibernate/rehydrate records must carry their fixed
-//!   outcomes. This is the "every ladder/breaker move is
-//!   reconstructable from the flight log" gate.
+//!   ladder must form an unbroken transition chain starting at `full`,
+//!   and every breaker chain must start at `closed` and step
+//!   contiguously (`open` ↔ `half-open` ↔ `closed`).
+//!   Hibernate/rehydrate records must carry their fixed outcomes. This
+//!   is the "every ladder/breaker move is reconstructable from the
+//!   flight log" gate.
 //!
 //! Any violation prints a one-line diagnostic and exits nonzero, so CI
 //! can gate on "every alarm in the report is reconstructable from the
@@ -317,7 +317,6 @@ fn check_report(records: &[(String, Value)], report_path: &str) -> Result<(usize
 struct GuardCounts {
     ladder: usize,
     breaker: usize,
-    watchdog: usize,
     hibernate: usize,
     rehydrate: usize,
 }
@@ -330,8 +329,7 @@ fn field_hex(record: &Value, name: &str, what: &str) -> Result<u64, String> {
 
 /// Validates the overload guard's audit trail: per-shard strictly
 /// increasing sequence numbers, an unbroken ladder transition chain
-/// from `full` (watchdog forcings participate — they carry the levels
-/// they observed or forced), breaker chains from `closed`, and fixed
+/// from `full`, breaker chains from `closed`, and fixed
 /// hibernate/rehydrate outcomes.
 fn check_guard(records: &[(String, Value)]) -> Result<GuardCounts, String> {
     let mut counts = GuardCounts::default();
@@ -356,15 +354,11 @@ fn check_guard(records: &[(String, Value)]) -> Result<GuardCounts, String> {
         }
         state.0 = Some(seq);
         match kind {
-            "ladder" | "watchdog" => {
-                if kind == "ladder" {
-                    counts.ladder += 1;
-                } else {
-                    counts.watchdog += 1;
-                }
+            "ladder" => {
+                counts.ladder += 1;
                 if from != state.1 {
                     return Err(format!(
-                        "{what}: {kind} record leaves level {from:?} but the chain is at {:?}",
+                        "{what}: ladder record leaves level {from:?} but the chain is at {:?}",
                         state.1
                     ));
                 }
@@ -406,8 +400,7 @@ fn check_guard(records: &[(String, Value)]) -> Result<GuardCounts, String> {
             other => return Err(format!("{what}: unknown guard record kind {other:?}")),
         }
     }
-    let total =
-        counts.ladder + counts.breaker + counts.watchdog + counts.hibernate + counts.rehydrate;
+    let total = counts.ladder + counts.breaker + counts.hibernate + counts.rehydrate;
     if total == 0 {
         return Err("--guard was given but the dump holds no guard records".into());
     }
@@ -451,9 +444,8 @@ fn run(args: &Args) -> Result<String, String> {
     if args.guard {
         let c = check_guard(&records)?;
         summary.push_str(&format!(
-            "; guard trail intact ({} ladder, {} breaker, {} watchdog, {} hibernate, \
-             {} rehydrate)",
-            c.ladder, c.breaker, c.watchdog, c.hibernate, c.rehydrate
+            "; guard trail intact ({} ladder, {} breaker, {} hibernate, {} rehydrate)",
+            c.ladder, c.breaker, c.hibernate, c.rehydrate
         ));
     }
     Ok(summary)

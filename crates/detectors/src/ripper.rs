@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_rules::{learn_rules, Example, LearnConfig, RuleSet};
+use detdiv_rules::{examples_from_counter, learn_rules, LearnConfig, RuleSet};
 use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
 
 /// Hyperparameters of the rule-based detector.
@@ -169,16 +169,13 @@ impl TrainedModel for RipperDetector {
 
 impl SequenceAnomalyDetector for RipperDetector {
     fn train(&mut self, profile: &StreamProfile<'_>) {
-        let training = profile.stream();
-        let mut examples: Vec<Example> =
-            detdiv_rules::examples_from_stream(training, self.window - 1)
-                .into_iter()
-                .filter(|e| e.weight >= self.config.min_count as f64)
-                .collect();
-        if examples.is_empty() {
-            // Degenerate filter: fall back to the unfiltered set so tiny
-            // fixtures still train.
-            examples = detdiv_rules::examples_from_stream(training, self.window - 1);
+        // The counted DW-grams, as the neural detector trains from them.
+        let mut examples = examples_from_counter(&profile.counter(self.window));
+        let min_count = self.config.min_count as f64;
+        // A filter that would empty the set is skipped, so tiny
+        // fixtures still train.
+        if examples.iter().any(|e| e.weight >= min_count) {
+            examples.retain(|e| e.weight >= min_count);
         }
         self.rules = learn_rules(&examples, &self.config.learn).ok();
     }

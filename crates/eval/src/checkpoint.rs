@@ -4,7 +4,7 @@
 //! every completed coverage row is appended to a [`detdiv_resil::Journal`]
 //! as one checksummed line. A process killed mid-sweep leaves a journal
 //! whose intact prefix survives; the next run arms the same path, loads
-//! the finished rows, and [`lookup`] serves them instead of recomputing
+//! the finished rows, and `lookup` serves them instead of recomputing
 //! — only the missing cells are paid for again. Because every row is
 //! deterministic (the detector-conformance contract), the resumed run's
 //! artifacts are byte-identical to an uninterrupted run's.

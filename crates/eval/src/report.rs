@@ -254,7 +254,6 @@ impl FullReport {
         detdiv_obs::set_counter("resil/supervised_cells", resil_stats.supervised_cells);
         detdiv_obs::set_counter("resil/retries", resil_stats.retries);
         detdiv_obs::set_counter("resil/degraded_cells", resil_stats.degraded_cells);
-        detdiv_obs::set_counter("resil/watchdog_trips", resil_stats.watchdog_trips);
         // Snapshot after the report span closes, so `span/report`
         // itself is part of the attached telemetry.
         report.telemetry = detdiv_obs::snapshot();

@@ -35,7 +35,7 @@ fn push_f64(out: &mut String, value: f64) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeaderRecord {
     /// FNV-1a fingerprint of the training stream
-    /// ([`detdiv-cache`]'s `fingerprint_stream`).
+    /// (`detdiv-cache`'s `fingerprint_stream`).
     pub corpus: u64,
     /// Training stream length (the fingerprint's second identity
     /// check, mirroring `CacheKey`).
@@ -221,7 +221,7 @@ impl DegradedRecord<'_> {
 }
 
 /// One guard-subsystem transition: a ladder movement, breaker state
-/// change, hibernation/rehydration, or watchdog trip.
+/// change, or hibernation/rehydration.
 ///
 /// Every numeric field renders as fixed-width hex so the export's
 /// lexicographic sort groups a shard's records in chronological order
@@ -236,11 +236,10 @@ pub struct GuardRecord<'a> {
     pub seq: u64,
     /// Drain cycle at which the transition took effect.
     pub cycle: u64,
-    /// Transition kind: `ladder`, `breaker`, `hibernate`, `rehydrate`
-    /// or `watchdog`.
+    /// Transition kind: `ladder`, `breaker`, `hibernate` or
+    /// `rehydrate`.
     pub kind: &'a str,
-    /// State before (`ladder`/`breaker`/`watchdog` kinds; `""`
-    /// otherwise).
+    /// State before (`ladder`/`breaker` kinds; `""` otherwise).
     pub from: &'a str,
     /// State after (or the cause label for hibernate/rehydrate).
     pub to: &'a str,

@@ -125,9 +125,9 @@ impl Breaker {
         None
     }
 
-    /// Records a failed tier-2 push (a newly degraded slot or a
-    /// deadline overrun): re-opens a half-open breaker immediately,
-    /// opens a closed one at the failure threshold.
+    /// Records a failed tier-2 push (a newly degraded slot): re-opens
+    /// a half-open breaker immediately, opens a closed one at the
+    /// failure threshold.
     pub fn on_failure(&mut self) -> Option<BreakerTransition> {
         match self.state {
             BreakerState::HalfOpen => {

@@ -1,7 +1,6 @@
 //! Guard configuration: thresholds, budgets, and the env-var knobs.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use crate::breaker::BreakerConfig;
 
@@ -15,12 +14,9 @@ pub const ENV_GUARD_DIR: &str = "DETDIV_GUARD_DIR";
 /// Shape of the guard subsystem attached to an ingest service.
 ///
 /// Every threshold feeds the pure pressure classification
-/// ([`crate::PressureSample::classify`]); nothing here introduces
-/// wall-clock nondeterminism except [`drain_deadline`], which is `None`
-/// by default and documented as chaos-only (a tripped watchdog changes
-/// the ladder, so deterministic CI comparisons leave it off).
-///
-/// [`drain_deadline`]: GuardConfig::drain_deadline
+/// ([`crate::PressureSample::classify`]); no field is a wall-clock
+/// value, so a guarded run's ladder trajectory depends only on what
+/// the shards counted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardConfig {
     /// Total resident detector-state byte budget across all shards;
@@ -43,11 +39,6 @@ pub struct GuardConfig {
     pub cool_cycles: u32,
     /// The tier-2 escalation circuit breaker.
     pub breaker: BreakerConfig,
-    /// Per-shard drain wall-clock deadline for the stuck-shard
-    /// watchdog. `None` (the default) disables the watchdog; enabling
-    /// it makes ladder trajectories timing-dependent, so it is meant
-    /// for deployments, not byte-compared CI runs.
-    pub drain_deadline: Option<Duration>,
 }
 
 impl Default for GuardConfig {
@@ -60,7 +51,6 @@ impl Default for GuardConfig {
             shed_at: 0.9,
             cool_cycles: 2,
             breaker: BreakerConfig::default(),
-            drain_deadline: None,
         }
     }
 }
@@ -105,7 +95,6 @@ mod tests {
         assert!(c.gate_only_at < c.tier1_only_at);
         assert!(c.tier1_only_at < c.shed_at);
         assert!(c.shed_at <= 1.0);
-        assert!(c.drain_deadline.is_none(), "watchdog is opt-in");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct GuardShardStats {
     pub resident_bytes: AtomicU64,
     /// Enqueues rejected with the typed `Shedding` reason.
     pub shed: AtomicU64,
-    /// Ladder transitions recorded (all causes).
+    /// Ladder transitions recorded (jumps and cooldown steps).
     pub ladder_transitions: AtomicU64,
     /// Times the breaker opened.
     pub breaker_opens: AtomicU64,
@@ -30,8 +30,6 @@ pub struct GuardShardStats {
     pub hibernated: AtomicU64,
     /// Streams rehydrated from the segment on a later event.
     pub rehydrated: AtomicU64,
-    /// Stuck-shard watchdog trips.
-    pub watchdog_trips: AtomicU64,
 }
 
 /// Counters for one guarded service: a fixed vector of shard stats
@@ -90,7 +88,7 @@ impl GuardStats {
         out.push_str("{\"registered\":true");
         out.push_str(&format!(",\"shards\":{}", self.shards.len()));
         out.push_str(&format!(
-            ",\"totals\":{{\"resident_bytes\":{},\"resident_peak\":{},\"shed\":{},\"ladder_transitions\":{},\"breaker_opens\":{},\"hibernated\":{},\"rehydrated\":{},\"watchdog_trips\":{}}}",
+            ",\"totals\":{{\"resident_bytes\":{},\"resident_peak\":{},\"shed\":{},\"ladder_transitions\":{},\"breaker_opens\":{},\"hibernated\":{},\"rehydrated\":{}}}",
             self.sum(|s| &s.resident_bytes),
             self.resident_peak.load(Ordering::Relaxed),
             self.sum(|s| &s.shed),
@@ -98,7 +96,6 @@ impl GuardStats {
             self.sum(|s| &s.breaker_opens),
             self.sum(|s| &s.hibernated),
             self.sum(|s| &s.rehydrated),
-            self.sum(|s| &s.watchdog_trips),
         ));
         out.push_str(",\"per_shard\":[");
         for (i, s) in self.shards.iter().enumerate() {
@@ -107,7 +104,7 @@ impl GuardStats {
             }
             let level = DegradationLevel::from_index(s.level.load(Ordering::Relaxed));
             out.push_str(&format!(
-                "{{\"shard\":{i},\"level\":\"{}\",\"breaker\":{},\"resident_bytes\":{},\"shed\":{},\"ladder_transitions\":{},\"breaker_opens\":{},\"hibernated\":{},\"rehydrated\":{},\"watchdog_trips\":{}}}",
+                "{{\"shard\":{i},\"level\":\"{}\",\"breaker\":{},\"resident_bytes\":{},\"shed\":{},\"ladder_transitions\":{},\"breaker_opens\":{},\"hibernated\":{},\"rehydrated\":{}}}",
                 level.name(),
                 s.breaker_state.load(Ordering::Relaxed),
                 s.resident_bytes.load(Ordering::Relaxed),
@@ -116,7 +113,6 @@ impl GuardStats {
                 s.breaker_opens.load(Ordering::Relaxed),
                 s.hibernated.load(Ordering::Relaxed),
                 s.rehydrated.load(Ordering::Relaxed),
-                s.watchdog_trips.load(Ordering::Relaxed),
             ));
         }
         out.push_str("]}");

@@ -4,29 +4,8 @@
 
 use crate::pressure::{DegradationLevel, PressureLevel};
 
-/// Why a ladder transition happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransitionCause {
-    /// Pressure demanded a more degraded rung (immediate jump).
-    Pressure,
-    /// Enough consecutive calm cycles passed (one rung down).
-    Cooldown,
-    /// The stuck-shard watchdog forced a floor.
-    Watchdog,
-}
-
-impl TransitionCause {
-    /// Stable lowercase name (flight records).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TransitionCause::Pressure => "pressure",
-            TransitionCause::Cooldown => "cooldown",
-            TransitionCause::Watchdog => "watchdog",
-        }
-    }
-}
-
-/// One recorded ladder movement.
+/// One recorded ladder movement: `from < to` is a pressure jump,
+/// `from > to` a one-rung cooldown step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LadderTransition {
     /// The drain cycle (1-based, counted per shard) at which the
@@ -36,8 +15,6 @@ pub struct LadderTransition {
     pub from: DegradationLevel,
     /// Rung after.
     pub to: DegradationLevel,
-    /// What drove it.
-    pub cause: TransitionCause,
 }
 
 /// The hysteresis state machine. Escalation is immediate (pressure
@@ -93,7 +70,6 @@ impl Ladder {
                 cycle: self.cycle,
                 from,
                 to: target,
-                cause: TransitionCause::Pressure,
             });
         }
         if target < self.level {
@@ -106,30 +82,12 @@ impl Ladder {
                     cycle: self.cycle,
                     from,
                     to: self.level,
-                    cause: TransitionCause::Cooldown,
                 });
             }
         } else {
             self.calm_streak = 0;
         }
         None
-    }
-
-    /// Forces the rung to at least `floor` (the watchdog path). A
-    /// no-op when already at or above it.
-    pub fn force_at_least(&mut self, floor: DegradationLevel) -> Option<LadderTransition> {
-        if self.level >= floor {
-            return None;
-        }
-        let from = self.level;
-        self.level = floor;
-        self.calm_streak = 0;
-        Some(LadderTransition {
-            cycle: self.cycle,
-            from,
-            to: floor,
-            cause: TransitionCause::Watchdog,
-        })
     }
 }
 
@@ -151,7 +109,6 @@ mod tests {
         let t = l.observe(P::Critical).expect("must transition");
         assert_eq!(t.from, DegradationLevel::Full);
         assert_eq!(t.to, DegradationLevel::Shedding);
-        assert_eq!(t.cause, TransitionCause::Pressure);
         assert_eq!(t.cycle, 1);
     }
 
@@ -163,7 +120,6 @@ mod tests {
         let t = l.observe(P::Nominal).expect("second calm cycle steps");
         assert_eq!(t.from, DegradationLevel::Shedding);
         assert_eq!(t.to, DegradationLevel::Tier1Only);
-        assert_eq!(t.cause, TransitionCause::Cooldown);
         // Full recovery takes cool_cycles per remaining rung.
         let rest = history(&mut l, &[P::Nominal; 4]);
         assert_eq!(
@@ -199,20 +155,5 @@ mod tests {
         let a = history(&mut Ladder::new(2), &obs);
         let b = history(&mut Ladder::new(2), &obs);
         assert_eq!(a, b, "the ladder is a pure function of its inputs");
-    }
-
-    #[test]
-    fn watchdog_floor_records_and_saturates() {
-        let mut l = Ladder::new(2);
-        let t = l
-            .force_at_least(DegradationLevel::Tier1Only)
-            .expect("forces");
-        assert_eq!(t.cause, TransitionCause::Watchdog);
-        assert_eq!(t.to, DegradationLevel::Tier1Only);
-        assert!(
-            l.force_at_least(DegradationLevel::GatedOnly).is_none(),
-            "already above the floor"
-        );
-        assert_eq!(l.level(), DegradationLevel::Tier1Only);
     }
 }

@@ -9,9 +9,10 @@
 //! of observed counters so chaos/CI runs replay bit-identically:
 //!
 //! * **Pressure model** ([`PressureSample`], [`PressureLevel`]) — a
-//!   per-shard sample of queue depth, resident state bytes, and the
-//!   drain-deadline flag classifies into a discrete pressure level.
-//!   No wall-clock value ever enters the classification.
+//!   per-shard sample of queue depth and resident state bytes
+//!   classifies into a discrete pressure level. No wall-clock value
+//!   ever enters the classification, and no decision in this crate
+//!   reads a clock.
 //! * **Degradation ladder** ([`Ladder`], [`DegradationLevel`]) —
 //!   `Full → GatedOnly → Tier1Only → Shedding` with hysteresis:
 //!   escalation jumps straight to the target level, de-escalation
@@ -47,5 +48,5 @@ mod pressure;
 pub use breaker::{Breaker, BreakerConfig, BreakerState, BreakerTransition};
 pub use config::{GuardConfig, ENV_GUARD_BYTES, ENV_GUARD_DIR};
 pub use hibernate::HibernationStore;
-pub use ladder::{Ladder, LadderTransition, TransitionCause};
+pub use ladder::{Ladder, LadderTransition};
 pub use pressure::{DegradationLevel, PressureLevel, PressureSample};

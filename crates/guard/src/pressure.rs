@@ -12,15 +12,15 @@ pub enum PressureLevel {
     Nominal,
     /// Queue fill crossed the gate-only threshold.
     Elevated,
-    /// Queue fill crossed the tier1-only threshold, the resident-bytes
-    /// budget is exceeded, or the previous drain breached its deadline.
+    /// Queue fill crossed the tier1-only threshold or the resident-bytes
+    /// budget is exceeded.
     High,
     /// Queue fill crossed the shed threshold.
     Critical,
 }
 
 /// What one drain cycle observed about a shard. Every field is a
-/// counter or flag the service maintains deterministically — the
+/// counter the service maintains deterministically — the
 /// sample, and therefore the classification, is identical at every
 /// worker width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +34,6 @@ pub struct PressureSample {
     pub resident_bytes: u64,
     /// The per-shard byte budget, if one is configured.
     pub budget_bytes: Option<u64>,
-    /// Whether the previous drain cycle breached its deadline.
-    pub deadline_breached: bool,
 }
 
 impl PressureSample {
@@ -61,9 +59,6 @@ impl PressureSample {
             if self.resident_bytes > budget {
                 level = level.max(PressureLevel::High);
             }
-        }
-        if self.deadline_breached {
-            level = level.max(PressureLevel::High);
         }
         level
     }
@@ -149,7 +144,6 @@ mod tests {
             queue_capacity: cap,
             resident_bytes: 0,
             budget_bytes: None,
-            deadline_breached: false,
         }
     }
 
@@ -164,18 +158,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_overrun_and_deadline_breach_are_high_pressure() {
+    fn budget_overrun_is_high_pressure() {
         let cfg = GuardConfig::default();
         let mut s = sample(0, 100);
         s.resident_bytes = 2048;
         s.budget_bytes = Some(1024);
         assert_eq!(s.classify(&cfg), PressureLevel::High);
-        let mut s = sample(0, 100);
-        s.deadline_breached = true;
-        assert_eq!(s.classify(&cfg), PressureLevel::High);
         // Critical queue fill still dominates.
-        let mut s = sample(95, 100);
-        s.deadline_breached = true;
+        s.queue_depth = 95;
         assert_eq!(s.classify(&cfg), PressureLevel::Critical);
     }
 

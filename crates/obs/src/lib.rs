@@ -184,7 +184,7 @@ macro_rules! trace {
 /// [`Level::Trace`] with the given fields, and on drop records wall
 /// time into the `span/<path>` histogram, where `<path>` is the
 /// slash-joined stack of enclosing spans on this thread. When the
-/// [`trace`] recorder is armed, the span additionally emits paired
+/// [`trace`](mod@trace) recorder is armed, the span additionally emits paired
 /// `B`/`E` trace events carrying the fields as event args.
 ///
 /// Field expressions are evaluated exactly once (they feed both the

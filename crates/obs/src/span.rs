@@ -54,7 +54,7 @@ impl SpanGuard {
     }
 
     /// [`SpanGuard::enter`] carrying event arguments: when tracing is
-    /// armed (see [`crate::trace`]), the span's begin event records
+    /// armed (see [`crate::trace`](mod@crate::trace)), the span's begin event records
     /// `args` (e.g. `detector`/`window` for a grid row) so the exported
     /// trace is self-describing. The [`crate::span!`] macro routes its
     /// `key = value` fields here.

@@ -340,7 +340,7 @@ impl Pool {
 
     /// Supervised [`Pool::map`]: each job runs under
     /// [`detdiv_resil::supervised`] — `catch_unwind` plus the bounded
-    /// retry/backoff/watchdog `policy` — so a panicking job degrades to
+    /// retry/backoff `policy` — so a panicking job degrades to
     /// a [`CellOutcome::Failed`] in its slot instead of propagating and
     /// discarding the rest of the map.
     ///

@@ -19,10 +19,9 @@
 //!    relaxed atomic load**.
 //! 2. **Supervision** ([`supervised`], [`RetryPolicy`],
 //!    [`CellOutcome`]) — wraps a unit of work in `catch_unwind` with
-//!    bounded retry, exponential backoff, and a wall-clock watchdog
-//!    that flags (not kills — this crate spawns no threads) attempts
-//!    exceeding their budget. A poisoned cell degrades to a marked
-//!    [`CellOutcome::Failed`] instead of killing the sweep.
+//!    bounded retry and exponential backoff. A poisoned cell degrades
+//!    to a marked [`CellOutcome::Failed`] instead of killing the
+//!    sweep. Supervision reads no clock.
 //! 3. **Crash-safe outputs** ([`AtomicFile`]) — temp file + fsync +
 //!    atomic rename, so no artifact can ever be observed half-written;
 //!    [`AtomicFile::dry_run`] preflights a destination by opening the
@@ -103,9 +102,6 @@ pub struct ResilStats {
     /// Supervised units that exhausted their retry budget and degraded
     /// to [`CellOutcome::Failed`].
     pub degraded_cells: u64,
-    /// Supervised attempts whose wall time exceeded the policy's
-    /// watchdog budget.
-    pub watchdog_trips: u64,
 }
 
 #[derive(Debug, Default)]
@@ -116,7 +112,6 @@ pub(crate) struct StatCells {
     pub supervised_cells: AtomicU64,
     pub retries: AtomicU64,
     pub degraded_cells: AtomicU64,
-    pub watchdog_trips: AtomicU64,
 }
 
 pub(crate) fn cells() -> &'static StatCells {
@@ -127,7 +122,6 @@ pub(crate) fn cells() -> &'static StatCells {
         supervised_cells: AtomicU64::new(0),
         retries: AtomicU64::new(0),
         degraded_cells: AtomicU64::new(0),
-        watchdog_trips: AtomicU64::new(0),
     };
     &CELLS
 }
@@ -142,12 +136,11 @@ pub fn stats() -> ResilStats {
         supervised_cells: c.supervised_cells.load(Ordering::Relaxed),
         retries: c.retries.load(Ordering::Relaxed),
         degraded_cells: c.degraded_cells.load(Ordering::Relaxed),
-        watchdog_trips: c.watchdog_trips.load(Ordering::Relaxed),
     }
 }
 
 /// Zeroes the process-wide counters (per-site hit indices are *not*
-/// reset — use [`fault::reset_hits`] via [`reset_all`] for that).
+/// reset — use [`reset_all`] for that).
 pub fn reset_stats() {
     let c = cells();
     c.injected_panics.store(0, Ordering::Relaxed);
@@ -156,7 +149,6 @@ pub fn reset_stats() {
     c.supervised_cells.store(0, Ordering::Relaxed);
     c.retries.store(0, Ordering::Relaxed);
     c.degraded_cells.store(0, Ordering::Relaxed);
-    c.watchdog_trips.store(0, Ordering::Relaxed);
 }
 
 /// [`reset_stats`] plus a reset of every per-site hit index, so a new

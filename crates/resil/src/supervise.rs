@@ -1,10 +1,10 @@
-//! Supervised execution: `catch_unwind` + bounded retry + a wall-clock
-//! watchdog around one unit of work (typically one grid cell or row).
+//! Supervised execution: `catch_unwind` + bounded retry around one
+//! unit of work (typically one grid cell or row).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::cells;
 
@@ -51,7 +51,7 @@ fn notify_failure(site: &str, attempts: u32, error: &str) {
     }
 }
 
-/// Retry and watchdog policy for [`supervised`].
+/// Retry policy for [`supervised`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try + retries); at least 1.
@@ -59,11 +59,6 @@ pub struct RetryPolicy {
     /// Backoff before retry `n` (1-based) is `backoff * 2^(n-1)`,
     /// capped at 1 s. Zero disables sleeping.
     pub backoff: Duration,
-    /// Wall-clock budget per attempt. An attempt that exceeds it is
-    /// *flagged* (the `watchdog_trips` counter) — this crate spawns no
-    /// threads, so a stuck attempt is detected, not preempted; the
-    /// injection layer only produces bounded stalls.
-    pub watchdog: Duration,
     /// Deterministic jitter seed. `None` (the default) keeps the exact
     /// exponential schedule; `Some(seed)` scales each sleep by a factor
     /// in `[0.5, 1.5)` drawn from `splitmix64` over
@@ -81,14 +76,13 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 4,
             backoff: Duration::from_millis(5),
-            watchdog: Duration::from_secs(120),
             jitter: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, default watchdog).
+    /// A policy that never retries (one attempt).
     pub fn no_retry() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
@@ -180,14 +174,12 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `f` under `catch_unwind`, retrying panicking attempts with
-/// exponential backoff up to `policy.max_attempts`, and flagging
-/// attempts that exceed the watchdog budget. The result is always a
-/// [`CellOutcome`] — a poisoned unit degrades instead of unwinding into
-/// the caller.
+/// exponential backoff up to `policy.max_attempts`. The result is
+/// always a [`CellOutcome`] — a poisoned unit degrades instead of
+/// unwinding into the caller.
 ///
 /// Process-wide counters (`supervised_cells`, `retries`,
-/// `degraded_cells`, `watchdog_trips`) record what happened; see
-/// [`crate::stats`].
+/// `degraded_cells`) record what happened; see [`crate::stats`].
 ///
 /// `f` must be re-callable (`Fn`) and is expected to be deterministic:
 /// under the workspace's detector-conformance contract a retried cell
@@ -200,12 +192,7 @@ pub fn supervised<R>(site: &str, policy: &RetryPolicy, f: impl Fn() -> R) -> Cel
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(&f));
-        if started.elapsed() > policy.watchdog {
-            c.watchdog_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        match result {
+        match catch_unwind(AssertUnwindSafe(&f)) {
             Ok(value) => {
                 return CellOutcome::Ok {
                     value,
@@ -362,25 +349,6 @@ mod tests {
                 &[("unit/observed".to_owned(), 2, "dead".to_owned())]
             );
         });
-    }
-
-    #[test]
-    fn watchdog_flags_slow_attempts() {
-        let _guard = lock();
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-            watchdog: Duration::from_micros(1),
-            ..RetryPolicy::default()
-        };
-        let before = crate::stats();
-        let outcome = supervised("unit/slow", &policy, || {
-            std::thread::sleep(Duration::from_millis(5));
-            1
-        });
-        assert_eq!(outcome.ok(), Some(1));
-        let after = crate::stats();
-        assert!(after.watchdog_trips > before.watchdog_trips);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use detdiv_sequence::{BuildSymbolHasher, Symbol};
+use detdiv_sequence::{BuildSymbolHasher, NgramCounter, Symbol};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RuleError;
@@ -56,30 +56,26 @@ impl Default for LearnConfig {
     }
 }
 
-/// Builds the weighted unique-example set of a stream at context width
-/// `width`: one [`Example`] per distinct (context, next) pair, weighted
-/// by its occurrence count.
+/// The weighted unique-example set of a counted census: one
+/// [`Example`] per distinct gram of `counter`, its first
+/// `ngram_len − 1` symbols the context and its last the class, weighted
+/// by the gram's count.
 ///
-/// Returns an empty vector when the stream is shorter than `width + 1`.
-pub fn examples_from_stream(stream: &[Symbol], width: usize) -> Vec<Example> {
-    if width == 0 || stream.len() <= width {
-        return Vec::new();
-    }
-    let mut counts: HashMap<(Vec<Symbol>, Symbol), f64, BuildSymbolHasher> = HashMap::default();
-    for w in stream.windows(width + 1) {
-        *counts.entry((w[..width].to_vec(), w[width])).or_insert(0.0) += 1.0;
-    }
-    let mut examples: Vec<Example> = counts
+/// The counter iterates a hash map in arbitrary order; the examples
+/// are sorted by gram, which is (context, class) order, so learning is
+/// reproducible.
+pub fn examples_from_counter(counter: &NgramCounter) -> Vec<Example> {
+    let width = counter.ngram_len() - 1;
+    let mut grams: Vec<(&[Symbol], u64)> = counter.iter().collect();
+    grams.sort_unstable();
+    grams
         .into_iter()
-        .map(|((context, class), weight)| Example {
-            context,
-            class,
-            weight,
+        .map(|(gram, count)| Example {
+            context: gram[..width].to_vec(),
+            class: gram[width],
+            weight: count as f64,
         })
-        .collect();
-    // Hash order is arbitrary; sort for reproducible learning.
-    examples.sort_by(|a, b| a.context.cmp(&b.context).then(a.class.cmp(&b.class)));
-    examples
+        .collect()
 }
 
 /// Laplace precision of weighted (positive, total) coverage.
@@ -126,12 +122,12 @@ fn coverage(
 /// # Examples
 ///
 /// ```
-/// use detdiv_rules::{examples_from_stream, learn_rules, LearnConfig};
-/// use detdiv_sequence::symbols;
+/// use detdiv_rules::{examples_from_counter, learn_rules, LearnConfig};
+/// use detdiv_sequence::{symbols, StreamProfile};
 ///
 /// let mut stream = Vec::new();
 /// for _ in 0..50 { stream.extend(symbols(&[0, 1, 2, 3])); }
-/// let examples = examples_from_stream(&stream, 2);
+/// let examples = examples_from_counter(&StreamProfile::new(&stream).counter(3));
 /// let rules = learn_rules(&examples, &LearnConfig::default()).unwrap();
 /// let p = rules.predict(&symbols(&[0, 1]));
 /// assert_eq!(p.class, symbols(&[2])[0]);
@@ -277,7 +273,7 @@ pub fn learn_rules(examples: &[Example], config: &LearnConfig) -> Result<RuleSet
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detdiv_sequence::symbols;
+    use detdiv_sequence::{symbols, StreamProfile};
 
     fn cycle_stream(reps: usize) -> Vec<Symbol> {
         let mut v = Vec::new();
@@ -287,20 +283,27 @@ mod tests {
         v
     }
 
+    /// The examples of `stream` at context width `width`.
+    fn examples(stream: &[Symbol], width: usize) -> Vec<Example> {
+        examples_from_counter(&StreamProfile::new(stream).counter(width + 1))
+    }
+
     #[test]
-    fn examples_aggregate_counts() {
+    fn examples_aggregate_counts_in_gram_order() {
         let s = cycle_stream(10);
-        let ex = examples_from_stream(&s, 2);
+        let ex = examples(&s, 2);
         assert_eq!(ex.len(), 4); // 4 distinct (context, next) triples
         let total: f64 = ex.iter().map(|e| e.weight).sum();
         assert_eq!(total, (s.len() - 2) as f64);
-        assert!(examples_from_stream(&s[..2], 2).is_empty());
-        assert!(examples_from_stream(&s, 0).is_empty());
+        assert!(ex
+            .windows(2)
+            .all(|w| (&w[0].context, w[0].class) < (&w[1].context, w[1].class)));
+        assert!(examples(&s[..2], 2).is_empty());
     }
 
     #[test]
     fn learns_the_cycle() {
-        let ex = examples_from_stream(&cycle_stream(50), 2);
+        let ex = examples(&cycle_stream(50), 2);
         let rules = learn_rules(&ex, &LearnConfig::default()).unwrap();
         for (a, b, next) in [(0u32, 1u32, 2u32), (1, 2, 3), (2, 3, 0)] {
             let p = rules.predict(&symbols(&[a, b]));
@@ -312,7 +315,7 @@ mod tests {
     #[test]
     fn noisy_minority_does_not_override() {
         // 0 -> 1 dominates; 0 -> 2 occurs rarely.
-        let mut ex = examples_from_stream(&cycle_stream(100), 1);
+        let mut ex = examples(&cycle_stream(100), 1);
         ex.push(Example {
             context: symbols(&[0]),
             class: Symbol::new(2),
@@ -372,7 +375,7 @@ mod tests {
             learn_rules(&ex, &LearnConfig::default()),
             Err(RuleError::InconsistentWidth { .. })
         ));
-        let ex = examples_from_stream(&cycle_stream(5), 1);
+        let ex = examples(&cycle_stream(5), 1);
         assert!(matches!(
             learn_rules(
                 &ex,
@@ -387,7 +390,7 @@ mod tests {
 
     #[test]
     fn learning_is_deterministic() {
-        let ex = examples_from_stream(&cycle_stream(30), 3);
+        let ex = examples(&cycle_stream(30), 3);
         let a = learn_rules(&ex, &LearnConfig::default()).unwrap();
         let b = learn_rules(&ex, &LearnConfig::default()).unwrap();
         assert_eq!(a, b);

@@ -3,13 +3,13 @@
 //!
 //! The server exists to be scraped, not to be a web framework: it
 //! accepts one connection at a time, answers the `GET` routes listed
-//! in [`ENDPOINTS`], and closes the connection. Binding ([`bind`]) is
+//! in `ENDPOINTS`, and closes the connection. Binding ([`bind`]) is
 //! separate from serving ([`BoundServer::serve`]) so callers can fail
 //! fast on a taken or invalid address *before* doing any expensive
 //! work — the regeneration binary binds during preflight, before
 //! training starts.
 //!
-//! Routing is table-driven: [`ENDPOINTS`] is the single source of
+//! Routing is table-driven: `ENDPOINTS` is the single source of
 //! truth for paths, content types, and handlers, and the 404 body is
 //! derived from the same table so the route list can never drift from
 //! the error hint.

@@ -374,7 +374,6 @@ fn servez_and_guardz_bodies_are_pinned() {
         set(&shard.breaker_opens, base + 4);
         set(&shard.hibernated, base + 5);
         set(&shard.rehydrated, base + 6);
-        set(&shard.watchdog_trips, base + 7);
     }
     set(
         &guard.shards[1].level,
@@ -392,7 +391,7 @@ fn servez_and_guardz_bodies_are_pinned() {
     assert_eq!(
         get("/guardz"),
         concat!(
-            r#"{"registered":true,"shards":2,"totals":{"resident_bytes":3002,"resident_peak":4096,"shed":3004,"ladder_transitions":3006,"breaker_opens":3008,"hibernated":3010,"rehydrated":3012,"watchdog_trips":3014},"per_shard":[{"shard":0,"level":"full","breaker":0,"resident_bytes":1001,"shed":1002,"ladder_transitions":1003,"breaker_opens":1004,"hibernated":1005,"rehydrated":1006,"watchdog_trips":1007},{"shard":1,"level":"shedding","breaker":1,"resident_bytes":2001,"shed":2002,"ladder_transitions":2003,"breaker_opens":2004,"hibernated":2005,"rehydrated":2006,"watchdog_trips":2007}]}"#,
+            r#"{"registered":true,"shards":2,"totals":{"resident_bytes":3002,"resident_peak":4096,"shed":3004,"ladder_transitions":3006,"breaker_opens":3008,"hibernated":3010,"rehydrated":3012},"per_shard":[{"shard":0,"level":"full","breaker":0,"resident_bytes":1001,"shed":1002,"ladder_transitions":1003,"breaker_opens":1004,"hibernated":1005,"rehydrated":1006},{"shard":1,"level":"shedding","breaker":1,"resident_bytes":2001,"shed":2002,"ladder_transitions":2003,"breaker_opens":2004,"hibernated":2005,"rehydrated":2006}]}"#,
             "\n"
         )
     );

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use detdiv_guard::introspect::GuardStats;
-use detdiv_guard::{Breaker, GuardConfig, HibernationStore, Ladder, LadderTransition};
+use detdiv_guard::{Breaker, GuardConfig, HibernationStore, Ladder};
 
 /// Reason label on a gate verdict whose escalation was deferred because
 /// the degradation ladder is above `Full`.
@@ -46,9 +46,6 @@ pub(crate) struct GuardShard {
     /// Hibernated streams; each stream's LRU key lives in its
     /// resident record (`StreamRecord::last_touch`).
     pub(crate) store: Option<HibernationStore>,
-    /// Full ladder-transition history (the determinism suite compares
-    /// these across worker widths).
-    pub(crate) transitions: Vec<LadderTransition>,
     /// Events buffered this cycle, drained at cycle end.
     pub(crate) events: Vec<GuardEvent>,
     /// Per-shard monotonic flight-record counter.
@@ -56,8 +53,6 @@ pub(crate) struct GuardShard {
     /// Resident-byte estimate after the previous cycle's hibernation
     /// pass (feeds the next cycle's pressure sample).
     pub(crate) resident_bytes: u64,
-    /// Whether the previous drain cycle breached its deadline.
-    pub(crate) deadline_breached: bool,
 }
 
 impl GuardShard {
@@ -66,11 +61,9 @@ impl GuardShard {
             ladder: Ladder::new(config.cool_cycles),
             breaker: Breaker::new(config.breaker),
             store,
-            transitions: Vec::new(),
             events: Vec::new(),
             seq: 0,
             resident_bytes: 0,
-            deadline_breached: false,
         }
     }
 

@@ -34,12 +34,13 @@
 //!   trips over) torn or corrupt snapshots.
 //! * **Overload protection** — services built with
 //!   [`IngestService::with_guard`] attach the `detdiv-guard`
-//!   degradation ladder, tier-2 circuit breaker, cold-stream
-//!   hibernation, and stuck-shard watchdog to every shard: under
-//!   pressure the service defers escalations, falls back to gate
-//!   verdicts, spills idle streams to disk, and finally sheds load
-//!   with a typed [`RejectReason::Shedding`] — each step deterministic,
-//!   audited through `detdiv-flight`, and reversed as pressure drains.
+//!   degradation ladder, tier-2 circuit breaker, and cold-stream
+//!   hibernation to every shard: under pressure the service defers
+//!   escalations, falls back to gate verdicts, spills idle streams to
+//!   disk, and finally sheds load with a typed
+//!   [`RejectReason::Shedding`] — each step driven by counters, never
+//!   by a clock, audited through `detdiv-flight`, and reversed as
+//!   pressure drains.
 //!
 //! Live counters are exported through [`introspect`] (scope's
 //! `/servez` endpoint) and plain [`detdiv_obs`] counters

@@ -16,7 +16,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use detdiv_guard::introspect::GuardStats;
 use detdiv_guard::{DegradationLevel, GuardConfig, HibernationStore, PressureSample};
@@ -326,20 +325,6 @@ impl IngestService {
             .collect()
     }
 
-    /// The full ladder-transition history, as `(shard, transition)`
-    /// pairs in shard order (chronological within a shard). Empty
-    /// without a guard.
-    pub fn guard_transitions(&self) -> Vec<(usize, detdiv_guard::LadderTransition)> {
-        let mut out = Vec::new();
-        for index in 0..self.config.shards {
-            let shard = self.shard(index);
-            if let Some(g) = &shard.guard {
-                out.extend(g.transitions.iter().map(|&t| (index, t)));
-            }
-        }
-        out
-    }
-
     /// Publishes this service's counters on the process-global
     /// introspection registry ([`detdiv_obs::introspect`]): the
     /// `"serve"` page (scope's `/servez`), and the `"guard"` page
@@ -482,19 +467,11 @@ impl IngestService {
             degraded: 0,
             deferred: false,
         };
-        // The clock is read only when the watchdog has a deadline to
-        // hold the drain to.
-        let started = self
-            .guard
-            .as_ref()
-            .and_then(|rt| rt.config.drain_deadline)
-            .map(|_| Instant::now());
         // Guard cycle begin: advance the breaker's cooldown clock, then
         // classify this cycle's pressure sample and let the ladder
         // react. Every input is a deterministic counter (the queue
-        // depth at cycle start, the previous cycle's resident-bytes
-        // estimate and deadline flag), so the ladder trajectory is
-        // width-invariant.
+        // depth at cycle start and the previous cycle's resident-bytes
+        // estimate), so the ladder trajectory is width-invariant.
         if let (Some(g), Some(rt)) = (shard.guard.as_mut(), self.guard.as_ref()) {
             if let Some((from, to)) = g.breaker.on_cycle() {
                 g.push_event("breaker", from.name(), to.name(), 0);
@@ -504,11 +481,8 @@ impl IngestService {
                 queue_capacity: self.config.queue_capacity,
                 resident_bytes: g.resident_bytes,
                 budget_bytes: rt.config.shard_budget(self.config.shards),
-                deadline_breached: g.deadline_breached,
             };
-            g.deadline_breached = false;
             if let Some(t) = g.ladder.observe(sample.classify(&rt.config)) {
-                g.transitions.push(t);
                 g.push_event("ladder", t.from.name(), t.to.name(), 0);
             }
         }
@@ -570,7 +544,7 @@ impl IngestService {
             }
         }
         drain.degraded = shard.engine.degraded_slots() - degraded_before;
-        self.guard_cycle_end(index, shard, started);
+        self.guard_cycle_end(index, shard);
         let streams = match self.config.tiering {
             Tiering::Full => shard.engine.stream_count(),
             Tiering::Gated(_) => shard.records.len(),
@@ -589,35 +563,16 @@ impl IngestService {
         drain
     }
 
-    /// Guard end-of-cycle work: the stuck-shard watchdog, the resident
-    /// estimate + hibernation pass, and publishing gauges/flight
-    /// records. Runs under the shard lock, after the queue has drained.
-    fn guard_cycle_end(&self, index: usize, shard: &mut Shard, started: Option<Instant>) {
+    /// Guard end-of-cycle work: the resident estimate + hibernation
+    /// pass, and publishing gauges/flight records. Runs under the shard
+    /// lock, after the queue has drained.
+    fn guard_cycle_end(&self, index: usize, shard: &mut Shard) {
         let Some(rt) = self.guard.as_ref() else {
             return;
         };
         let Some(g) = shard.guard.as_mut() else {
             return;
         };
-        // Stuck-shard watchdog: a drain that blew its wall-clock
-        // deadline counts as a breaker failure, degrades the shard to
-        // tier-1 immediately, and raises pressure for the next cycle.
-        if let (Some(started), Some(deadline)) = (started, rt.config.drain_deadline) {
-            if started.elapsed() > deadline {
-                g.deadline_breached = true;
-                if let Some((from, to)) = g.breaker.on_failure() {
-                    g.push_event("breaker", from.name(), to.name(), 0);
-                }
-                let (from, to) = match g.ladder.force_at_least(DegradationLevel::Tier1Only) {
-                    Some(t) => {
-                        g.transitions.push(t);
-                        (t.from.name(), t.to.name())
-                    }
-                    None => (g.ladder.level().name(), g.ladder.level().name()),
-                };
-                g.push_event("watchdog", from, to, 0);
-            }
-        }
         // Resident estimate: every gated stream costs a record;
         // escalated streams (those with a bank in the engine) cost the
         // bank on top.
@@ -680,9 +635,6 @@ impl IngestService {
                 }
                 "rehydrate" => {
                     gs.rehydrated.fetch_add(1, Ordering::Relaxed);
-                }
-                "watchdog" => {
-                    gs.watchdog_trips.fetch_add(1, Ordering::Relaxed);
                 }
                 _ => {}
             }
@@ -1122,47 +1074,30 @@ mod tests {
         assert_eq!(stats.shards[0].shed.load(Ordering::Relaxed), 1);
         // Calm cycles walk the ladder back down one rung per
         // cool_cycles (2): 3 rungs → 6 empty drains to reach Full.
+        let mut levels = Vec::new();
         for _ in 0..6 {
             service.drain(&NullSink);
+            levels.push(service.guard_levels()[0]);
         }
-        assert_eq!(service.guard_levels(), vec![DegradationLevel::Full]);
+        assert_eq!(
+            levels,
+            [
+                DegradationLevel::Shedding,
+                DegradationLevel::Tier1Only,
+                DegradationLevel::Tier1Only,
+                DegradationLevel::GatedOnly,
+                DegradationLevel::GatedOnly,
+                DegradationLevel::Full,
+            ]
+        );
         assert!(service
             .enqueue(SignalContext::new(9, s, Symbol::new(0), 1.0))
             .is_ok());
-        let transitions = service.guard_transitions();
         assert_eq!(
-            transitions.len(),
+            stats.shards[0].ladder_transitions.load(Ordering::Relaxed),
             4,
             "Full→Shedding plus three cooldown rungs"
         );
-        assert_eq!(transitions[0].1.to, DegradationLevel::Shedding);
-        assert_eq!(transitions[3].1.to, DegradationLevel::Full);
-    }
-
-    #[test]
-    fn watchdog_degrades_a_stuck_shard_to_tier1() {
-        use detdiv_guard::TransitionCause;
-        let guard = GuardConfig {
-            drain_deadline: Some(std::time::Duration::ZERO),
-            ..GuardConfig::default()
-        };
-        let service = IngestService::with_guard(
-            ServeConfig::new(1, 64).gated(Tier1Config::default()),
-            guard,
-            ewma_bank,
-        )
-        .unwrap();
-        let s = hash_stream_id("slow");
-        service
-            .enqueue(SignalContext::new(0, s, Symbol::new(0), 1.0))
-            .unwrap();
-        service.drain(&NullSink);
-        assert_eq!(service.guard_levels(), vec![DegradationLevel::Tier1Only]);
-        let transitions = service.guard_transitions();
-        assert_eq!(transitions.len(), 1);
-        assert_eq!(transitions[0].1.cause, TransitionCause::Watchdog);
-        let stats = service.guard_stats().unwrap();
-        assert_eq!(stats.shards[0].watchdog_trips.load(Ordering::Relaxed), 1);
     }
 
     struct Boom;

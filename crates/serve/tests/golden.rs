@@ -162,13 +162,25 @@ fn check(name: &str, actual: &[u8]) {
     );
 }
 
-#[test]
-fn gated_guarded_service_artifacts_match_their_golden_fixtures() {
-    let dir = std::env::temp_dir().join(format!("detdiv-serve-golden-{}", std::process::id()));
+/// The fault plan is process-wide: the stalled run must not overlap
+/// the plain one.
+static FAULTS: Mutex<()> = Mutex::new(());
+
+/// Runs the scenario in a fresh directory named by `tag`.
+fn run_in_temp(tag: &str) -> Artifacts {
+    let dir =
+        std::env::temp_dir().join(format!("detdiv-serve-golden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let artifacts = run_scenario(&dir);
     let _ = std::fs::remove_dir_all(&dir);
+    artifacts
+}
+
+#[test]
+fn gated_guarded_service_artifacts_match_their_golden_fixtures() {
+    let _faults = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let artifacts = run_in_temp("plain");
     let snapshot = String::from_utf8_lossy(&artifacts.snapshot);
     // The scenario must cover what the fixtures claim to pin.
     let segments = String::from_utf8_lossy(&artifacts.segments);
@@ -181,4 +193,23 @@ fn gated_guarded_service_artifacts_match_their_golden_fixtures() {
     check("snapshot.snap", &artifacts.snapshot);
     check("segments.txt", &artifacts.segments);
     check("digest.txt", artifacts.digest.as_bytes());
+}
+
+/// Every guard decision reads counters, never a clock: drains slowed
+/// by injected stalls (at the `serve/drain` and `stream/update` sites)
+/// must leave every artifact identical to the unthrottled fixtures.
+#[test]
+fn stalled_drains_leave_every_artifact_unchanged() {
+    let _faults = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    detdiv_resil::reset_all();
+    detdiv_resil::arm(detdiv_resil::FaultPlan::parse("7:5%:stall:2").unwrap());
+    let artifacts = run_in_temp("stalled");
+    detdiv_resil::disarm();
+    assert!(
+        detdiv_resil::stats().injected_stalls > 0,
+        "the plan never stalled a drain"
+    );
+    check("digest.txt", artifacts.digest.as_bytes());
+    check("snapshot.snap", &artifacts.snapshot);
+    check("segments.txt", &artifacts.segments);
 }

@@ -5,7 +5,9 @@
 # the cheapest failures surface first:
 #
 #   1. cargo fmt --check      — formatting is canonical
-#   2. cargo clippy           — lints as errors across the workspace
+#   2. cargo clippy, cargo doc — lints as errors across the workspace,
+#                               rustdoc's included (every doc link
+#                               resolves; RUSTDOCFLAGS="-D warnings")
 #   3. cargo build --release  — the artifacts the paper run uses
 #   4. cargo test -q          — every unit, integration, and doc test,
 #                               then the benchmark's own smoke tests
@@ -114,6 +116,9 @@ cargo fmt --all --check
 
 banner "cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+banner "cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 banner "cargo build --release"
 cargo build --release --workspace
