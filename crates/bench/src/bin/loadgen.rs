@@ -7,9 +7,9 @@
 //!
 //! ```text
 //! loadgen [--streams N] [--events-per-stream N] [--shards N]
-//!         [--queue-cap N] [--threads N] [--full-tiering]
-//!         [--overload] [--guard-bytes N] [--flight PATH]
-//!         [--fault SPEC] [--snapshot PATH] [--resume PATH]
+//!         [--queue-cap N] [--threads N] [--overload]
+//!         [--guard-bytes N] [--flight PATH] [--fault SPEC]
+//!         [--snapshot PATH] [--resume PATH]
 //! ```
 //!
 //! Events are synthesized deterministically (a splitmix64 mix of the
@@ -20,12 +20,11 @@
 //! the cross-width determinism check CI diffs (`--fault` runs are
 //! exempt: chaos changes which slots die, and with it the digest).
 //!
-//! Tiering is gated by default — the deployment shape: a cheap EWMA
-//! gate fronts every stream and roughly one stream in 257 carries a
-//! planted spike that escalates it to the trained tier-2 bank. Only
-//! escalated streams ever instantiate model state, which is what lets
-//! one process hold millions of streams. `--full-tiering` instantiates
-//! the full bank per stream instead (small runs only).
+//! The service runs in its deployment shape: a cheap EWMA gate fronts
+//! every stream and roughly one stream in 257 carries a planted spike
+//! that escalates it to the trained tier-2 bank. Only escalated
+//! streams ever instantiate model state, which is what lets one
+//! process hold millions of streams.
 //!
 //! `--snapshot` writes a crash-safe shard-state snapshot after the
 //! run; `--resume` recovers one before ingesting (a discarded snapshot
@@ -74,7 +73,6 @@ struct Args {
     shards: usize,
     queue_cap: usize,
     threads: Option<usize>,
-    full_tiering: bool,
     overload: bool,
     guard_bytes: Option<u64>,
     flight: Option<String>,
@@ -90,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
         shards: 64,
         queue_cap: 4096,
         threads: None,
-        full_tiering: false,
         overload: false,
         guard_bytes: None,
         flight: None,
@@ -131,7 +128,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.threads = Some(n);
             }
-            "--full-tiering" => args.full_tiering = true,
             "--overload" => args.overload = true,
             "--guard-bytes" => {
                 let n: u64 = value("--guard-bytes")?
@@ -149,9 +145,9 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: loadgen [--streams N] [--events-per-stream N] [--shards N]\n\
-                     \x20       [--queue-cap N] [--threads N] [--full-tiering]\n\
-                     \x20       [--overload] [--guard-bytes N] [--flight PATH]\n\
-                     \x20       [--fault SPEC] [--snapshot PATH] [--resume PATH]\n\
+                     \x20       [--queue-cap N] [--threads N] [--overload]\n\
+                     \x20       [--guard-bytes N] [--flight PATH] [--fault SPEC]\n\
+                     \x20       [--snapshot PATH] [--resume PATH]\n\
                      Drives N synthetic keyed streams through a sharded ingest service and\n\
                      prints a deterministic verdict digest.\n\
                      --overload attaches the guard and offers load at 2x drain capacity,\n\
@@ -164,9 +160,6 @@ fn parse_args() -> Result<Args, String> {
         if args.streams == 0 || args.events_per_stream == 0 || args.shards == 0 {
             return Err("streams, events-per-stream, and shards must be positive".to_owned());
         }
-    }
-    if args.overload && args.full_tiering {
-        return Err("--overload requires gated tiering (drop --full-tiering)".to_owned());
     }
     Ok(args)
 }
@@ -251,13 +244,11 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         detdiv_flight::arm(path);
     }
     eprintln!(
-        "loadgen: streams={} events/stream={} shards={} queue-cap={} threads={threads} \
-         tiering={}{}{}",
+        "loadgen: streams={} events/stream={} shards={} queue-cap={} threads={threads}{}{}",
         args.streams,
         args.events_per_stream,
         args.shards,
         args.queue_cap,
-        if args.full_tiering { "full" } else { "gate" },
         if args.overload { " (overload)" } else { "" },
         if args.fault.is_some() {
             " (chaos armed)"
@@ -278,18 +269,13 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     stide.train(&StreamProfile::new(&train));
     let model: Arc<dyn detdiv_core::TrainedModel> = Arc::new(stide);
 
-    let config = ServeConfig::new(args.shards, args.queue_cap);
-    let config = if args.full_tiering {
-        config
-    } else {
-        // Warmup 2 so short per-stream feeds still clear the gate, and
-        // the planted spike at seq 2 is the first escalatable event.
-        config.gated(Tier1Config {
-            alpha: 0.3,
-            warmup: 2,
-            escalate_score: 0.5,
-        })
-    };
+    // Warmup 2 so short per-stream feeds still clear the gate, and the
+    // planted spike at seq 2 is the first escalatable event.
+    let config = ServeConfig::new(args.shards, args.queue_cap).gated(Tier1Config {
+        alpha: 0.3,
+        warmup: 2,
+        escalate_score: 0.5,
+    });
     let factory =
         move || vec![Box::new(ModelAdapter::new(Arc::clone(&model))) as Box<dyn StreamDetector>];
     // Overload runs attach the guard: resident-byte budget from

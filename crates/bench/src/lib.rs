@@ -21,7 +21,7 @@ use detdiv_synth::{Corpus, SynthesisConfig};
 /// Returns a human-readable description of the first malformed
 /// variable; callers print it to stderr and exit nonzero.
 pub fn preflight_env() -> Result<(), String> {
-    for name in ["DETDIV_THREADS", "DETDIV_CACHE_CAP"] {
+    for name in ["DETDIV_THREADS", "DETDIV_CACHE_CAP", "DETDIV_GUARD_BYTES"] {
         if let Some(value) = env_value(name)? {
             match value.trim().parse::<usize>() {
                 Ok(n) if n > 0 => {}
@@ -115,7 +115,12 @@ mod tests {
     /// environment.
     #[test]
     fn env_preflight_accepts_good_and_rejects_bad() {
-        for name in ["DETDIV_THREADS", "DETDIV_CACHE_CAP", "DETDIV_LOG"] {
+        for name in [
+            "DETDIV_THREADS",
+            "DETDIV_CACHE_CAP",
+            "DETDIV_GUARD_BYTES",
+            "DETDIV_LOG",
+        ] {
             std::env::remove_var(name);
         }
         assert!(preflight_env().is_ok(), "unset environment is fine");
@@ -136,6 +141,15 @@ mod tests {
         let err = preflight_env().unwrap_err();
         assert!(err.contains("DETDIV_CACHE_CAP"), "{err}");
         std::env::remove_var("DETDIV_CACHE_CAP");
+
+        // A unit suffix is a typo, not a budget: `GuardConfig::from_env`
+        // would drop it and fall back to a default.
+        std::env::set_var("DETDIV_GUARD_BYTES", "65536");
+        assert!(preflight_env().is_ok(), "a byte count passes");
+        std::env::set_var("DETDIV_GUARD_BYTES", "64k");
+        let err = preflight_env().unwrap_err();
+        assert!(err.contains("DETDIV_GUARD_BYTES"), "{err}");
+        std::env::remove_var("DETDIV_GUARD_BYTES");
 
         std::env::set_var("DETDIV_LOG", "quiet");
         let err = preflight_env().unwrap_err();

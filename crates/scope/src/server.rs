@@ -297,7 +297,7 @@ const ENDPOINTS: &[Endpoint] = &[
     Endpoint {
         path: "/servez",
         content_type: "application/json; charset=utf-8",
-        summary: "ingest service shard counters (queues, rejections, tiering)",
+        summary: "ingest service shard counters (queues, rejections, escalations)",
         render: |_| render_page("serve"),
     },
     Endpoint {

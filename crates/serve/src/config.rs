@@ -1,4 +1,4 @@
-//! Service shape: shard count, queue bounds, and detection tiering.
+//! Service shape: shard count, queue bounds, and the tier-1 gate.
 
 /// Tier-1 gate parameters: a cheap per-stream EWMA band that decides
 /// which streams earn a full (tier-2) detector bank.
@@ -30,23 +30,12 @@ impl Default for Tier1Config {
     }
 }
 
-/// How events reach the detector banks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Tiering {
-    /// Every event feeds the full bank directly. This is the
-    /// differential-testing mode: with one shard and one worker the
-    /// service's per-stream verdict sequences are byte-identical to
-    /// [`detdiv_stream::StreamEngine`] fed alone.
-    Full,
-    /// A cheap always-on tier-1 gate fronts the expensive bank: each
-    /// stream is scored by an EWMA band until it escalates, and only
-    /// escalated streams get (and keep) a tier-2 bank. This is what
-    /// makes millions of mostly-quiet streams affordable in one
-    /// process.
-    Gated(Tier1Config),
-}
-
 /// Shape of an [`crate::IngestService`].
+///
+/// Every service is gated: each stream's events meet the cheap tier-1
+/// EWMA gate first, and only a stream that escalates past it gets (and
+/// keeps) a tier-2 bank. This is what makes millions of mostly-quiet
+/// streams affordable in one process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Number of shards; streams are assigned by
@@ -55,12 +44,12 @@ pub struct ServeConfig {
     /// Per-shard ingestion queue bound. A full queue rejects — the
     /// service never buffers unboundedly.
     pub queue_capacity: usize,
-    /// Detection tiering.
-    pub tiering: Tiering,
+    /// The tier-1 gate's parameters.
+    pub tier1: Tier1Config,
 }
 
 impl ServeConfig {
-    /// A full-tiering config with the given shape.
+    /// A config with the given shape and the default gate.
     ///
     /// # Panics
     ///
@@ -71,13 +60,13 @@ impl ServeConfig {
         ServeConfig {
             shards,
             queue_capacity,
-            tiering: Tiering::Full,
+            tier1: Tier1Config::default(),
         }
     }
 
-    /// Switches the config to gated tiering.
+    /// Sets the tier-1 gate's parameters.
     pub fn gated(mut self, tier1: Tier1Config) -> ServeConfig {
-        self.tiering = Tiering::Gated(tier1);
+        self.tier1 = tier1;
         self
     }
 }

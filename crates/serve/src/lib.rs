@@ -15,12 +15,12 @@
 //!   hard capacity; a full queue rejects with [`RejectReason`], never
 //!   buffers unboundedly. Load shedding is the caller's explicit
 //!   decision, not an OOM kill's.
-//! * **Two-tier detection** — under [`Tiering::Gated`], a cheap
-//!   always-on EWMA band fronts the expensive detector banks; each
-//!   gated stream is one 40-byte record in its shard's table, and only
-//!   streams that escalate past the gate get (and keep) tier-2 state.
-//!   [`Tiering::Full`] feeds banks directly and is byte-equivalent to
-//!   the bare engine — the differential suite pins this down.
+//! * **Two-tier detection** — a cheap always-on EWMA band
+//!   ([`Tier1Config`]) fronts the expensive detector banks; each stream
+//!   is one 40-byte record in its shard's table, and only streams that
+//!   escalate past the gate get (and keep) tier-2 state. The
+//!   differential suite checks every verdict against a sequential
+//!   reference model of the gate and the bank.
 //! * **Supervised execution** — a panicking detector degrades exactly
 //!   one slot of one stream ([`detdiv_stream::StreamEngine`]'s
 //!   isolation, surfaced through `detdiv_flight::streams`); a
@@ -57,7 +57,7 @@ pub mod introspect;
 mod service;
 mod snapshot;
 
-pub use config::{ServeConfig, Tier1Config, Tiering};
+pub use config::{ServeConfig, Tier1Config};
 pub use guard::{
     REASON_BREAKER_FALLBACK, REASON_ESCALATION_DEFERRED, REASON_ESCALATION_DEFERRED_BREAKER,
     REASON_TIER1_ONLY,

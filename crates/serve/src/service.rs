@@ -24,7 +24,7 @@ use detdiv_stream::{
     DetectionResult, EwmaState, SignalContext, SlotResult, StreamDetector, StreamEngine,
 };
 
-use crate::config::{ServeConfig, Tier1Config, Tiering};
+use crate::config::{ServeConfig, Tier1Config};
 use crate::guard::{
     GuardRuntime, GuardShard, REASON_BREAKER_FALLBACK, REASON_ESCALATION_DEFERRED,
     REASON_ESCALATION_DEFERRED_BREAKER, REASON_TIER1_ONLY,
@@ -144,9 +144,8 @@ pub(crate) struct Shard {
     pub(crate) queue: VecDeque<SignalContext>,
     pub(crate) engine: StreamEngine<BankFactory>,
     /// Stream hash → record, for every resident stream the shard has
-    /// seen when tiering is gated; empty under full tiering. A
-    /// hibernated stream is in the guard's store instead, never in
-    /// both. Keeps std's keyed `RandomState`: stream ids arrive from
+    /// seen. A hibernated stream is in the guard's store instead, never
+    /// in both. Keeps std's keyed `RandomState`: stream ids arrive from
     /// live traffic, and an unkeyed hasher (such as
     /// `detdiv_sequence::BuildSymbolHasher`, about 10 % faster here)
     /// would let a sender who chooses ids pile them into one probe
@@ -162,11 +161,13 @@ pub(crate) struct Shard {
 /// # Examples
 ///
 /// ```
-/// use detdiv_serve::{IngestService, NullSink, ServeConfig};
+/// use detdiv_serve::{IngestService, NullSink, ServeConfig, Tier1Config};
 /// use detdiv_stream::{hash_stream_id, Ewma, SignalContext, StreamDetector};
 /// use detdiv_sequence::Symbol;
 ///
-/// let service = IngestService::new(ServeConfig::new(4, 64), || {
+/// // A gate that escalates every stream on its first event.
+/// let tier1 = Tier1Config { warmup: 0, escalate_score: 0.0, ..Tier1Config::default() };
+/// let service = IngestService::new(ServeConfig::new(4, 64).gated(tier1), || {
 ///     vec![Box::new(Ewma::new(0.2, 3)) as Box<dyn StreamDetector>]
 /// });
 /// let stream = hash_stream_id("host-a");
@@ -176,7 +177,8 @@ pub(crate) struct Shard {
 /// }
 /// let summary = service.drain(&NullSink);
 /// assert_eq!(summary.processed, 8);
-/// assert_eq!(summary.emitted, 5); // events 0..=2 were warmup
+/// // Event 0's gate verdict, then the bank's: events 0..=2 were its warmup.
+/// assert_eq!(summary.emitted, 6);
 /// ```
 pub struct IngestService {
     config: ServeConfig,
@@ -207,17 +209,13 @@ impl IngestService {
     ///
     /// # Panics
     ///
-    /// Panics if gated tiering's `alpha` is outside `(0, 1]`.
+    /// Panics if the gate's `alpha` is outside `(0, 1]`.
     pub fn new(
         config: ServeConfig,
         factory: impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + 'static,
     ) -> IngestService {
-        if let Tiering::Gated(tier1) = config.tiering {
-            assert!(
-                tier1.alpha > 0.0 && tier1.alpha <= 1.0,
-                "alpha must be in (0, 1]"
-            );
-        }
+        let alpha = config.tier1.alpha;
+        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         let factory: SharedFactory = Arc::new(factory);
         let shards = (0..config.shards)
             .map(|_| {
@@ -246,9 +244,8 @@ impl IngestService {
     ///
     /// # Panics
     ///
-    /// Panics unless `config.tiering` is [`Tiering::Gated`]: the guard's
-    /// degraded modes are defined in terms of the tier-1 gate, so full
-    /// tiering has nothing to degrade to.
+    /// Panics if the gate's `alpha` is outside `(0, 1]`, as
+    /// [`new`](IngestService::new) does.
     ///
     /// # Errors
     ///
@@ -259,10 +256,6 @@ impl IngestService {
         guard_config: GuardConfig,
         factory: impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + 'static,
     ) -> std::io::Result<IngestService> {
-        assert!(
-            matches!(config.tiering, Tiering::Gated(_)),
-            "the guard requires gated tiering"
-        );
         // Estimate per-stream costs once from a probe bank: a gated
         // stream is its fixed-size record plus map-entry overhead; a
         // tier-2 bank is each slot's state-bytes cap plus the same
@@ -487,71 +480,44 @@ impl IngestService {
             }
         }
         let degraded_before = shard.engine.degraded_slots();
-        match self.config.tiering {
-            Tiering::Full => {
-                let mut slot_buf: Vec<SlotResult> = Vec::new();
-                while let Some(ctx) = shard.queue.pop_front() {
-                    drain.processed += 1;
-                    slot_buf.clear();
-                    shard.engine.push(&ctx, &mut slot_buf);
-                    for slot in &slot_buf {
-                        drain.emitted += 1;
-                        sink.on_verdict(&VerdictEvent {
-                            shard: index,
-                            stream_hash: ctx.stream_id_hash,
-                            seq: ctx.seq,
-                            tier: Tier::Model,
-                            slot: slot.slot,
-                            result: slot.result,
-                        });
-                    }
-                }
-            }
-            Tiering::Gated(cfg) => {
-                let Shard {
-                    queue,
-                    engine,
-                    records,
-                    guard,
-                } = shard;
-                // The ladder's cycle only moves between drains, so one
-                // read stamps every event of this cycle.
-                let touch = guard.as_ref().map_or(0, |g| g.ladder.cycle());
-                let mut gated = GatedDrain {
-                    index,
-                    cfg,
-                    sink,
-                    engine,
-                    guard: guard.as_mut(),
-                    slot_buf: Vec::new(),
-                    escalated: 0,
-                };
-                while let Some(ctx) = queue.pop_front() {
-                    drain.processed += 1;
-                    // A resident stream costs this one probe; the
-                    // hibernation store is asked only about a stream
-                    // the table does not hold.
-                    let record = match records.entry(ctx.stream_id_hash) {
-                        Entry::Occupied(entry) => entry.into_mut(),
-                        Entry::Vacant(entry) => {
-                            entry.insert(gated.rehydrate_or_new(ctx.stream_id_hash))
-                        }
-                    };
-                    record.last_touch = touch;
-                    drain.emitted += gated.event(record, &ctx);
-                }
-                drain.escalated = gated.escalated;
-            }
+        let Shard {
+            queue,
+            engine,
+            records,
+            guard,
+        } = shard;
+        // The ladder's cycle only moves between drains, so one read
+        // stamps every event of this cycle.
+        let touch = guard.as_ref().map_or(0, |g| g.ladder.cycle());
+        let mut gated = GatedDrain {
+            index,
+            cfg: self.config.tier1,
+            sink,
+            engine,
+            guard: guard.as_mut(),
+            slot_buf: Vec::new(),
+            escalated: 0,
+        };
+        while let Some(ctx) = queue.pop_front() {
+            drain.processed += 1;
+            // A resident stream costs this one probe; the hibernation
+            // store is asked only about a stream the table does not
+            // hold.
+            let record = match records.entry(ctx.stream_id_hash) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => entry.insert(gated.rehydrate_or_new(ctx.stream_id_hash)),
+            };
+            record.last_touch = touch;
+            drain.emitted += gated.event(record, &ctx);
         }
+        drain.escalated = gated.escalated;
         drain.degraded = shard.engine.degraded_slots() - degraded_before;
         self.guard_cycle_end(index, shard);
-        let streams = match self.config.tiering {
-            Tiering::Full => shard.engine.stream_count(),
-            Tiering::Gated(_) => shard.records.len(),
-        };
         let stats = &self.stats.shards[index];
         stats.depth.store(0, Ordering::Relaxed);
-        stats.streams.store(streams as u64, Ordering::Relaxed);
+        stats
+            .streams
+            .store(shard.records.len() as u64, Ordering::Relaxed);
         stats
             .processed
             .fetch_add(drain.processed, Ordering::Relaxed);
@@ -596,7 +562,7 @@ impl IngestService {
                     }
                     let slots = shard.engine.snapshot_stream(hash).unwrap_or_default();
                     let line =
-                        crate::snapshot::render_stream_line(hash, shard.records.get(&hash), &slots);
+                        crate::snapshot::render_stream_line(hash, &shard.records[&hash], &slots);
                     let store = g.store.as_mut().expect("checked above");
                     if store.spill(hash, &line).is_err() {
                         // An unwritable segment leaves the stream
@@ -666,13 +632,7 @@ impl IngestService {
     /// Distinct streams resident across all shards.
     pub fn stream_count(&self) -> usize {
         (0..self.config.shards)
-            .map(|i| {
-                let shard = self.shard(i);
-                match self.config.tiering {
-                    Tiering::Full => shard.engine.stream_count(),
-                    Tiering::Gated(_) => shard.records.len(),
-                }
-            })
+            .map(|i| self.shard(i).records.len())
             .sum()
     }
 
@@ -893,7 +853,12 @@ mod tests {
 
     #[test]
     fn enqueue_routes_by_hash_and_drain_processes_fifo() {
-        let service = IngestService::new(ServeConfig::new(4, 64), ewma_bank);
+        let tier1 = Tier1Config {
+            warmup: 0,
+            escalate_score: 0.0,
+            ..Tier1Config::default()
+        };
+        let service = IngestService::new(ServeConfig::new(4, 64).gated(tier1), ewma_bank);
         let a = hash_stream_id("a");
         let b = hash_stream_id("b");
         for i in 0..6u64 {
@@ -910,18 +875,18 @@ mod tests {
         assert_eq!(summary.processed, 12);
         assert_eq!(service.pending(), 0);
         assert_eq!(service.stream_count(), 2);
-        // Ewma warmup 3 → 3 verdicts per stream.
-        assert_eq!(summary.emitted, 6);
+        // Per stream: the escalating gate verdict, then 3 from the bank
+        // (Ewma warmup 3).
+        assert_eq!(summary.emitted, 8);
         let events = sink.0.lock().unwrap();
         let a_seqs: Vec<u64> = events
             .iter()
-            .filter(|e| e.stream_hash == a)
+            .filter(|e| e.stream_hash == a && e.tier == Tier::Model)
             .map(|e| e.seq)
             .collect();
         assert_eq!(a_seqs, vec![3, 4, 5], "per-stream verdicts in order");
         for e in events.iter() {
             assert_eq!(e.shard, service.shard_of(e.stream_hash));
-            assert_eq!(e.tier, Tier::Model);
         }
     }
 
@@ -1046,12 +1011,9 @@ mod tests {
 
     #[test]
     fn shedding_shard_rejects_and_ladder_recovers_as_pressure_drains() {
-        let service = IngestService::with_guard(
-            ServeConfig::new(1, 10).gated(Tier1Config::default()),
-            GuardConfig::default(),
-            ewma_bank,
-        )
-        .unwrap();
+        let service =
+            IngestService::with_guard(ServeConfig::new(1, 10), GuardConfig::default(), ewma_bank)
+                .unwrap();
         let s = hash_stream_id("hot");
         // 9/10 queue fill ≥ shed_at (0.9): the first drain cycle jumps
         // the ladder straight to Shedding.

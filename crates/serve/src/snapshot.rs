@@ -21,7 +21,7 @@
 //! records, so a snapshot taken under memory pressure still captures
 //! every stream. Recovery is strictly best-effort and never fatal: a
 //! missing file, torn tail (no footer), checksum mismatch, count
-//! mismatch, version or tiering drift all yield
+//! mismatch, or version or shard-count drift all yield
 //! [`RecoverOutcome::Discarded`] with a reason — the service simply
 //! starts cold. A stream whose bank shape no longer matches restarts
 //! from warmup (counted in `skipped`), never resumes wrong state.
@@ -38,7 +38,6 @@ use detdiv_resil::{checksum_line, AtomicFile, Journal};
 use detdiv_sequence::Symbol;
 use detdiv_stream::{EwmaState, SignalContext, SlotState, StreamEngine};
 
-use crate::config::Tiering;
 use crate::service::{BankFactory, IngestService, StreamRecord};
 
 /// What a snapshot wrote.
@@ -66,7 +65,7 @@ pub enum RecoverOutcome {
     /// The snapshot was unusable and ignored; the service starts cold.
     Discarded {
         /// Why (missing file, torn tail, checksum/count mismatch,
-        /// version or tiering drift).
+        /// version or shard-count drift).
         reason: String,
     },
 }
@@ -103,11 +102,11 @@ fn parse_opt_hex(token: &str) -> Option<Option<Vec<u8>>> {
     }
 }
 
-fn tiering_token(tiering: &Tiering) -> &'static str {
-    match tiering {
-        Tiering::Full => "full",
-        Tiering::Gated(_) => "gate",
-    }
+/// The first line of every snapshot a service of `shards` shards
+/// writes and accepts. `tiering=gate` is kept from the days of a second
+/// tiering mode, so snapshot bytes stay stable.
+fn header(shards: usize) -> String {
+    format!("serve-snapshot v2 shards={shards} tiering=gate")
 }
 
 pub(crate) struct ParsedStream {
@@ -120,19 +119,11 @@ pub(crate) struct ParsedStream {
 /// Renders one stream's serialized state as a `stream …` line — the
 /// format shared by snapshot files and the guard's hibernation
 /// segments.
-pub(crate) fn render_stream_line(
-    hash: u64,
-    record: Option<&StreamRecord>,
-    slots: &[SlotState],
-) -> String {
-    let (escalated, gate) = match record {
-        Some(record) => (record.escalated, to_hex(&record.gate.to_bytes())),
-        // Full tiering: every stream feeds the bank directly.
-        None => (true, "-".to_owned()),
-    };
+pub(crate) fn render_stream_line(hash: u64, record: &StreamRecord, slots: &[SlotState]) -> String {
     let mut line = format!(
-        "stream {hash:016x} esc={} t1={gate} slots={}",
-        u8::from(escalated),
+        "stream {hash:016x} esc={} t1={} slots={}",
+        u8::from(record.escalated),
+        to_hex(&record.gate.to_bytes()),
         slots.len()
     );
     for slot in slots {
@@ -145,7 +136,7 @@ pub(crate) fn render_stream_line(
 }
 
 impl ParsedStream {
-    /// The gated-tiering record this line describes. Rejected gate
+    /// The record this line describes. Rejected gate
     /// bytes leave the gate reset: cold start.
     pub(crate) fn record(&self) -> StreamRecord {
         StreamRecord {
@@ -258,25 +249,17 @@ impl IngestService {
         for index in 0..config.shards {
             let mut shard = self.shard(index);
             let shard = &mut *shard;
-            let hashes: Vec<u64> = match config.tiering {
-                Tiering::Full => shard.engine.stream_ids(),
-                Tiering::Gated(_) => {
-                    let mut keys: Vec<u64> = shard.records.keys().copied().collect();
-                    keys.sort_unstable();
-                    keys
-                }
-            };
             // Resident streams and hibernated streams are disjoint (a
             // spill removes the resident entry); merge them sorted by
             // hash so the file layout is deterministic.
-            let mut lines: Vec<(u64, String)> = Vec::with_capacity(hashes.len());
-            for hash in hashes {
-                let slots = shard.engine.snapshot_stream(hash).unwrap_or_default();
-                lines.push((
-                    hash,
-                    render_stream_line(hash, shard.records.get(&hash), &slots),
-                ));
-            }
+            let mut lines: Vec<(u64, String)> = shard
+                .records
+                .iter()
+                .map(|(&hash, record)| {
+                    let slots = shard.engine.snapshot_stream(hash).unwrap_or_default();
+                    (hash, render_stream_line(hash, record, &slots))
+                })
+                .collect();
             if let Some(store) = shard.guard.as_mut().and_then(|g| g.store.as_mut()) {
                 for hash in store.hashes() {
                     // The spilled payload already is a stream line; a
@@ -286,8 +269,8 @@ impl IngestService {
                         lines.push((hash, line));
                     }
                 }
-                lines.sort_unstable_by_key(|(hash, _)| *hash);
             }
+            lines.sort_unstable_by_key(|(hash, _)| *hash);
             for (_, line) in &lines {
                 body.push_str(&checksum_line(line));
                 body.push('\n');
@@ -306,13 +289,8 @@ impl IngestService {
                 queued += 1;
             }
         }
-        let header = format!(
-            "serve-snapshot v2 shards={} tiering={}",
-            config.shards,
-            tiering_token(&config.tiering)
-        );
         let mut content = String::with_capacity(body.len() + residue.len() + 128);
-        content.push_str(&checksum_line(&header));
+        content.push_str(&checksum_line(&header(config.shards)));
         content.push('\n');
         content.push_str(&body);
         content.push_str(&residue);
@@ -347,17 +325,13 @@ impl IngestService {
             Ok(lines) => lines,
             Err(e) => return discard(format!("unreadable snapshot: {e}")),
         };
-        let Some(header) = lines.first() else {
+        let Some(found) = lines.first() else {
             return discard("empty snapshot".into());
         };
-        let expected_header = format!(
-            "serve-snapshot v2 shards={} tiering={}",
-            config.shards,
-            tiering_token(&config.tiering)
-        );
-        if *header != expected_header {
+        let expected = header(config.shards);
+        if *found != expected {
             return discard(format!(
-                "header mismatch (found {header:?}, want {expected_header:?})"
+                "header mismatch (found {found:?}, want {expected:?})"
             ));
         }
         let Some(footer) = lines.last().filter(|_| lines.len() >= 2) else {
@@ -401,15 +375,12 @@ impl IngestService {
                 residue.len()
             ));
         }
-        let gated = matches!(config.tiering, Tiering::Gated(_));
         let mut streams = 0u64;
         let mut skipped = 0u64;
         for p in parsed {
             let index = self.shard_of(p.hash);
             let mut shard = self.shard(index);
-            if gated {
-                shard.records.insert(p.hash, p.record());
-            }
+            shard.records.insert(p.hash, p.record());
             if !p.restore_bank(&mut shard.engine) {
                 // Bank shape drifted since the snapshot: the stream
                 // restarts from warmup instead of resuming wrong state.
@@ -431,14 +402,10 @@ impl IngestService {
                 .store(depth, Ordering::Relaxed);
         }
         for index in 0..config.shards {
-            let shard = self.shard(index);
-            let resident = match config.tiering {
-                Tiering::Full => shard.engine.stream_count(),
-                Tiering::Gated(_) => shard.records.len(),
-            };
+            let resident = self.shard(index).records.len() as u64;
             self.stats().shards[index]
                 .streams
-                .store(resident as u64, Ordering::Relaxed);
+                .store(resident, Ordering::Relaxed);
         }
         self.stats()
             .recovered_streams

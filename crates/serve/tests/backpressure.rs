@@ -19,11 +19,20 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use detdiv_sequence::Symbol;
-use detdiv_serve::{IngestService, NullSink, RejectReason, ServeConfig, VerdictEvent, VerdictSink};
+use detdiv_serve::{
+    IngestService, NullSink, RejectReason, ServeConfig, Tier1Config, VerdictEvent, VerdictSink,
+};
 use detdiv_stream::{hash_stream_id, DetectionResult, Ewma, SignalContext, StreamDetector};
 
 /// Serializes tests that arm faults or reset the streams registry.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
+
+/// Escalates every stream on its first event: every event reaches the bank.
+const ESCALATE_ALL: Tier1Config = Tier1Config {
+    alpha: 0.3,
+    warmup: 0,
+    escalate_score: 0.0,
+};
 
 /// A detector that panics on one value — a stand-in for any buggy
 /// detector; the panic surfaces on the same `stream/update` path the
@@ -112,7 +121,7 @@ fn panicking_stream_degrades_alone_while_shard_siblings_serve() {
     let degraded_before = detdiv_obs::snapshot().counter("serve/degraded");
 
     // One shard, so victim and sibling are shard-mates by construction.
-    let service = IngestService::new(ServeConfig::new(1, 256), || {
+    let service = IngestService::new(ServeConfig::new(1, 256).gated(ESCALATE_ALL), || {
         vec![
             Box::new(Grenade { trigger: 13.0 }) as Box<dyn StreamDetector>,
             Box::new(Ewma::new(0.2, 2)),
@@ -152,12 +161,13 @@ fn panicking_stream_degrades_alone_while_shard_siblings_serve() {
     assert_eq!(sibling_snap.degraded, 0);
     assert!(detdiv_flight::streams::degraded_streams() >= 1);
 
-    // The sibling stream served every event (grenade slot warmup 0 →
-    // 10 verdicts; EWMA warmup 2 → 8), and even the victim's healthy
-    // EWMA slot kept serving after the grenade died.
+    // The sibling stream served every event (the escalating gate
+    // verdict; grenade slot warmup 0 → 10 verdicts; EWMA warmup 2 → 8),
+    // and even the victim's healthy EWMA slot kept serving after the
+    // grenade died.
     let events = sink.0.lock().unwrap();
     let sibling_verdicts = events.iter().filter(|e| e.stream_hash == sibling).count();
-    assert_eq!(sibling_verdicts, 18);
+    assert_eq!(sibling_verdicts, 19);
     let victim_ewma_after: Vec<u64> = events
         .iter()
         .filter(|e| e.stream_hash == victim && e.slot == 1 && e.seq > 4)
@@ -187,7 +197,7 @@ fn chaos_armed_service_survives_and_records_blast_radius() {
     detdiv_flight::streams::reset();
     detdiv_flight::streams::set_enabled(true);
 
-    let service = IngestService::new(ServeConfig::new(4, 4096), || {
+    let service = IngestService::new(ServeConfig::new(4, 4096).gated(ESCALATE_ALL), || {
         vec![Box::new(Ewma::new(0.2, 3)) as Box<dyn StreamDetector>]
     });
     let streams: Vec<u64> = (0..16u64)

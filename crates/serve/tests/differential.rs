@@ -1,14 +1,18 @@
-//! Service ↔ engine differential suite.
+//! Service ↔ reference-model differential suite.
 //!
-//! The ingest service adds sharding, queues, and a worker pool on top
-//! of [`StreamEngine`] — none of which may change a single verdict
-//! bit. The pinned property: for ANY interleaving of K streams pushed
-//! through an [`IngestService`] (full tiering, one shard, backpressure
-//! never hit), each stream's verdict sequence is byte-identical to
-//! feeding that stream alone through a bare engine built from the same
-//! factory. Duplicate events and hash-colliding stream ids are part of
-//! the input space, and a multi-shard spot check confirms the property
-//! is per-stream, not per-shard.
+//! The ingest service adds sharding, queues, a worker pool and a
+//! per-shard record table on top of the gate and the bank — none of
+//! which may change a single verdict bit. The pinned property: for ANY
+//! interleaving of K streams pushed through an [`IngestService`]
+//! (backpressure never hit), each stream's verdict sequence is
+//! byte-identical to a sequential reference model that feeds every
+//! event, in order, through that stream's tier-1 gate and, from the
+//! escalating event on, a bare [`StreamEngine`] built from the same
+//! factory. Every case runs under a gate that escalates each stream on
+//! its first event and one under which some streams never escalate.
+//! Duplicate events and hash-colliding stream ids are part of the
+//! input space, and multi-shard cases confirm the property is
+//! per-stream, not per-shard.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,9 +23,11 @@ use detdiv_detectors::Stide;
 use detdiv_guard::{DegradationLevel, GuardConfig};
 use detdiv_sequence::{symbols, StreamProfile, Symbol};
 use detdiv_serve::{
-    IngestService, RejectReason, ServeConfig, Tier1Config, VerdictEvent, VerdictSink,
+    IngestService, RejectReason, ServeConfig, Tier, Tier1Config, VerdictEvent, VerdictSink,
 };
-use detdiv_stream::{Ewma, ModelAdapter, SignalContext, StreamDetector, StreamEngine};
+use detdiv_stream::{
+    DetectionResult, Ewma, EwmaState, ModelAdapter, SignalContext, StreamDetector, StreamEngine,
+};
 use proptest::prelude::*;
 
 /// A two-slot bank mixing a trained sliding-window adapter with a
@@ -43,18 +49,39 @@ fn bank_factory() -> impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + C
     }
 }
 
-/// The comparable fingerprint of one verdict: everything except the
-/// shard index (engine feeds have no shard).
-type Fingerprint = (u64, usize, u64, u64, &'static str);
+/// The two gates every model case runs under: the first escalates each
+/// stream on its first event (warmup 0, threshold 0), the second only
+/// streams that jump well past their running band — some never do.
+const GATES: [Tier1Config; 2] = [
+    Tier1Config {
+        alpha: 0.3,
+        warmup: 0,
+        escalate_score: 0.0,
+    },
+    Tier1Config {
+        alpha: 0.3,
+        warmup: 2,
+        escalate_score: 0.7,
+    },
+];
 
-fn fingerprint(event: &VerdictEvent) -> Fingerprint {
-    (
-        event.seq,
-        event.slot,
-        event.result.score.to_bits(),
-        event.result.confidence.to_bits(),
-        event.result.reason,
-    )
+/// The comparable bits of one verdict: seq, slot, score, confidence,
+/// reason, and whether tier 2 emitted it (everything but the shard).
+type Fingerprint = (u64, usize, u64, u64, &'static str, bool);
+
+/// Per-stream verdict sequences, keyed by stream hash.
+type Verdicts = BTreeMap<u64, Vec<Fingerprint>>;
+
+fn fingerprint(seq: u64, slot: usize, result: &DetectionResult, model: bool) -> Fingerprint {
+    let (score, confidence) = (result.score.to_bits(), result.confidence.to_bits());
+    (seq, slot, score, confidence, result.reason, model)
+}
+
+/// One event of a feed. Values double as symbol ids (the adapter
+/// scores the symbol, the EWMA the value), so one number exercises
+/// both slots.
+fn event(hash: u64, seq: u64, value: u32) -> SignalContext {
+    SignalContext::new(seq, hash, Symbol::new(value), f64::from(value))
 }
 
 #[derive(Default)]
@@ -66,76 +93,79 @@ impl VerdictSink for Collect {
     }
 }
 
-/// One interleaved feed: `(stream_hash, seq, value)` triples in
-/// arrival order. Values double as symbol ids (the adapter scores the
-/// symbol, the EWMA the value), so one number exercises both slots.
-fn run_service(shards: usize, feed: &[(u64, u64, u32)]) -> Vec<(u64, Fingerprint)> {
-    let factory = bank_factory();
-    let service = IngestService::new(ServeConfig::new(shards, feed.len().max(1)), factory);
+impl Collect {
+    fn by_stream(&self) -> Verdicts {
+        let mut map = Verdicts::new();
+        for e in self.0.lock().unwrap().iter() {
+            let model = e.tier == Tier::Model;
+            let fp = fingerprint(e.seq, e.slot, &e.result, model);
+            map.entry(e.stream_hash).or_default().push(fp);
+        }
+        map
+    }
+}
+
+/// One interleaved feed of `(stream_hash, seq, value)` triples in
+/// arrival order, enqueued whole and drained once.
+fn run_service(shards: usize, tier1: Tier1Config, feed: &[(u64, u64, u32)]) -> Verdicts {
+    let config = ServeConfig::new(shards, feed.len().max(1)).gated(tier1);
+    let service = IngestService::new(config, bank_factory());
     for &(hash, seq, value) in feed {
-        service
-            .enqueue(SignalContext::new(
-                seq,
-                hash,
-                Symbol::new(value),
-                f64::from(value),
-            ))
-            .expect("capacity covers the whole feed");
+        let accepted = service.enqueue(event(hash, seq, value));
+        accepted.expect("capacity covers the whole feed");
     }
     let sink = Collect::default();
     let summary = service.drain(&sink);
-    let events = sink.0.lock().unwrap();
     assert_eq!(summary.processed as usize, feed.len());
-    assert_eq!(summary.emitted as usize, events.len());
-    events
-        .iter()
-        .map(|e| (e.stream_hash, fingerprint(e)))
-        .collect()
+    assert_eq!(summary.emitted as usize, sink.0.lock().unwrap().len());
+    sink.by_stream()
 }
 
-/// Reference: each stream alone through a bare engine.
-fn run_engine_alone(feed: &[(u64, u64, u32)], hash: u64) -> Vec<Fingerprint> {
+/// The sequential reference model: one entry per stream holding its
+/// gate statistics, its escalation flag and a bare engine. Events go
+/// through in feed order; the escalating event is also tier 2's first.
+fn run_model(tier1: Tier1Config, feed: &[(u64, u64, u32)]) -> Verdicts {
     let factory = bank_factory();
-    let mut engine = StreamEngine::new(factory);
-    let mut out = Vec::new();
-    for &(h, seq, value) in feed {
-        if h != hash {
-            continue;
+    let mut streams = BTreeMap::new();
+    let mut out = Verdicts::new();
+    for &(hash, seq, value) in feed {
+        let ctx = event(hash, seq, value);
+        let (gate, escalated, engine) = streams.entry(hash).or_insert_with(|| {
+            (
+                EwmaState::default(),
+                false,
+                StreamEngine::new(factory.clone()),
+            )
+        });
+        if !*escalated {
+            let Some(result) = gate.update(tier1.alpha, tier1.warmup, &ctx) else {
+                continue;
+            };
+            let fp = fingerprint(seq, 0, &result, false);
+            out.entry(hash).or_default().push(fp);
+            *escalated = result.score >= tier1.escalate_score;
+            if !*escalated {
+                continue;
+            }
         }
-        let mut buf = Vec::new();
-        engine.push(
-            &SignalContext::new(seq, h, Symbol::new(value), f64::from(value)),
-            &mut buf,
-        );
-        for slot in buf {
-            out.push(fingerprint(&VerdictEvent {
-                shard: 0,
-                stream_hash: h,
-                seq,
-                tier: detdiv_serve::Tier::Model,
-                slot: slot.slot,
-                result: slot.result,
-            }));
+        let mut slots = Vec::new();
+        engine.push(&ctx, &mut slots);
+        for slot in slots {
+            let fp = fingerprint(seq, slot.slot, &slot.result, true);
+            out.entry(hash).or_default().push(fp);
         }
     }
     out
 }
 
-fn assert_differential(shards: usize, feed: &[(u64, u64, u32)]) {
-    let served = run_service(shards, feed);
-    let mut hashes: Vec<u64> = feed.iter().map(|&(h, _, _)| h).collect();
-    hashes.sort_unstable();
-    hashes.dedup();
-    for hash in hashes {
-        let got: Vec<Fingerprint> = served
-            .iter()
-            .filter(|(h, _)| *h == hash)
-            .map(|(_, f)| *f)
-            .collect();
-        let want = run_engine_alone(feed, hash);
+/// Checks `feed` through a `shards`-shard service against the model,
+/// under each of the [`GATES`].
+fn assert_matches_model(shards: usize, feed: &[(u64, u64, u32)]) {
+    for tier1 in GATES {
         assert_eq!(
-            got, want,
-            "stream {hash:#x}: service verdicts must be byte-identical to the bare engine"
+            run_service(shards, tier1, feed),
+            run_model(tier1, feed),
+            "per-stream service verdicts must be byte-identical to the model ({tier1:?})"
         );
     }
 }
@@ -155,14 +185,14 @@ fn interleave(streams: &[(u64, Vec<u32>)]) -> Vec<(u64, u64, u32)> {
 }
 
 #[test]
-fn round_robin_interleaving_matches_isolated_engines() {
+fn round_robin_interleaving_matches_the_model() {
     let streams: Vec<(u64, Vec<u32>)> = (0..4u64)
         .map(|s| {
             let values = (0..40u32).map(|i| (i * 7 + s as u32 * 3) % 5).collect();
             (detdiv_stream::hash_stream_id(&format!("host-{s}")), values)
         })
         .collect();
-    assert_differential(1, &interleave(&streams));
+    assert_matches_model(1, &interleave(&streams));
 }
 
 #[test]
@@ -182,7 +212,7 @@ fn bursty_interleaving_with_duplicate_events_matches() {
         feed.push((b, i, (i % 3) as u32 + 2));
     }
     feed.push(feed[25]);
-    assert_differential(1, &feed);
+    assert_matches_model(1, &feed);
 }
 
 #[test]
@@ -197,18 +227,18 @@ fn hash_colliding_stream_ids_stay_distinct_streams() {
         (base, (0..30u32).map(|i| i % 4 + 1).collect::<Vec<_>>()),
         (collide, (0..30u32).map(|i| (i * 3) % 5).collect()),
     ];
-    assert_differential(shards as usize, &interleave(&streams));
+    assert_matches_model(shards as usize, &interleave(&streams));
 }
 
 #[test]
-fn multi_shard_feed_matches_isolated_engines() {
+fn multi_shard_feed_matches_the_model() {
     let streams: Vec<(u64, Vec<u32>)> = (0..9u64)
         .map(|s| {
             let values = (0..25u32).map(|i| (i * (s as u32 + 2)) % 6).collect();
             (detdiv_stream::hash_stream_id(&format!("node-{s}")), values)
         })
         .collect();
-    assert_differential(4, &interleave(&streams));
+    assert_matches_model(4, &interleave(&streams));
 }
 
 /// Serializes tests that reconfigure the global worker-pool width, so
@@ -226,11 +256,6 @@ fn spill_dir() -> std::path::PathBuf {
     ))
 }
 
-/// A guarded verdict's comparable bits: the plain [`Fingerprint`] plus
-/// the tier it was emitted at (the guard demotes tiers, so the tier is
-/// part of the determinism contract here).
-type GuardedFingerprint = (u64, usize, u64, u64, &'static str, bool);
-
 /// Everything observable about one guarded run that the determinism
 /// contract pins: per-offer accept/shed outcomes, the ladder level of
 /// every shard after every drain cycle, per-stream verdict sequences,
@@ -239,7 +264,7 @@ type GuardedFingerprint = (u64, usize, u64, u64, &'static str, bool);
 struct GuardHistory {
     accepts: Vec<u8>,
     levels: Vec<Vec<&'static str>>,
-    verdicts: BTreeMap<u64, Vec<GuardedFingerprint>>,
+    verdicts: Verdicts,
     counters: Vec<(u64, u64, u64, u64)>,
 }
 
@@ -254,11 +279,7 @@ fn run_guarded(
     feed: &[(u64, u64, u32)],
 ) -> GuardHistory {
     let dir = spill_dir();
-    let config = ServeConfig::new(shards, queue_cap).gated(Tier1Config {
-        alpha: 0.3,
-        warmup: 2,
-        escalate_score: 0.7,
-    });
+    let config = ServeConfig::new(shards, queue_cap).gated(GATES[1]);
     let guard = GuardConfig {
         budget_bytes: Some(budget),
         spill_dir: Some(dir.clone()),
@@ -270,7 +291,7 @@ fn run_guarded(
     let mut history = GuardHistory {
         accepts: Vec::with_capacity(feed.len()),
         levels: Vec::new(),
-        verdicts: BTreeMap::new(),
+        verdicts: Verdicts::new(),
         counters: Vec::new(),
     };
     let record_drain = |history: &mut GuardHistory| {
@@ -280,18 +301,13 @@ fn run_guarded(
             .push(service.guard_levels().iter().map(|l| l.name()).collect());
     };
     for (i, &(hash, seq, value)) in feed.iter().enumerate() {
-        history.accepts.push(
-            match service.enqueue(SignalContext::new(
-                seq,
-                hash,
-                Symbol::new(value),
-                f64::from(value),
-            )) {
+        history
+            .accepts
+            .push(match service.enqueue(event(hash, seq, value)) {
                 Ok(()) => 0,
                 Err(RejectReason::Shedding { .. }) => 1,
                 Err(_) => 2,
-            },
-        );
+            });
         if (i + 1) % chunk == 0 {
             record_drain(&mut history);
         }
@@ -309,16 +325,7 @@ fn run_guarded(
         cycles += 1;
         assert!(cycles < 1000, "ladder failed to recover to Full");
     }
-    for e in sink.0.lock().unwrap().iter() {
-        history.verdicts.entry(e.stream_hash).or_default().push((
-            e.seq,
-            e.slot,
-            e.result.score.to_bits(),
-            e.result.confidence.to_bits(),
-            e.result.reason,
-            e.tier == detdiv_serve::Tier::Model,
-        ));
-    }
+    history.verdicts = sink.by_stream();
     let stats = service.guard_stats().expect("guarded service");
     for s in &stats.shards {
         history.counters.push((
@@ -409,37 +416,19 @@ proptest! {
         prop_assert!(guarded.counters[0].2 > 0, "budget 1 must force spills");
         prop_assert!(guarded.counters[0].3 > 0, "returning streams must rehydrate");
 
-        let control = IngestService::new(
-            ServeConfig::new(1, 64).gated(Tier1Config {
-                alpha: 0.3,
-                warmup: 2,
-                escalate_score: 0.7,
-            }),
-            bank_factory(),
-        );
+        let control = IngestService::new(ServeConfig::new(1, 64).gated(GATES[1]), bank_factory());
         let sink = Collect::default();
         for (i, &(hash, seq, value)) in feed.iter().enumerate() {
             control
-                .enqueue(SignalContext::new(seq, hash, Symbol::new(value), f64::from(value)))
+                .enqueue(event(hash, seq, value))
                 .expect("capacity covers the feed");
             if (i + 1) % 8 == 0 {
                 control.drain(&sink);
             }
         }
         control.drain(&sink);
-        let mut expected: BTreeMap<u64, Vec<GuardedFingerprint>> = BTreeMap::new();
-        for e in sink.0.lock().unwrap().iter() {
-            expected.entry(e.stream_hash).or_default().push((
-                e.seq,
-                e.slot,
-                e.result.score.to_bits(),
-                e.result.confidence.to_bits(),
-                e.result.reason,
-                e.tier == detdiv_serve::Tier::Model,
-            ));
-        }
         prop_assert_eq!(
-            &guarded.verdicts, &expected,
+            &guarded.verdicts, &sink.by_stream(),
             "hibernate→rehydrate must not perturb a single verdict bit"
         );
     }
@@ -447,30 +436,31 @@ proptest! {
     /// Random interleavings: per-stream event sequences of random
     /// lengths/values, shuffled into one feed by a random pick order
     /// (including duplicated picks = duplicate keys back-to-back),
-    /// over 1 or 3 shards with deliberately colliding raw ids.
+    /// over 1 and 3 shards with deliberately colliding raw ids, under
+    /// both gates.
     #[test]
-    fn random_interleavings_match_isolated_engines(
+    fn random_interleavings_match_the_model(
         k in 2usize..=4,
-        shard_pick in 0usize..2,
         values in prop::collection::vec(0u32..5, 60..120),
         picks in prop::collection::vec(0usize..4, 60..120),
     ) {
-        let shards = [1usize, 3][shard_pick];
-        // Stream ids collide modulo `shards` on purpose: every stream
-        // maps to shard (7 % shards).
-        let ids: Vec<u64> = (0..k as u64).map(|s| 7 + s * shards as u64).collect();
-        let mut cursors = vec![0u64; k];
-        let mut feed = Vec::new();
-        for (i, &pick) in picks.iter().enumerate() {
-            let stream = pick % k;
-            let value = values[i % values.len()];
-            feed.push((ids[stream], cursors[stream], value));
-            cursors[stream] += 1;
-            if value == 0 {
-                // Duplicate key: replay the exact same event.
-                feed.push((ids[stream], cursors[stream] - 1, value));
+        for shards in [1usize, 3] {
+            // Stream ids collide modulo `shards` on purpose: every
+            // stream maps to shard (7 % shards).
+            let ids: Vec<u64> = (0..k as u64).map(|s| 7 + s * shards as u64).collect();
+            let mut cursors = vec![0u64; k];
+            let mut feed = Vec::new();
+            for (i, &pick) in picks.iter().enumerate() {
+                let stream = pick % k;
+                let value = values[i % values.len()];
+                feed.push((ids[stream], cursors[stream], value));
+                cursors[stream] += 1;
+                if value == 0 {
+                    // Duplicate key: replay the exact same event.
+                    feed.push((ids[stream], cursors[stream] - 1, value));
+                }
             }
+            assert_matches_model(shards, &feed);
         }
-        assert_differential(shards, &feed);
     }
 }

@@ -5,13 +5,14 @@
 //! the snapshot file alone. The pinned properties:
 //!
 //! 1. per-stream verdicts after recovery are bit-identical to the
-//!    uninterrupted run (full and gated tiering, including mid-warmup,
-//!    never-escalated, and escalated streams);
+//!    uninterrupted run (including mid-warmup, never-escalated, and
+//!    escalated streams);
 //! 2. a torn snapshot tail (partial final line, as a crash mid-write
 //!    would leave) discards the snapshot with a reason — never a
 //!    panic, never half-applied state;
-//! 3. shape drift (different bank, shard count, or tiering) degrades
-//!    to cold starts or a clean discard, explicitly counted.
+//! 3. shape drift (different bank or shard count, or an old
+//!    `tiering=full` header) degrades to cold starts or a clean
+//!    discard, explicitly counted.
 //!
 //! Cross-stream drain order is scheduling-dependent at worker widths
 //! above one, so every comparison here is per stream — which is the
@@ -51,6 +52,16 @@ fn bank_factory() -> impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + C
             Box::new(Ewma::new(0.2, 3)),
         ]
     }
+}
+
+/// A service shape with the given gate. Warmup 0 and threshold 0.0
+/// escalate every stream on its first event, so each carries a bank.
+fn config(shards: usize, warmup: usize, escalate_score: f64) -> ServeConfig {
+    ServeConfig::new(shards, 2048).gated(Tier1Config {
+        alpha: 0.3,
+        warmup,
+        escalate_score,
+    })
 }
 
 /// The comparable fields of a verdict.
@@ -128,7 +139,7 @@ fn push_all(service: &IngestService, feed: &[(u64, u64, u32)], sink: &Collect) {
     service.drain(sink);
 }
 
-/// The core battery, shared by both tiering modes: run uninterrupted;
+/// The core battery: run uninterrupted;
 /// run the first half + snapshot + "crash" + recover + run the rest;
 /// compare per-stream verdict sequences bit-for-bit.
 fn assert_recovery_resumes(config: ServeConfig, name: &str, all: &Feed) {
@@ -178,17 +189,8 @@ fn assert_recovery_resumes(config: ServeConfig, name: &str, all: &Feed) {
 }
 
 #[test]
-fn full_tiering_recovery_is_bit_identical() {
-    assert_recovery_resumes(ServeConfig::new(4, 2048), "full", &mixed_feed(30, 10));
-}
-
-#[test]
 fn gated_tiering_recovery_is_bit_identical() {
-    let config = ServeConfig::new(4, 2048).gated(Tier1Config {
-        alpha: 0.3,
-        warmup: 4,
-        escalate_score: 0.5,
-    });
+    let config = config(4, 4, 0.5);
     // The spike lands before the crash point, so the snapshot carries
     // an escalated stream with live tier-2 state alongside gated-only
     // and mid-warmup streams.
@@ -211,11 +213,7 @@ fn gated_tiering_recovery_is_bit_identical() {
 
 #[test]
 fn gated_escalation_after_recovery_still_matches() {
-    let config = ServeConfig::new(2, 2048).gated(Tier1Config {
-        alpha: 0.3,
-        warmup: 4,
-        escalate_score: 0.5,
-    });
+    let config = config(2, 4, 0.5);
     // The spike lands *after* the crash point: escalation must fire on
     // the recovered gate state (constant pre-crash history ⇒ zero
     // variance survives the snapshot).
@@ -225,7 +223,9 @@ fn gated_escalation_after_recovery_still_matches() {
 /// Snapshot taken while queues still hold undrained events: the
 /// residue must ride the snapshot and replay after recovery — not
 /// vanish (the pre-v2 bug) and not double-process.
-fn assert_queued_residue_survives(config: ServeConfig, name: &str) {
+#[test]
+fn gated_tiering_snapshot_with_loaded_queues_replays_the_residue() {
+    let config = config(4, 4, 0.5);
     let all = mixed_feed(30, 10);
     let half = all.len() / 2;
     let quarter = half + all.len() / 4;
@@ -237,7 +237,7 @@ fn assert_queued_residue_survives(config: ServeConfig, name: &str) {
 
     // First process: drain the first half, then enqueue a quarter more
     // WITHOUT draining and snapshot with the queues loaded.
-    let path = temp_path(name);
+    let path = temp_path("queued-gated");
     let first = IngestService::new(config, bank_factory());
     let before_crash = Collect::default();
     push_all(&first, &all[..half], &before_crash);
@@ -291,25 +291,10 @@ fn assert_queued_residue_survives(config: ServeConfig, name: &str) {
 }
 
 #[test]
-fn full_tiering_snapshot_with_loaded_queues_replays_the_residue() {
-    assert_queued_residue_survives(ServeConfig::new(4, 2048), "queued-full");
-}
-
-#[test]
-fn gated_tiering_snapshot_with_loaded_queues_replays_the_residue() {
-    let config = ServeConfig::new(4, 2048).gated(Tier1Config {
-        alpha: 0.3,
-        warmup: 4,
-        escalate_score: 0.5,
-    });
-    assert_queued_residue_survives(config, "queued-gated");
-}
-
-#[test]
 fn torn_tail_snapshot_is_discarded_not_fatal() {
     use std::io::Write;
     let path = temp_path("torn");
-    let service = IngestService::new(ServeConfig::new(2, 1024), bank_factory());
+    let service = IngestService::new(config(2, 0, 0.0), bank_factory());
     let sink = Collect::default();
     push_all(&service, &mixed_feed(12, 4), &sink);
     service.snapshot(&path).expect("snapshot writes");
@@ -322,7 +307,7 @@ fn torn_tail_snapshot_is_discarded_not_fatal() {
     f.write_all(&content.as_bytes()[..cut]).unwrap();
     drop(f);
 
-    let fresh = IngestService::new(ServeConfig::new(2, 1024), bank_factory());
+    let fresh = IngestService::new(config(2, 0, 0.0), bank_factory());
     match fresh.recover(&path) {
         RecoverOutcome::Discarded { reason } => {
             assert!(
@@ -342,7 +327,7 @@ fn torn_tail_snapshot_is_discarded_not_fatal() {
 #[test]
 fn corrupt_interior_line_is_discarded_not_fatal() {
     let path = temp_path("corrupt");
-    let service = IngestService::new(ServeConfig::new(2, 1024), bank_factory());
+    let service = IngestService::new(config(2, 0, 0.0), bank_factory());
     push_all(&service, &mixed_feed(12, 4), &Collect::default());
     service.snapshot(&path).expect("snapshot writes");
 
@@ -353,7 +338,7 @@ fn corrupt_interior_line_is_discarded_not_fatal() {
     bytes[second_line] = bytes[second_line].wrapping_add(1);
     std::fs::write(&path, &bytes).unwrap();
 
-    let fresh = IngestService::new(ServeConfig::new(2, 1024), bank_factory());
+    let fresh = IngestService::new(config(2, 0, 0.0), bank_factory());
     assert!(
         matches!(fresh.recover(&path), RecoverOutcome::Discarded { .. }),
         "interior corruption must discard the snapshot"
@@ -363,43 +348,49 @@ fn corrupt_interior_line_is_discarded_not_fatal() {
 
 #[test]
 fn missing_file_and_shape_drift_are_discarded() {
-    let fresh = IngestService::new(ServeConfig::new(2, 1024), bank_factory());
+    let fresh = IngestService::new(config(2, 0, 0.0), bank_factory());
     let missing = fresh.recover(temp_path("never-written"));
     assert!(matches!(missing, RecoverOutcome::Discarded { reason } if reason.contains("missing")));
 
     // Snapshot with 2 shards, recover into 3: header mismatch.
     let path = temp_path("drift");
-    let service = IngestService::new(ServeConfig::new(2, 1024), bank_factory());
+    let service = IngestService::new(config(2, 0, 0.0), bank_factory());
     push_all(&service, &mixed_feed(10, 4), &Collect::default());
     service.snapshot(&path).expect("snapshot writes");
-    let other = IngestService::new(ServeConfig::new(3, 1024), bank_factory());
+    let other = IngestService::new(config(3, 0, 0.0), bank_factory());
     assert!(
         matches!(other.recover(&path), RecoverOutcome::Discarded { reason } if reason.contains("header")),
         "shard-count drift must discard"
     );
 
-    // Tiering drift likewise.
-    let gated = IngestService::new(
-        ServeConfig::new(2, 1024).gated(Tier1Config::default()),
-        bank_factory(),
+    // A well-formed snapshot whose header names the retired `full`
+    // tiering mode is refused on its header, and the service stays cold.
+    let path = temp_path("tiering-drift");
+    let content: String = [
+        "serve-snapshot v2 shards=2 tiering=full",
+        "stream 00000000deadbeef esc=1 t1=- slots=2 h:- h:-",
+        "end streams=1 queued=0",
+    ]
+    .iter()
+    .map(|line| detdiv_resil::checksum_line(line) + "\n")
+    .collect();
+    std::fs::write(&path, content).unwrap();
+    assert!(
+        matches!(fresh.recover(&path), RecoverOutcome::Discarded { reason } if reason.contains("header"))
     );
-    assert!(matches!(
-        gated.recover(&path),
-        RecoverOutcome::Discarded { .. }
-    ));
+    assert_eq!(fresh.stream_count(), 0);
 }
 
 #[test]
 fn bank_shape_drift_degrades_to_cold_start_streams() {
     let path = temp_path("bank-drift");
-    let service = IngestService::new(ServeConfig::new(2, 1024), bank_factory());
+    let service = IngestService::new(config(2, 0, 0.0), bank_factory());
     push_all(&service, &mixed_feed(10, 4), &Collect::default());
     service.snapshot(&path).expect("snapshot writes");
 
-    // Same shards + tiering, but a one-slot bank: every stream's
-    // two-slot snapshot is refused and restarts cold — counted, not
-    // fatal.
-    let other = IngestService::new(ServeConfig::new(2, 1024), || {
+    // Same shape, but a one-slot bank: every stream's two-slot snapshot
+    // is refused and restarts cold — counted, not fatal.
+    let other = IngestService::new(config(2, 0, 0.0), || {
         vec![Box::new(Ewma::new(0.2, 3)) as Box<dyn StreamDetector>]
     });
     match other.recover(&path) {

@@ -282,14 +282,6 @@ where
         self.streams.remove(&stream_id_hash).is_some()
     }
 
-    /// Every stream id seen so far, ascending — the deterministic
-    /// iteration order snapshotting callers need.
-    pub fn stream_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.streams.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Captures one stream's per-slot state for a snapshot: each
     /// slot's degraded flag plus its detector's
     /// [`StreamDetector::state_bytes`] (which is `None` for
@@ -504,7 +496,7 @@ mod tests {
                 &mut out,
             );
         }
-        assert_eq!(first.stream_ids(), vec![s]);
+        assert_eq!(first.stream_count(), 1);
         let saved = first.snapshot_stream(s).expect("known stream snapshots");
         assert!(first.snapshot_stream(s ^ 1).is_none());
         let mut resumed = make();

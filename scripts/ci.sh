@@ -84,9 +84,10 @@
 #                               must still match the fault-free
 #                               artifacts while the panic hook leaves a
 #                               parseable crash dump
-#  12. serve gate             — `loadgen`'s deterministic stdout is
-#                               identical at widths 1 and 4 and to the
-#                               committed expected line, a chaos
+#  12. serve gate             — `loadgen`'s deterministic stdout and
+#                               `--snapshot` file are identical at
+#                               widths 1 and 4 and to the committed
+#                               expected line and hash, a chaos
 #                               run accounts for every event, a
 #                               snapshot/resume chain recovers warm
 #                               state, and the serve suites pass at
@@ -405,15 +406,24 @@ SERVE_DIR="$GATE_DIR/serve"
 mkdir -p "$SERVE_DIR"
 LOADGEN_ARGS="--streams 20000 --events-per-stream 4 --shards 16 --queue-cap 1024"
 DETDIV_LOG=off DETDIV_THREADS=1 timeout 300 ./target/release/loadgen \
-    $LOADGEN_ARGS --threads 1 > "$SERVE_DIR/t1_stdout.txt" 2> /dev/null
+    $LOADGEN_ARGS --threads 1 --snapshot "$SERVE_DIR/t1.snap" \
+    > "$SERVE_DIR/t1_stdout.txt" 2> /dev/null
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
-    $LOADGEN_ARGS --threads 4 > "$SERVE_DIR/t4_stdout.txt" 2> /dev/null
+    $LOADGEN_ARGS --threads 4 --snapshot "$SERVE_DIR/t4.snap" \
+    > "$SERVE_DIR/t4_stdout.txt" 2> /dev/null
 cmp "$SERVE_DIR/t1_stdout.txt" "$SERVE_DIR/t4_stdout.txt"
+cmp "$SERVE_DIR/t1.snap" "$SERVE_DIR/t4.snap"
 # Width agreement alone passes a change that moves every width's bytes
-# the same way; the committed line pins them across commits. After an
-# intentional digest change, rewrite it from the width-1 run above.
+# the same way; the committed line and hash pin them across commits.
+# After an intentional digest or snapshot-format change, rewrite them
+# from the width-1 run above.
 cmp "$SERVE_DIR/t1_stdout.txt" scripts/expected/loadgen_serve.txt
-echo "loadgen verdict digest identical at widths 1 and 4 and to the expected line ($(cat "$SERVE_DIR/t1_stdout.txt"))"
+SNAP_SHA=$(sha256sum < "$SERVE_DIR/t1.snap" | cut -d' ' -f1)
+[ "$SNAP_SHA" = "$(cat scripts/expected/loadgen_snapshot.sha256)" ] || {
+    echo "serve gate: snapshot sha256 $SNAP_SHA differs from scripts/expected/loadgen_snapshot.sha256" >&2
+    exit 1
+}
+echo "loadgen verdict digest and snapshot identical at widths 1 and 4 and to the expected line and hash ($(cat "$SERVE_DIR/t1_stdout.txt"))"
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
     $LOADGEN_ARGS --threads 4 --fault "$FAULT_SPEC" \
     > "$SERVE_DIR/chaos_stdout.txt" 2> "$SERVE_DIR/chaos_stderr.txt"
@@ -423,10 +433,7 @@ grep -q "events=80000" "$SERVE_DIR/chaos_stdout.txt" || {
 }
 echo "chaos loadgen survived injected panics with every event processed"
 DETDIV_LOG=off DETDIV_THREADS=1 timeout 300 ./target/release/loadgen \
-    $LOADGEN_ARGS --threads 1 --snapshot "$SERVE_DIR/state.snap" \
-    > /dev/null 2> /dev/null
-DETDIV_LOG=off DETDIV_THREADS=1 timeout 300 ./target/release/loadgen \
-    $LOADGEN_ARGS --threads 1 --resume "$SERVE_DIR/state.snap" \
+    $LOADGEN_ARGS --threads 1 --resume "$SERVE_DIR/t1.snap" \
     > /dev/null 2> "$SERVE_DIR/resume_stderr.txt"
 grep -q "resumed 20000 stream(s)" "$SERVE_DIR/resume_stderr.txt" || {
     echo "serve gate: resume did not recover the snapshotted streams" >&2

@@ -114,7 +114,7 @@ pub mod prelude {
         symbols, Alphabet, NgramCounter, StreamProfile, SubstringIndex, Symbol,
         DEFAULT_RARE_THRESHOLD,
     };
-    pub use detdiv_serve::{IngestService, ServeConfig, Tier1Config, Tiering, VerdictSink};
+    pub use detdiv_serve::{IngestService, ServeConfig, Tier1Config, VerdictSink};
     pub use detdiv_stream::{
         stream_scores, DetectionResult, ModelAdapter, SignalContext, StreamDetector, StreamEngine,
     };
