@@ -44,6 +44,8 @@
 //! env `DETDIV_GUARD_BYTES`); shed counts, recovery cycles, and the
 //! verdict digest all land on stdout because the guard's decisions are
 //! pure functions of observed counters — identical at every width.
+//! `--guard-bytes` without `--overload` is an argument error: no guard
+//! would read it.
 //!
 //! `--flight PATH` arms the flight recorder for the run and exports
 //! the audit log — under `--overload` every guard transition (ladder,
@@ -160,6 +162,9 @@ fn parse_args() -> Result<Args, String> {
         if args.streams == 0 || args.events_per_stream == 0 || args.shards == 0 {
             return Err("streams, events-per-stream, and shards must be positive".to_owned());
         }
+    }
+    if args.guard_bytes.is_some() && !args.overload {
+        return Err("--guard-bytes needs --overload (no guard is attached without it)".to_owned());
     }
     Ok(args)
 }
@@ -302,7 +307,6 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 failure_threshold: 1,
                 open_cycles: 2,
             },
-            ..GuardConfig::default()
         };
         IngestService::with_guard(config, guard_config, factory)?
     } else {

@@ -56,17 +56,15 @@ impl BreakerState {
 /// emit a flight audit record.
 pub type BreakerTransition = (BreakerState, BreakerState);
 
-/// The per-shard breaker. All timing is in drain cycles
-/// ([`on_cycle`](Breaker::on_cycle) advances them), so the trajectory
-/// is a pure function of the failure/success sequence.
+/// The per-shard breaker. All timing is in drain cycles, which the
+/// caller counts and passes in, so the trajectory is a pure function
+/// of the cycle-stamped failure/success sequence.
 #[derive(Debug, Clone)]
 pub struct Breaker {
     config: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     opened_at_cycle: u64,
-    cycle: u64,
-    opens: u64,
 }
 
 impl Breaker {
@@ -80,8 +78,6 @@ impl Breaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             opened_at_cycle: 0,
-            cycle: 0,
-            opens: 0,
         }
     }
 
@@ -90,23 +86,17 @@ impl Breaker {
         self.state
     }
 
-    /// Times the breaker has opened.
-    pub fn opens(&self) -> u64 {
-        self.opens
-    }
-
     /// Whether a tier-2 push is admitted right now (closed, or
     /// half-open probing).
     pub fn admits(&self) -> bool {
         !matches!(self.state, BreakerState::Open)
     }
 
-    /// Advances one drain cycle; an open breaker half-opens after its
-    /// cooldown elapses.
-    pub fn on_cycle(&mut self) -> Option<BreakerTransition> {
-        self.cycle += 1;
+    /// Starts drain cycle `cycle`; an open breaker half-opens once its
+    /// cooldown has elapsed.
+    pub fn on_cycle(&mut self, cycle: u64) -> Option<BreakerTransition> {
         if self.state == BreakerState::Open
-            && self.cycle - self.opened_at_cycle >= u64::from(self.config.open_cycles)
+            && cycle - self.opened_at_cycle >= u64::from(self.config.open_cycles)
         {
             self.state = BreakerState::HalfOpen;
             return Some((BreakerState::Open, BreakerState::HalfOpen));
@@ -125,32 +115,25 @@ impl Breaker {
         None
     }
 
-    /// Records a failed tier-2 push (a newly degraded slot): re-opens
-    /// a half-open breaker immediately, opens a closed one at the
-    /// failure threshold.
-    pub fn on_failure(&mut self) -> Option<BreakerTransition> {
-        match self.state {
-            BreakerState::HalfOpen => {
-                self.state = BreakerState::Open;
-                self.opened_at_cycle = self.cycle;
-                self.opens += 1;
-                self.consecutive_failures = 0;
-                Some((BreakerState::HalfOpen, BreakerState::Open))
-            }
+    /// Records a failed tier-2 push (a newly degraded slot) during
+    /// drain cycle `cycle`: re-opens a half-open breaker immediately,
+    /// opens a closed one at the failure threshold.
+    pub fn on_failure(&mut self, cycle: u64) -> Option<BreakerTransition> {
+        let from = self.state;
+        match from {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
-                    self.state = BreakerState::Open;
-                    self.opened_at_cycle = self.cycle;
-                    self.opens += 1;
-                    self.consecutive_failures = 0;
-                    Some((BreakerState::Closed, BreakerState::Open))
-                } else {
-                    None
+                if self.consecutive_failures < self.config.failure_threshold {
+                    return None;
                 }
             }
-            BreakerState::Open => None,
+            BreakerState::HalfOpen => {}
+            BreakerState::Open => return None,
         }
+        self.state = BreakerState::Open;
+        self.opened_at_cycle = cycle;
+        self.consecutive_failures = 0;
+        Some((from, BreakerState::Open))
     }
 }
 
@@ -164,15 +147,14 @@ mod tests {
             failure_threshold: 3,
             open_cycles: 2,
         });
-        assert!(b.on_failure().is_none());
-        assert!(b.on_failure().is_none());
+        assert!(b.on_failure(1).is_none());
+        assert!(b.on_failure(1).is_none());
         assert!(b.on_success().is_none(), "success clears the streak");
-        assert!(b.on_failure().is_none());
-        assert!(b.on_failure().is_none());
-        let t = b.on_failure().expect("third consecutive failure opens");
+        assert!(b.on_failure(1).is_none());
+        assert!(b.on_failure(1).is_none());
+        let t = b.on_failure(1).expect("third consecutive failure opens");
         assert_eq!(t, (BreakerState::Closed, BreakerState::Open));
         assert!(!b.admits());
-        assert_eq!(b.opens(), 1);
     }
 
     #[test]
@@ -181,35 +163,35 @@ mod tests {
             failure_threshold: 1,
             open_cycles: 2,
         });
-        b.on_cycle();
-        b.on_failure().expect("opens at threshold 1");
-        assert!(b.on_cycle().is_none(), "cooldown cycle 1");
-        let t = b.on_cycle().expect("cooldown elapsed");
+        b.on_cycle(1);
+        b.on_failure(1).expect("opens at threshold 1");
+        assert!(b.on_cycle(2).is_none(), "cooldown cycle 1");
+        let t = b.on_cycle(3).expect("cooldown elapsed");
         assert_eq!(t, (BreakerState::Open, BreakerState::HalfOpen));
         assert!(b.admits(), "half-open admits the probe");
         // A successful probe closes; a failing probe re-opens.
         let t = b.on_success().expect("probe success closes");
         assert_eq!(t, (BreakerState::HalfOpen, BreakerState::Closed));
-        b.on_failure();
+        b.on_failure(3);
         assert!(!b.admits());
-        b.on_cycle();
-        b.on_cycle();
+        b.on_cycle(4);
+        b.on_cycle(5);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        let t = b.on_failure().expect("probe failure re-opens");
+        let t = b.on_failure(5).expect("probe failure re-opens");
         assert_eq!(t, (BreakerState::HalfOpen, BreakerState::Open));
-        assert_eq!(b.opens(), 3);
+        assert!(b.on_cycle(6).is_none(), "the cooldown restarts");
     }
 
     #[test]
     fn trajectories_replay_identically() {
         let drive = |b: &mut Breaker| {
             let mut log = Vec::new();
-            for i in 0..40u32 {
-                if let Some(t) = b.on_cycle() {
+            for cycle in 1..=40u64 {
+                if let Some(t) = b.on_cycle(cycle) {
                     log.push(t);
                 }
-                let outcome = if i % 7 < 3 {
-                    b.on_failure()
+                let outcome = if cycle % 7 < 4 {
+                    b.on_failure(cycle)
                 } else {
                     b.on_success()
                 };

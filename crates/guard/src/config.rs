@@ -1,4 +1,5 @@
-//! Guard configuration: thresholds, budgets, and the env-var knobs.
+//! Guard configuration: the byte budget, the spill directory, the
+//! breaker, and their env-var knobs.
 
 use std::path::PathBuf;
 
@@ -13,11 +14,11 @@ pub const ENV_GUARD_DIR: &str = "DETDIV_GUARD_DIR";
 
 /// Shape of the guard subsystem attached to an ingest service.
 ///
-/// Every threshold feeds the pure pressure classification
-/// ([`crate::PressureSample::classify`]); no field is a wall-clock
-/// value, so a guarded run's ladder trajectory depends only on what
-/// the shards counted.
-#[derive(Debug, Clone, PartialEq)]
+/// No field is a wall-clock value, so a guarded run's trajectory
+/// depends only on what the shards counted. The queue-fill thresholds
+/// and the ladder's cooldown are fixed
+/// ([`crate::PressureSample::classify`], [`crate::Ladder`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GuardConfig {
     /// Total resident detector-state byte budget across all shards;
     /// `None` disables budget pressure and hibernation-by-budget.
@@ -25,34 +26,8 @@ pub struct GuardConfig {
     /// Directory for hibernation segment files; `None` disables
     /// hibernation entirely (budget overruns then only raise pressure).
     pub spill_dir: Option<PathBuf>,
-    /// Queue fill fraction at or above which pressure is `Elevated`
-    /// (ladder target: gated-only).
-    pub gate_only_at: f64,
-    /// Queue fill fraction at or above which pressure is `High`
-    /// (ladder target: tier1-only).
-    pub tier1_only_at: f64,
-    /// Queue fill fraction at or above which pressure is `Critical`
-    /// (ladder target: shedding).
-    pub shed_at: f64,
-    /// Consecutive calm drain cycles required before the ladder steps
-    /// down one rung (hysteresis).
-    pub cool_cycles: u32,
     /// The tier-2 escalation circuit breaker.
     pub breaker: BreakerConfig,
-}
-
-impl Default for GuardConfig {
-    fn default() -> GuardConfig {
-        GuardConfig {
-            budget_bytes: None,
-            spill_dir: None,
-            gate_only_at: 0.5,
-            tier1_only_at: 0.75,
-            shed_at: 0.9,
-            cool_cycles: 2,
-            breaker: BreakerConfig::default(),
-        }
-    }
 }
 
 impl GuardConfig {
@@ -88,14 +63,6 @@ impl GuardConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_thresholds_are_ordered() {
-        let c = GuardConfig::default();
-        assert!(c.gate_only_at < c.tier1_only_at);
-        assert!(c.tier1_only_at < c.shed_at);
-        assert!(c.shed_at <= 1.0);
-    }
 
     #[test]
     fn shard_budget_divides_and_never_hits_zero() {

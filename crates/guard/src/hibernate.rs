@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use detdiv_resil::checksum_line;
 
@@ -24,12 +24,9 @@ use detdiv_resil::checksum_line;
 #[derive(Debug)]
 pub struct HibernationStore {
     file: File,
-    path: PathBuf,
     /// Stream hash → (byte offset of the line, line length sans `\n`).
     index: HashMap<u64, (u64, u32)>,
     end: u64,
-    spilled: u64,
-    recalled: u64,
 }
 
 impl HibernationStore {
@@ -39,41 +36,17 @@ impl HibernationStore {
     ///
     /// Propagates file creation failures.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<HibernationStore> {
-        let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&path)?;
+            .open(path)?;
         Ok(HibernationStore {
             file,
-            path,
             index: HashMap::new(),
             end: 0,
-            spilled: 0,
-            recalled: 0,
         })
-    }
-
-    /// The segment path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Streams currently hibernated.
-    pub fn resident(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Total spill operations.
-    pub fn spilled(&self) -> u64 {
-        self.spilled
-    }
-
-    /// Total successful recalls.
-    pub fn recalled(&self) -> u64 {
-        self.recalled
     }
 
     /// Hibernated stream hashes, sorted (deterministic iteration for
@@ -99,7 +72,6 @@ impl HibernationStore {
         self.file.write_all(b"\n")?;
         self.index.insert(hash, (self.end, line.len() as u32));
         self.end += line.len() as u64 + 1;
-        self.spilled += 1;
         Ok(())
     }
 
@@ -150,15 +122,14 @@ impl HibernationStore {
             return Ok(None);
         };
         self.index.remove(&hash);
-        let payload = self.read_at(offset, len)?;
-        self.recalled += 1;
-        Ok(Some(payload))
+        self.read_at(offset, len).map(Some)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_segment(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -172,7 +143,6 @@ mod tests {
         let mut store = HibernationStore::create(&path).unwrap();
         store.spill(7, "stream 0007 esc=0 t1=ab slots=0").unwrap();
         store.spill(9, "stream 0009 esc=1 t1=- slots=0").unwrap();
-        assert_eq!(store.resident(), 2);
         assert_eq!(store.hashes(), vec![7, 9]);
         assert_eq!(
             store.recall(7).unwrap().as_deref(),
@@ -180,7 +150,6 @@ mod tests {
         );
         assert_eq!(store.hashes(), vec![9]);
         assert_eq!(store.recall(7).unwrap(), None, "recall is consuming");
-        assert_eq!(store.recalled(), 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -190,7 +159,7 @@ mod tests {
         let mut store = HibernationStore::create(&path).unwrap();
         store.spill(1, "old payload").unwrap();
         store.spill(1, "new payload").unwrap();
-        assert_eq!(store.resident(), 1);
+        assert_eq!(store.hashes(), vec![1]);
         assert_eq!(store.peek(1).unwrap().as_deref(), Some("new payload"));
         assert_eq!(store.peek(1).unwrap().as_deref(), Some("new payload"));
         assert_eq!(store.recall(1).unwrap().as_deref(), Some("new payload"));

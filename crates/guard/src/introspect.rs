@@ -4,13 +4,15 @@
 //! locks on the hot path) and publishes [`GuardStats::render_json`] as
 //! the `"guard"` introspection page when a guarded service registers.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pressure::DegradationLevel;
 
 /// Per-shard guard counters. `level`, `breaker_state`, and
 /// `resident_bytes` are point-in-time gauges (published at the end of
-/// each drain cycle); everything else is monotonic.
+/// each drain cycle); everything else is monotonic and counts each
+/// transition when it happens.
 #[derive(Debug, Default)]
 pub struct GuardShardStats {
     /// Current [`DegradationLevel`] as its dense index.
@@ -30,6 +32,28 @@ pub struct GuardShardStats {
     pub hibernated: AtomicU64,
     /// Streams rehydrated from the segment on a later event.
     pub rehydrated: AtomicU64,
+}
+
+/// A JSON key and the shard counter it reads.
+type Field = (&'static str, fn(&GuardShardStats) -> &AtomicU64);
+
+/// The counters rendered both as service totals and per shard, in
+/// render order: one list, so the two objects cannot drift apart.
+const FIELDS: [Field; 6] = [
+    ("resident_bytes", |s| &s.resident_bytes),
+    ("shed", |s| &s.shed),
+    ("ladder_transitions", |s| &s.ladder_transitions),
+    ("breaker_opens", |s| &s.breaker_opens),
+    ("hibernated", |s| &s.hibernated),
+    ("rehydrated", |s| &s.rehydrated),
+];
+
+/// Renders `"key":value` for each of `fields`, comma-separated.
+fn push_fields(out: &mut String, fields: &[Field], value: impl Fn(&Field) -> u64) {
+    for (i, field) in fields.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\"{}\":{}", field.0, value(field));
+    }
 }
 
 /// Counters for one guarded service: a fixed vector of shard stats
@@ -60,13 +84,6 @@ impl GuardStats {
             .unwrap_or(DegradationLevel::Full)
     }
 
-    /// Whether every shard has returned to `Full`.
-    pub fn all_full(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.level.load(Ordering::Relaxed) == DegradationLevel::Full.index())
-    }
-
     /// Folds the current per-shard resident bytes into the service
     /// peak and returns the summed value.
     pub fn update_resident_peak(&self) -> u64 {
@@ -82,38 +99,38 @@ impl GuardStats {
             .sum()
     }
 
-    /// Renders the stats as one JSON object (stable key order).
+    /// Renders the stats as one JSON object (stable key order). The
+    /// service-wide `resident_peak` follows the summed `resident_bytes`
+    /// in the totals.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(256 + 96 * self.shards.len());
-        out.push_str("{\"registered\":true");
-        out.push_str(&format!(",\"shards\":{}", self.shards.len()));
-        out.push_str(&format!(
-            ",\"totals\":{{\"resident_bytes\":{},\"resident_peak\":{},\"shed\":{},\"ladder_transitions\":{},\"breaker_opens\":{},\"hibernated\":{},\"rehydrated\":{}}}",
-            self.sum(|s| &s.resident_bytes),
-            self.resident_peak.load(Ordering::Relaxed),
-            self.sum(|s| &s.shed),
-            self.sum(|s| &s.ladder_transitions),
-            self.sum(|s| &s.breaker_opens),
-            self.sum(|s| &s.hibernated),
-            self.sum(|s| &s.rehydrated),
-        ));
-        out.push_str(",\"per_shard\":[");
+        let _ = write!(
+            out,
+            "{{\"registered\":true,\"shards\":{},\"totals\":{{",
+            self.shards.len()
+        );
+        let total = |f: &Field| self.sum(f.1);
+        push_fields(&mut out, &FIELDS[..1], total);
+        let _ = write!(
+            out,
+            ",\"resident_peak\":{},",
+            self.resident_peak.load(Ordering::Relaxed)
+        );
+        push_fields(&mut out, &FIELDS[1..], total);
+        out.push_str("},\"per_shard\":[");
         for (i, s) in self.shards.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let level = DegradationLevel::from_index(s.level.load(Ordering::Relaxed));
-            out.push_str(&format!(
-                "{{\"shard\":{i},\"level\":\"{}\",\"breaker\":{},\"resident_bytes\":{},\"shed\":{},\"ladder_transitions\":{},\"breaker_opens\":{},\"hibernated\":{},\"rehydrated\":{}}}",
+            let _ = write!(
+                out,
+                "{{\"shard\":{i},\"level\":\"{}\",\"breaker\":{},",
                 level.name(),
-                s.breaker_state.load(Ordering::Relaxed),
-                s.resident_bytes.load(Ordering::Relaxed),
-                s.shed.load(Ordering::Relaxed),
-                s.ladder_transitions.load(Ordering::Relaxed),
-                s.breaker_opens.load(Ordering::Relaxed),
-                s.hibernated.load(Ordering::Relaxed),
-                s.rehydrated.load(Ordering::Relaxed),
-            ));
+                s.breaker_state.load(Ordering::Relaxed)
+            );
+            push_fields(&mut out, &FIELDS, |f| f.1(s).load(Ordering::Relaxed));
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -135,7 +152,6 @@ mod tests {
         assert_eq!(stats.shard_level(0), DegradationLevel::Shedding);
         assert_eq!(stats.shard_level(1), DegradationLevel::Full);
         assert_eq!(stats.shard_level(9), DegradationLevel::Full);
-        assert!(!stats.all_full());
         assert_eq!(stats.update_resident_peak(), 96);
         let json = stats.render_json();
         assert!(json.contains("\"registered\":true"), "{json}");

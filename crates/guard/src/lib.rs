@@ -8,23 +8,23 @@
 //! is that policy layer, and every decision in it is a pure function
 //! of observed counters so chaos/CI runs replay bit-identically:
 //!
-//! * **Pressure model** ([`PressureSample`], [`PressureLevel`]) — a
-//!   per-shard sample of queue depth and resident state bytes
-//!   classifies into a discrete pressure level. No wall-clock value
-//!   ever enters the classification, and no decision in this crate
-//!   reads a clock.
+//! * **Pressure model** ([`PressureSample`]) — a per-shard sample of
+//!   queue depth and resident state bytes classifies straight into the
+//!   ladder rung it demands, by fixed queue-fill thresholds (0.5, 0.75,
+//!   0.9) and the byte budget. No wall-clock value ever enters the
+//!   classification, and no decision in this crate reads a clock.
 //! * **Degradation ladder** ([`Ladder`], [`DegradationLevel`]) —
 //!   `Full → GatedOnly → Tier1Only → Shedding` with hysteresis:
-//!   escalation jumps straight to the target level, de-escalation
-//!   steps down one rung only after a configurable number of
-//!   consecutive calm drain cycles. Transitions are recorded as
-//!   [`LadderTransition`]s for the flight audit log.
+//!   escalation jumps straight to the target rung, de-escalation
+//!   steps down one rung only after two consecutive calm drain
+//!   cycles. Each move is reported as a `(from, to)`
+//!   [`LadderTransition`] for the flight audit log.
 //! * **Circuit breaker** ([`Breaker`]) around tier-2 escalation —
-//!   consecutive failures open it, a deterministic cycle-counted
-//!   cooldown half-opens it, and a successful probe closes it again.
-//!   While open, escalated streams fall back to their tier-1 gate
-//!   verdict tagged with a degraded-confidence reason (the serve layer
-//!   owns that emission).
+//!   consecutive failures open it, a cooldown counted in the caller's
+//!   drain cycles half-opens it, and a successful probe closes it
+//!   again. While open, escalated streams fall back to their tier-1
+//!   gate verdict tagged with a degraded-confidence reason (the serve
+//!   layer owns that emission).
 //! * **Cold-stream hibernation** ([`HibernationStore`]) — LRU-idle
 //!   streams spill their serialized state to a checksummed segment
 //!   file and rehydrate on their next event, capping resident memory
@@ -49,4 +49,4 @@ pub use breaker::{Breaker, BreakerConfig, BreakerState, BreakerTransition};
 pub use config::{GuardConfig, ENV_GUARD_BYTES, ENV_GUARD_DIR};
 pub use hibernate::HibernationStore;
 pub use ladder::{Ladder, LadderTransition};
-pub use pressure::{DegradationLevel, PressureLevel, PressureSample};
+pub use pressure::{DegradationLevel, PressureSample};

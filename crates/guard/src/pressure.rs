@@ -1,23 +1,15 @@
-//! The deterministic pressure model: discrete levels computed from
+//! The deterministic pressure model: a ladder target computed from
 //! observed counters, never from wall-clock readings.
 
-use crate::config::GuardConfig;
-
-/// Discrete pressure classification of one shard at one drain cycle.
-///
-/// Ordered: comparison follows severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PressureLevel {
-    /// Everything within bounds.
-    Nominal,
-    /// Queue fill crossed the gate-only threshold.
-    Elevated,
-    /// Queue fill crossed the tier1-only threshold or the resident-bytes
-    /// budget is exceeded.
-    High,
-    /// Queue fill crossed the shed threshold.
-    Critical,
-}
+/// Queue fill fraction at or above which the ladder's target is
+/// [`DegradationLevel::GatedOnly`].
+const GATE_ONLY_AT: f64 = 0.5;
+/// Queue fill fraction at or above which the target is
+/// [`DegradationLevel::Tier1Only`].
+const TIER1_ONLY_AT: f64 = 0.75;
+/// Queue fill fraction at or above which the target is
+/// [`DegradationLevel::Shedding`].
+const SHED_AT: f64 = 0.9;
 
 /// What one drain cycle observed about a shard. Every field is a
 /// counter the service maintains deterministically — the
@@ -37,38 +29,42 @@ pub struct PressureSample {
 }
 
 impl PressureSample {
-    /// Classifies the sample against the config's thresholds: the
-    /// worst applicable level wins. Pure — no clock, no randomness.
-    pub fn classify(&self, config: &GuardConfig) -> PressureLevel {
+    /// The ladder rung this sample demands: the queue fill picks a
+    /// rung by the fixed thresholds (0.5, 0.75, 0.9), and a
+    /// resident-bytes budget overrun demands at least `Tier1Only`.
+    /// Pure — no clock, no randomness.
+    pub fn classify(&self) -> DegradationLevel {
         let fill = if self.queue_capacity == 0 {
             0.0
         } else {
             self.queue_depth as f64 / self.queue_capacity as f64
         };
-        let mut level = PressureLevel::Nominal;
-        if fill >= config.gate_only_at {
-            level = level.max(PressureLevel::Elevated);
+        let by_queue = if fill >= SHED_AT {
+            DegradationLevel::Shedding
+        } else if fill >= TIER1_ONLY_AT {
+            DegradationLevel::Tier1Only
+        } else if fill >= GATE_ONLY_AT {
+            DegradationLevel::GatedOnly
+        } else {
+            DegradationLevel::Full
+        };
+        if self
+            .budget_bytes
+            .is_some_and(|budget| self.resident_bytes > budget)
+        {
+            by_queue.max(DegradationLevel::Tier1Only)
+        } else {
+            by_queue
         }
-        if fill >= config.tier1_only_at {
-            level = level.max(PressureLevel::High);
-        }
-        if fill >= config.shed_at {
-            level = level.max(PressureLevel::Critical);
-        }
-        if let Some(budget) = self.budget_bytes {
-            if self.resident_bytes > budget {
-                level = level.max(PressureLevel::High);
-            }
-        }
-        level
     }
 }
 
 /// Rung of the degradation ladder. Ordered: higher is more degraded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationLevel {
     /// Normal operation: gate scores, escalations admitted, tier-2
     /// banks run.
+    #[default]
     Full,
     /// New escalations are deferred (the would-escalate verdict is
     /// emitted with an `escalation-deferred` reason); already-escalated
@@ -83,16 +79,6 @@ pub enum DegradationLevel {
 }
 
 impl DegradationLevel {
-    /// The ladder rung a pressure level demands.
-    pub fn target_for(pressure: PressureLevel) -> DegradationLevel {
-        match pressure {
-            PressureLevel::Nominal => DegradationLevel::Full,
-            PressureLevel::Elevated => DegradationLevel::GatedOnly,
-            PressureLevel::High => DegradationLevel::Tier1Only,
-            PressureLevel::Critical => DegradationLevel::Shedding,
-        }
-    }
-
     /// Stable lowercase name (flight records, introspection JSON).
     pub fn name(&self) -> &'static str {
         match self {
@@ -137,6 +123,7 @@ impl DegradationLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DegradationLevel::*;
 
     fn sample(depth: usize, cap: usize) -> PressureSample {
         PressureSample {
@@ -149,54 +136,37 @@ mod tests {
 
     #[test]
     fn queue_fill_walks_the_levels() {
-        let cfg = GuardConfig::default();
-        assert_eq!(sample(0, 100).classify(&cfg), PressureLevel::Nominal);
-        assert_eq!(sample(50, 100).classify(&cfg), PressureLevel::Elevated);
-        assert_eq!(sample(75, 100).classify(&cfg), PressureLevel::High);
-        assert_eq!(sample(90, 100).classify(&cfg), PressureLevel::Critical);
-        assert_eq!(sample(100, 100).classify(&cfg), PressureLevel::Critical);
+        assert_eq!(sample(0, 100).classify(), Full);
+        assert_eq!(sample(49, 100).classify(), Full);
+        assert_eq!(sample(50, 100).classify(), GatedOnly);
+        assert_eq!(sample(75, 100).classify(), Tier1Only);
+        assert_eq!(sample(90, 100).classify(), Shedding);
+        assert_eq!(sample(100, 100).classify(), Shedding);
+        assert_eq!(sample(5, 0).classify(), Full, "no capacity, no fill");
     }
 
     #[test]
-    fn budget_overrun_is_high_pressure() {
-        let cfg = GuardConfig::default();
+    fn budget_overrun_demands_tier1_only() {
         let mut s = sample(0, 100);
         s.resident_bytes = 2048;
         s.budget_bytes = Some(1024);
-        assert_eq!(s.classify(&cfg), PressureLevel::High);
+        assert_eq!(s.classify(), Tier1Only);
+        s.resident_bytes = 1024;
+        assert_eq!(s.classify(), Full, "at the budget is within it");
         // Critical queue fill still dominates.
+        s.resident_bytes = 2048;
         s.queue_depth = 95;
-        assert_eq!(s.classify(&cfg), PressureLevel::Critical);
+        assert_eq!(s.classify(), Shedding);
     }
 
     #[test]
-    fn classification_is_pure() {
-        let cfg = GuardConfig::default();
-        let s = sample(80, 100);
-        assert_eq!(s.classify(&cfg), s.classify(&cfg));
-    }
-
-    #[test]
-    fn target_levels_and_names_round_trip() {
-        for (p, l, name) in [
-            (PressureLevel::Nominal, DegradationLevel::Full, "full"),
-            (
-                PressureLevel::Elevated,
-                DegradationLevel::GatedOnly,
-                "gated-only",
-            ),
-            (
-                PressureLevel::High,
-                DegradationLevel::Tier1Only,
-                "tier1-only",
-            ),
-            (
-                PressureLevel::Critical,
-                DegradationLevel::Shedding,
-                "shedding",
-            ),
+    fn names_and_indices_round_trip() {
+        for (l, name) in [
+            (Full, "full"),
+            (GatedOnly, "gated-only"),
+            (Tier1Only, "tier1-only"),
+            (Shedding, "shedding"),
         ] {
-            assert_eq!(DegradationLevel::target_for(p), l);
             assert_eq!(l.name(), name);
             assert_eq!(DegradationLevel::from_index(l.index()), l);
         }
@@ -204,18 +174,9 @@ mod tests {
 
     #[test]
     fn step_down_descends_one_rung_and_saturates() {
-        assert_eq!(
-            DegradationLevel::Shedding.step_down(),
-            DegradationLevel::Tier1Only
-        );
-        assert_eq!(
-            DegradationLevel::Tier1Only.step_down(),
-            DegradationLevel::GatedOnly
-        );
-        assert_eq!(
-            DegradationLevel::GatedOnly.step_down(),
-            DegradationLevel::Full
-        );
-        assert_eq!(DegradationLevel::Full.step_down(), DegradationLevel::Full);
+        assert_eq!(Shedding.step_down(), Tier1Only);
+        assert_eq!(Tier1Only.step_down(), GatedOnly);
+        assert_eq!(GatedOnly.step_down(), Full);
+        assert_eq!(Full.step_down(), Full);
     }
 }

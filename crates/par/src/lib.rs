@@ -389,7 +389,6 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 2,
             backoff: Duration::ZERO,
-            ..RetryPolicy::default()
         };
         for threads in [1, 2, 4] {
             let pool = Pool::with_threads(threads);
@@ -440,7 +439,6 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 4,
             backoff: Duration::ZERO,
-            ..RetryPolicy::default()
         };
         let pool = Pool::with_threads(4);
         let outcomes = pool.map_supervised(
@@ -474,7 +472,6 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 3,
             backoff: Duration::ZERO,
-            ..RetryPolicy::default()
         };
         for threads in [1, 4] {
             let pool = Pool::with_threads(threads);

@@ -59,16 +59,6 @@ pub struct RetryPolicy {
     /// Backoff before retry `n` (1-based) is `backoff * 2^(n-1)`,
     /// capped at 1 s. Zero disables sleeping.
     pub backoff: Duration,
-    /// Deterministic jitter seed. `None` (the default) keeps the exact
-    /// exponential schedule; `Some(seed)` scales each sleep by a factor
-    /// in `[0.5, 1.5)` drawn from `splitmix64` over
-    /// `(seed, site, attempt)` — the same derivation [`FaultPlan`]
-    /// uses — so concurrently retrying sites desynchronize without any
-    /// wall-clock or RNG-state nondeterminism: the same
-    /// `(seed, site, attempt)` always sleeps the same duration.
-    ///
-    /// [`FaultPlan`]: crate::FaultPlan
-    pub jitter: Option<u64>,
 }
 
 impl Default for RetryPolicy {
@@ -76,7 +66,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 4,
             backoff: Duration::from_millis(5),
-            jitter: None,
         }
     }
 }
@@ -90,30 +79,13 @@ impl RetryPolicy {
         }
     }
 
-    /// The sleep [`supervised`] takes before retrying `site` after its
-    /// `attempt`-th (1-based) failed attempt: `backoff * 2^(attempt-1)`
-    /// capped at 1 s, scaled by the deterministic jitter factor when a
-    /// jitter seed is set. Pure — exposed so callers (and the purity
-    /// test) can predict the exact schedule.
-    pub fn backoff_for(&self, site: &str, attempt: u32) -> Duration {
-        if self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
+    /// The sleep [`supervised`] takes after the `attempt`-th (1-based)
+    /// failed attempt: `backoff * 2^(attempt-1)` capped at 1 s.
+    fn backoff_for(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(10);
-        let base = self
-            .backoff
+        self.backoff
             .saturating_mul(factor)
-            .min(Duration::from_secs(1));
-        let Some(seed) = self.jitter else {
-            return base;
-        };
-        let mixed = crate::fault::splitmix64(
-            seed ^ crate::fnv::fnv1a(site.as_bytes())
-                ^ crate::fault::splitmix64(u64::from(attempt)),
-        );
-        // 53 uniform mantissa bits → u in [0, 1); scale into [0.5, 1.5).
-        let u = (mixed >> 11) as f64 / (1u64 << 53) as f64;
-        base.mul_f64(0.5 + u).min(Duration::from_secs(1))
+            .min(Duration::from_secs(1))
     }
 }
 
@@ -211,7 +183,7 @@ pub fn supervised<R>(site: &str, policy: &RetryPolicy, f: impl Fn() -> R) -> Cel
                     };
                 }
                 c.retries.fetch_add(1, Ordering::Relaxed);
-                let sleep = policy.backoff_for(site, attempt);
+                let sleep = policy.backoff_for(attempt);
                 if !sleep.is_zero() {
                     std::thread::sleep(sleep);
                 }
@@ -268,7 +240,6 @@ mod tests {
             let policy = RetryPolicy {
                 max_attempts: 5,
                 backoff: Duration::ZERO,
-                ..RetryPolicy::default()
             };
             let before = crate::stats();
             let outcome = supervised("unit/transient", &policy, || {
@@ -297,7 +268,6 @@ mod tests {
             let policy = RetryPolicy {
                 max_attempts: 3,
                 backoff: Duration::ZERO,
-                ..RetryPolicy::default()
             };
             let before = crate::stats();
             let outcome: CellOutcome<()> =
@@ -337,7 +307,6 @@ mod tests {
             let policy = RetryPolicy {
                 max_attempts: 2,
                 backoff: Duration::ZERO,
-                ..RetryPolicy::default()
             };
             let _: CellOutcome<()> = supervised("unit/observed", &policy, || panic!("dead"));
             // A successful unit must not notify.
@@ -352,53 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn backoff_without_jitter_is_the_exact_exponential_schedule() {
+    fn backoff_is_the_exact_exponential_schedule() {
         let policy = RetryPolicy::default();
-        assert_eq!(policy.backoff_for("any/site", 1), Duration::from_millis(5));
-        assert_eq!(policy.backoff_for("any/site", 2), Duration::from_millis(10));
-        assert_eq!(policy.backoff_for("any/site", 3), Duration::from_millis(20));
+        assert_eq!(policy.backoff_for(1), Duration::from_millis(5));
+        assert_eq!(policy.backoff_for(2), Duration::from_millis(10));
+        assert_eq!(policy.backoff_for(3), Duration::from_millis(20));
         // Capped at 1 s regardless of attempt.
-        assert_eq!(policy.backoff_for("any/site", 30), Duration::from_secs(1));
+        assert_eq!(policy.backoff_for(30), Duration::from_secs(1));
         // Zero backoff stays zero.
         let quiet = RetryPolicy {
             backoff: Duration::ZERO,
-            jitter: Some(42),
             ..RetryPolicy::default()
         };
-        assert_eq!(quiet.backoff_for("any/site", 5), Duration::ZERO);
-    }
-
-    #[test]
-    fn jittered_backoff_is_pure_bounded_and_site_dependent() {
-        let policy = RetryPolicy {
-            jitter: Some(0xdead_beef),
-            ..RetryPolicy::default()
-        };
-        for attempt in 1..=12u32 {
-            for site in ["grid/cell", "serve/drain", "eval/row"] {
-                let a = policy.backoff_for(site, attempt);
-                let b = policy.backoff_for(site, attempt);
-                assert_eq!(a, b, "same (seed, site, attempt) → same sleep");
-                let base = RetryPolicy::default().backoff_for(site, attempt);
-                assert!(
-                    a >= base.mul_f64(0.5) && a <= Duration::from_secs(1),
-                    "jitter stays within [0.5x base, 1 s]: {a:?} vs base {base:?}"
-                );
-            }
-        }
-        // Distinct sites (and seeds) desynchronize: at least one of the
-        // first attempts must differ.
-        let other = RetryPolicy {
-            jitter: Some(1),
-            ..RetryPolicy::default()
-        };
-        assert!(
-            (1..=4u32).any(|n| {
-                policy.backoff_for("grid/cell", n) != policy.backoff_for("eval/row", n)
-                    || policy.backoff_for("grid/cell", n) != other.backoff_for("grid/cell", n)
-            }),
-            "jitter must actually perturb the schedule"
-        );
+        assert_eq!(quiet.backoff_for(5), Duration::ZERO);
     }
 
     #[test]

@@ -29,16 +29,6 @@ pub const REASON_TIER1_ONLY: &str = "degraded-tier1-only";
 /// receives while the circuit breaker is open.
 pub const REASON_BREAKER_FALLBACK: &str = "breaker-open-gate-fallback";
 
-/// One guard transition buffered during a drain cycle, flushed to the
-/// flight recorder (and the introspection counters) at cycle end.
-pub(crate) struct GuardEvent {
-    pub(crate) cycle: u64,
-    pub(crate) kind: &'static str,
-    pub(crate) from: &'static str,
-    pub(crate) to: &'static str,
-    pub(crate) stream_hash: u64,
-}
-
 /// Guard state owned by one shard, mutated only under the shard lock.
 pub(crate) struct GuardShard {
     pub(crate) ladder: Ladder,
@@ -46,51 +36,57 @@ pub(crate) struct GuardShard {
     /// Hibernated streams; each stream's LRU key lives in its
     /// resident record (`StreamRecord::last_touch`).
     pub(crate) store: Option<HibernationStore>,
-    /// Events buffered this cycle, drained at cycle end.
-    pub(crate) events: Vec<GuardEvent>,
+    /// Drain cycles started: the breaker's clock, the LRU stamp and
+    /// every flight record's `cycle`.
+    pub(crate) cycle: u64,
     /// Per-shard monotonic flight-record counter.
     pub(crate) seq: u64,
-    /// Resident-byte estimate after the previous cycle's hibernation
-    /// pass (feeds the next cycle's pressure sample).
-    pub(crate) resident_bytes: u64,
 }
 
 impl GuardShard {
     pub(crate) fn new(config: &GuardConfig, store: Option<HibernationStore>) -> GuardShard {
         GuardShard {
-            ladder: Ladder::new(config.cool_cycles),
+            ladder: Ladder::default(),
             breaker: Breaker::new(config.breaker),
             store,
-            events: Vec::new(),
+            cycle: 0,
             seq: 0,
-            resident_bytes: 0,
         }
     }
 
-    pub(crate) fn push_event(
+    /// Writes one transition's flight record, stamped with the current
+    /// cycle and the next seq (which advances even when unarmed).
+    pub(crate) fn record(
         &mut self,
+        shard: usize,
         kind: &'static str,
         from: &'static str,
         to: &'static str,
         stream_hash: u64,
     ) {
-        self.events.push(GuardEvent {
-            cycle: self.ladder.cycle(),
-            kind,
-            from,
-            to,
-            stream_hash,
-        });
+        if detdiv_flight::armed() {
+            detdiv_flight::record(
+                detdiv_flight::GuardRecord {
+                    shard,
+                    seq: self.seq,
+                    cycle: self.cycle,
+                    kind,
+                    from,
+                    to,
+                    stream_hash,
+                }
+                .render(),
+            );
+        }
+        self.seq += 1;
     }
 }
 
-/// Guard configuration and counters shared by every shard of one
-/// service.
+/// Guard budget and counters shared by every shard of one service.
 pub(crate) struct GuardRuntime {
-    pub(crate) config: GuardConfig,
     pub(crate) stats: Arc<GuardStats>,
-    /// Resident-byte estimate for one gated (tier-1-only) stream.
-    pub(crate) gate_cost: u64,
+    /// Each shard's slice of the byte budget, if one is configured.
+    pub(crate) shard_budget: Option<u64>,
     /// Resident-byte estimate for one escalated stream's tier-2 bank.
     pub(crate) bank_cost: u64,
 }

@@ -5,6 +5,7 @@
 //! The service updates plain atomics (no locks on the hot path);
 //! [`ServiceStats::render_json`] renders them on demand.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-shard counters, all monotonic except `depth` and `streams`
@@ -32,6 +33,31 @@ pub struct ShardStats {
     pub deferred: AtomicU64,
 }
 
+/// A JSON key and the shard counter it reads.
+type Field = (&'static str, fn(&ShardStats) -> &AtomicU64);
+
+/// The counters rendered both as service totals and per shard, in
+/// render order: one list, so the two objects cannot drift apart.
+const FIELDS: [Field; 9] = [
+    ("depth", |s| &s.depth),
+    ("streams", |s| &s.streams),
+    ("enqueued", |s| &s.enqueued),
+    ("rejected", |s| &s.rejected),
+    ("processed", |s| &s.processed),
+    ("emitted", |s| &s.emitted),
+    ("escalated", |s| &s.escalated),
+    ("degraded", |s| &s.degraded),
+    ("deferred", |s| &s.deferred),
+];
+
+/// Renders `"key":value` for every field, comma-separated.
+fn push_fields(out: &mut String, value: impl Fn(&Field) -> u64) {
+    for (i, field) in FIELDS.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\"{}\":{}", field.0, value(field));
+    }
+}
+
 /// Counters for one service: a fixed vector of shard stats plus
 /// service-level totals.
 #[derive(Debug)]
@@ -54,52 +80,33 @@ impl ServiceStats {
         }
     }
 
-    fn sum(&self, field: impl Fn(&ShardStats) -> &AtomicU64) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| field(s).load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Renders the stats as one JSON object (stable key order).
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(256 + 64 * self.shards.len());
-        out.push_str("{\"registered\":true");
-        out.push_str(&format!(",\"shards\":{}", self.shards.len()));
-        out.push_str(&format!(
-            ",\"totals\":{{\"depth\":{},\"streams\":{},\"enqueued\":{},\"rejected\":{},\"processed\":{},\"emitted\":{},\"escalated\":{},\"degraded\":{},\"deferred\":{}}}",
-            self.sum(|s| &s.depth),
-            self.sum(|s| &s.streams),
-            self.sum(|s| &s.enqueued),
-            self.sum(|s| &s.rejected),
-            self.sum(|s| &s.processed),
-            self.sum(|s| &s.emitted),
-            self.sum(|s| &s.escalated),
-            self.sum(|s| &s.degraded),
-            self.sum(|s| &s.deferred),
-        ));
-        out.push_str(&format!(
-            ",\"snapshots\":{},\"recovered_streams\":{}",
+        let _ = write!(
+            out,
+            "{{\"registered\":true,\"shards\":{},\"totals\":{{",
+            self.shards.len()
+        );
+        push_fields(&mut out, |f| {
+            self.shards
+                .iter()
+                .map(|s| f.1(s).load(Ordering::Relaxed))
+                .sum()
+        });
+        let _ = write!(
+            out,
+            "}},\"snapshots\":{},\"recovered_streams\":{},\"per_shard\":[",
             self.snapshots.load(Ordering::Relaxed),
             self.recovered_streams.load(Ordering::Relaxed)
-        ));
-        out.push_str(",\"per_shard\":[");
+        );
         for (i, s) in self.shards.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"shard\":{i},\"depth\":{},\"streams\":{},\"enqueued\":{},\"rejected\":{},\"processed\":{},\"emitted\":{},\"escalated\":{},\"degraded\":{},\"deferred\":{}}}",
-                s.depth.load(Ordering::Relaxed),
-                s.streams.load(Ordering::Relaxed),
-                s.enqueued.load(Ordering::Relaxed),
-                s.rejected.load(Ordering::Relaxed),
-                s.processed.load(Ordering::Relaxed),
-                s.emitted.load(Ordering::Relaxed),
-                s.escalated.load(Ordering::Relaxed),
-                s.degraded.load(Ordering::Relaxed),
-                s.deferred.load(Ordering::Relaxed),
-            ));
+            let _ = write!(out, "{{\"shard\":{i},");
+            push_fields(&mut out, |f| f.1(s).load(Ordering::Relaxed));
+            out.push('}');
         }
         out.push_str("]}");
         out

@@ -17,8 +17,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use detdiv_guard::introspect::GuardStats;
-use detdiv_guard::{DegradationLevel, GuardConfig, HibernationStore, PressureSample};
+use detdiv_guard::introspect::{GuardShardStats, GuardStats};
+use detdiv_guard::{BreakerState, DegradationLevel, GuardConfig, HibernationStore, PressureSample};
 use detdiv_resil::RetryPolicy;
 use detdiv_stream::{
     DetectionResult, EwmaState, SignalContext, SlotResult, StreamDetector, StreamEngine,
@@ -30,6 +30,10 @@ use crate::guard::{
     REASON_ESCALATION_DEFERRED_BREAKER, REASON_TIER1_ONLY,
 };
 use crate::introspect::ServiceStats;
+
+/// Resident-byte estimate for one gated stream: its fixed-size record
+/// plus map-entry overhead.
+const GATE_COST: u64 = 64;
 
 /// Why an event was not accepted. Rejection is the *only* backpressure
 /// mechanism: the service never buffers beyond the configured bound.
@@ -256,11 +260,8 @@ impl IngestService {
         guard_config: GuardConfig,
         factory: impl Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync + 'static,
     ) -> std::io::Result<IngestService> {
-        // Estimate per-stream costs once from a probe bank: a gated
-        // stream is its fixed-size record plus map-entry overhead; a
-        // tier-2 bank is each slot's state-bytes cap plus the same
-        // overhead.
-        let gate_cost = 64u64;
+        // Estimate a tier-2 bank's cost once from a probe bank: each
+        // slot's state-bytes cap plus map-entry overhead.
         let bank_cost: u64 = factory()
             .iter()
             .map(|d| d.state_bytes_cap() as u64 + 64)
@@ -281,8 +282,7 @@ impl IngestService {
         }
         service.guard = Some(GuardRuntime {
             stats: Arc::new(GuardStats::new(service.config.shards)),
-            config: guard_config,
-            gate_cost,
+            shard_budget: guard_config.shard_budget(service.config.shards),
             bank_cost,
         });
         Ok(service)
@@ -460,23 +460,29 @@ impl IngestService {
             degraded: 0,
             deferred: false,
         };
-        // Guard cycle begin: advance the breaker's cooldown clock, then
+        // Guard cycle begin: start the breaker's next cycle, then
         // classify this cycle's pressure sample and let the ladder
         // react. Every input is a deterministic counter (the queue
-        // depth at cycle start and the previous cycle's resident-bytes
-        // estimate), so the ladder trajectory is width-invariant.
+        // depth at cycle start and the resident-bytes gauge the
+        // previous cycle published), so the ladder trajectory is
+        // width-invariant.
         if let (Some(g), Some(rt)) = (shard.guard.as_mut(), self.guard.as_ref()) {
-            if let Some((from, to)) = g.breaker.on_cycle() {
-                g.push_event("breaker", from.name(), to.name(), 0);
+            let stats = &rt.stats.shards[index];
+            // A half-open record is written before the shard's cycle
+            // advances, so it carries the previous cycle's stamp.
+            if let Some((from, to)) = g.breaker.on_cycle(g.cycle + 1) {
+                g.record(index, "breaker", from.name(), to.name(), 0);
             }
+            g.cycle += 1;
             let sample = PressureSample {
                 queue_depth: shard.queue.len(),
                 queue_capacity: self.config.queue_capacity,
-                resident_bytes: g.resident_bytes,
-                budget_bytes: rt.config.shard_budget(self.config.shards),
+                resident_bytes: stats.resident_bytes.load(Ordering::Relaxed),
+                budget_bytes: rt.shard_budget,
             };
-            if let Some(t) = g.ladder.observe(sample.classify(&rt.config)) {
-                g.push_event("ladder", t.from.name(), t.to.name(), 0);
+            if let Some((from, to)) = g.ladder.observe(sample.classify()) {
+                stats.ladder_transitions.fetch_add(1, Ordering::Relaxed);
+                g.record(index, "ladder", from.name(), to.name(), 0);
             }
         }
         let degraded_before = shard.engine.degraded_slots();
@@ -486,15 +492,17 @@ impl IngestService {
             records,
             guard,
         } = shard;
-        // The ladder's cycle only moves between drains, so one read
+        // The shard's cycle only moves between drains, so one read
         // stamps every event of this cycle.
-        let touch = guard.as_ref().map_or(0, |g| g.ladder.cycle());
+        let touch = guard.as_ref().map_or(0, |g| g.cycle);
         let mut gated = GatedDrain {
             index,
             cfg: self.config.tier1,
             sink,
             engine,
-            guard: guard.as_mut(),
+            guard: guard
+                .as_mut()
+                .zip(self.guard.as_ref().map(|rt| &rt.stats.shards[index])),
             slot_buf: Vec::new(),
             escalated: 0,
         };
@@ -530,8 +538,8 @@ impl IngestService {
     }
 
     /// Guard end-of-cycle work: the resident estimate + hibernation
-    /// pass, and publishing gauges/flight records. Runs under the shard
-    /// lock, after the queue has drained.
+    /// pass, and publishing the gauges. Runs under the shard lock,
+    /// after the queue has drained.
     fn guard_cycle_end(&self, index: usize, shard: &mut Shard) {
         let Some(rt) = self.guard.as_ref() else {
             return;
@@ -539,16 +547,17 @@ impl IngestService {
         let Some(g) = shard.guard.as_mut() else {
             return;
         };
+        let gs = &rt.stats.shards[index];
         // Resident estimate: every gated stream costs a record;
         // escalated streams (those with a bank in the engine) cost the
         // bank on top.
-        let mut resident = shard.records.len() as u64 * rt.gate_cost
+        let mut resident = shard.records.len() as u64 * GATE_COST
             + shard.engine.stream_count() as u64 * rt.bank_cost;
         // Hibernation: while over the shard's budget slice, spill the
         // least-recently-touched streams to the checksummed segment.
         // LRU order is (last-touch cycle, hash) — both deterministic —
         // so the spill sequence is width-invariant too.
-        if let Some(budget) = rt.config.shard_budget(self.config.shards) {
+        if let Some(budget) = rt.shard_budget {
             if resident > budget && g.store.is_some() {
                 let mut candidates: Vec<(u64, u64)> = shard
                     .records
@@ -573,53 +582,17 @@ impl IngestService {
                     shard.records.remove(&hash);
                     let had_bank = shard.engine.close_stream(hash);
                     resident = resident
-                        .saturating_sub(rt.gate_cost + if had_bank { rt.bank_cost } else { 0 });
-                    g.push_event("hibernate", "", "spilled", hash);
+                        .saturating_sub(GATE_COST + if had_bank { rt.bank_cost } else { 0 });
+                    gs.hibernated.fetch_add(1, Ordering::Relaxed);
+                    g.record(index, "hibernate", "", "spilled", hash);
                 }
             }
         }
-        g.resident_bytes = resident;
-        // Publish gauges and counters, then flush this cycle's events
-        // to the flight recorder as one-line guard records.
-        let gs = &rt.stats.shards[index];
         gs.level.store(g.ladder.level().index(), Ordering::Relaxed);
         gs.breaker_state
             .store(g.breaker.state().index(), Ordering::Relaxed);
         gs.resident_bytes.store(resident, Ordering::Relaxed);
         rt.stats.update_resident_peak();
-        let armed = detdiv_flight::armed();
-        for event in g.events.drain(..) {
-            match event.kind {
-                "ladder" => {
-                    gs.ladder_transitions.fetch_add(1, Ordering::Relaxed);
-                }
-                "breaker" if event.to == "open" => {
-                    gs.breaker_opens.fetch_add(1, Ordering::Relaxed);
-                }
-                "hibernate" => {
-                    gs.hibernated.fetch_add(1, Ordering::Relaxed);
-                }
-                "rehydrate" => {
-                    gs.rehydrated.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            if armed {
-                detdiv_flight::record(
-                    detdiv_flight::GuardRecord {
-                        shard: index,
-                        seq: g.seq,
-                        cycle: event.cycle,
-                        kind: event.kind,
-                        from: event.from,
-                        to: event.to,
-                        stream_hash: event.stream_hash,
-                    }
-                    .render(),
-                );
-            }
-            g.seq += 1;
-        }
     }
 
     /// Total events currently queued across all shards.
@@ -655,14 +628,15 @@ impl Drop for IngestService {
 }
 
 /// One shard's gated drain: what every event needs besides its own
-/// stream's record. Borrows the shard's engine and guard state for the
-/// cycle; the record table is borrowed separately by the drain loop.
+/// stream's record. Borrows the shard's engine and guard state (with
+/// the shard's guard counters) for the cycle; the record table is
+/// borrowed separately by the drain loop.
 struct GatedDrain<'a> {
     index: usize,
     cfg: Tier1Config,
     sink: &'a dyn VerdictSink,
     engine: &'a mut StreamEngine<BankFactory>,
-    guard: Option<&'a mut GuardShard>,
+    guard: Option<(&'a mut GuardShard, &'a GuardShardStats)>,
     slot_buf: Vec<SlotResult>,
     /// Streams escalated this cycle.
     escalated: u64,
@@ -676,7 +650,7 @@ impl GatedDrain<'_> {
     /// rebuilds from gate warmup) — never a panic. Any other stream
     /// starts fresh.
     fn rehydrate_or_new(&mut self, hash: u64) -> StreamRecord {
-        let Some(g) = self.guard.as_deref_mut() else {
+        let Some((g, stats)) = self.guard.as_mut() else {
             return StreamRecord::default();
         };
         let payload = match g.store.as_mut().map(|store| store.recall(hash)) {
@@ -687,7 +661,9 @@ impl GatedDrain<'_> {
         let parsed = payload
             .as_deref()
             .and_then(crate::snapshot::parse_stream_line);
-        g.push_event(
+        stats.rehydrated.fetch_add(1, Ordering::Relaxed);
+        g.record(
+            self.index,
             "rehydrate",
             "",
             if parsed.is_some() { "restored" } else { "cold" },
@@ -712,7 +688,7 @@ impl GatedDrain<'_> {
     /// which the differential suite pins down.
     fn event(&mut self, record: &mut StreamRecord, ctx: &SignalContext) -> u64 {
         let (level, breaker_admits) = match &self.guard {
-            Some(g) => (g.ladder.level(), g.breaker.admits()),
+            Some((g, _)) => (g.ladder.level(), g.breaker.admits()),
             None => (DegradationLevel::Full, true),
         };
         let (alpha, warmup) = (self.cfg.alpha, self.cfg.warmup);
@@ -817,14 +793,23 @@ impl GatedDrain<'_> {
         // Breaker accounting: a push that newly degraded a slot is a
         // supervised failure; a clean push is a success (and closes a
         // half-open breaker's probe).
-        if let Some(g) = self.guard.as_deref_mut() {
+        if let Some((g, stats)) = self.guard.as_mut() {
             let transition = if self.engine.degraded_slots() > degraded_before {
-                g.breaker.on_failure()
+                g.breaker.on_failure(g.cycle)
             } else {
                 g.breaker.on_success()
             };
             if let Some((from, to)) = transition {
-                g.push_event("breaker", from.name(), to.name(), ctx.stream_id_hash);
+                if to == BreakerState::Open {
+                    stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
+                }
+                g.record(
+                    self.index,
+                    "breaker",
+                    from.name(),
+                    to.name(),
+                    ctx.stream_id_hash,
+                );
             }
         }
         emitted
@@ -1015,8 +1000,8 @@ mod tests {
             IngestService::with_guard(ServeConfig::new(1, 10), GuardConfig::default(), ewma_bank)
                 .unwrap();
         let s = hash_stream_id("hot");
-        // 9/10 queue fill ≥ shed_at (0.9): the first drain cycle jumps
-        // the ladder straight to Shedding.
+        // 9/10 queue fill reaches the 0.9 shedding threshold: the
+        // first drain cycle jumps the ladder straight to Shedding.
         for i in 0..9u64 {
             service
                 .enqueue(SignalContext::new(i, s, Symbol::new(0), 1.0))
@@ -1034,8 +1019,8 @@ mod tests {
         );
         let stats = service.guard_stats().unwrap();
         assert_eq!(stats.shards[0].shed.load(Ordering::Relaxed), 1);
-        // Calm cycles walk the ladder back down one rung per
-        // cool_cycles (2): 3 rungs → 6 empty drains to reach Full.
+        // Calm cycles walk the ladder back down one rung per two:
+        // 3 rungs → 6 empty drains to reach Full.
         let mut levels = Vec::new();
         for _ in 0..6 {
             service.drain(&NullSink);

@@ -96,7 +96,8 @@
 #                               is identical at widths 1 and 4 and to
 #                               the committed expected line, sheds
 #                               on both paths, and its guard audit
-#                               trail reconstructs under `flightcheck
+#                               trail matches the committed sha256
+#                               and reconstructs under `flightcheck
 #                               --guard`, chaos variant included
 #
 # Performance is not measured here: `perfbench/` (see BENCHMARK.json)
@@ -481,10 +482,15 @@ grep -Eq "shed_guard=[1-9][0-9]* shed_queue=[1-9][0-9]*" "$OVERLOAD_DIR/t1_stdou
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
     $OVERLOAD_ARGS --threads 4 --flight "$OVERLOAD_DIR/audit.jsonl" \
     > /dev/null 2> /dev/null
+AUDIT_SHA=$(sha256sum < "$OVERLOAD_DIR/audit.jsonl" | cut -d' ' -f1)
+[ "$AUDIT_SHA" = "$(cat scripts/expected/loadgen_overload_flight.sha256)" ] || {
+    echo "overload gate: flight dump sha256 $AUDIT_SHA differs from scripts/expected/loadgen_overload_flight.sha256" >&2
+    exit 1
+}
 ./target/release/flightcheck --dump "$OVERLOAD_DIR/audit.jsonl" --guard \
     > "$OVERLOAD_DIR/flightcheck.txt"
 grep -q "guard trail intact" "$OVERLOAD_DIR/flightcheck.txt"
-echo "guard audit trail reconstructs ($(cat "$OVERLOAD_DIR/flightcheck.txt"))"
+echo "guard audit trail matches the expected hash and reconstructs ($(cat "$OVERLOAD_DIR/flightcheck.txt"))"
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
     $OVERLOAD_ARGS --threads 4 --fault "$FAULT_SPEC" \
     --flight "$OVERLOAD_DIR/chaos_audit.jsonl" \
