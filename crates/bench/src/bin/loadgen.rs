@@ -44,8 +44,8 @@
 //! env `DETDIV_GUARD_BYTES`); shed counts, recovery cycles, and the
 //! verdict digest all land on stdout because the guard's decisions are
 //! pure functions of observed counters — identical at every width.
-//! `--guard-bytes` without `--overload` is an argument error: no guard
-//! would read it.
+//! `--guard-bytes` or `DETDIV_GUARD_BYTES` without `--overload` is an
+//! argument error: no guard would read it.
 //!
 //! `--flight PATH` arms the flight recorder for the run and exports
 //! the audit log — under `--overload` every guard transition (ladder,
@@ -163,8 +163,12 @@ fn parse_args() -> Result<Args, String> {
             return Err("streams, events-per-stream, and shards must be positive".to_owned());
         }
     }
-    if args.guard_bytes.is_some() && !args.overload {
-        return Err("--guard-bytes needs --overload (no guard is attached without it)".to_owned());
+    let budget_set = args.guard_bytes.is_some() || GuardConfig::from_env().budget_bytes.is_some();
+    if budget_set && !args.overload {
+        return Err(
+            "--guard-bytes (or DETDIV_GUARD_BYTES) needs --overload (no guard is attached without it)"
+                .to_owned(),
+        );
     }
     Ok(args)
 }

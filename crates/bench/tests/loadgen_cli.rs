@@ -29,6 +29,30 @@ fn guard_bytes_without_overload_is_rejected() {
 }
 
 #[test]
+fn guard_bytes_env_without_overload_is_rejected() {
+    let output = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+        .args([
+            "--streams",
+            "10",
+            "--events-per-stream",
+            "2",
+            "--shards",
+            "1",
+        ])
+        .env("DETDIV_LOG", "off")
+        .env("DETDIV_GUARD_BYTES", "5")
+        .output()
+        .expect("spawn loadgen");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("DETDIV_GUARD_BYTES") && stderr.contains("--overload"),
+        "the diagnostic names the variable and the flag: {stderr}"
+    );
+    assert!(output.stdout.is_empty(), "no run happened");
+}
+
+#[test]
 fn guard_bytes_with_overload_runs() {
     let output = Command::new(env!("CARGO_BIN_EXE_loadgen"))
         .args([

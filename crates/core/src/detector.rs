@@ -8,7 +8,9 @@
 //! fixes that shape as a trait so the evaluation framework can treat all
 //! four (and any future) detectors uniformly.
 
-use detdiv_sequence::{StreamProfile, Symbol};
+use std::collections::HashMap;
+
+use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
 
 /// The immutable scoring surface of a trained sequence anomaly detector.
 ///
@@ -19,51 +21,56 @@ use detdiv_sequence::{StreamProfile, Symbol};
 /// behind an `Arc` in the `detdiv-par` pool, or memoized by
 /// `detdiv-cache`) without re-training per consumer.
 ///
-/// Implementations produce one **anomaly response in `[0, 1]`** per
-/// window position of a test stream: `0` means completely normal, `1`
-/// maximally anomalous (§5.5). The response at index `i` covers the
-/// window `test[i .. i + window()]`; for next-element predictors (the
-/// Markov- and neural-network-based detectors) that window comprises the
-/// DW − 1 context elements *and* the predicted element, so all detectors
-/// share one indexing convention.
+/// A trained model states its **similarity metric once**, in
+/// [`TrainedModel::score_one`]: the anomaly response in `[0, 1]` of one
+/// full window — `0` completely normal, `1` maximally anomalous (§5.5).
+/// Batch scoring is derived from it: [`TrainedModel::scores`] maps
+/// `score_one` over every window position, so the response at index `i`
+/// covers `test[i .. i + window()]`, and a streamed score (one
+/// `score_one` per event, `detdiv-stream`) equals the batch score at
+/// the same position by construction. For next-element predictors (the
+/// Markov- and neural-network-based detectors) that window comprises
+/// the DW − 1 context elements *and* the predicted element, so all
+/// detectors share one indexing convention.
 ///
-/// Implementations must be **pure under scoring**: repeated calls to
-/// [`TrainedModel::scores`] on the same stream — from one thread or
-/// several — return the same responses. The conformance suite in
+/// Implementations must be **pure under scoring**: repeated calls on
+/// the same window or stream — from one thread or several — return the
+/// same responses. The conformance suite in
 /// `crates/core/tests/conformance.rs` enforces this contract for every
 /// detector family in the workspace.
 pub trait TrainedModel: Send + Sync {
     /// Human-readable detector name, used in maps and reports.
     fn name(&self) -> &str;
 
-    /// The detector-window length DW this instance was configured with.
+    /// The detector-window length DW this instance was configured with
+    /// (positive).
     fn window(&self) -> usize;
 
-    /// Anomaly responses for every window position of `test`, each in
-    /// `[0, 1]`.
+    /// Anomaly response of a *single* full window, in `[0, 1]`: the
+    /// family's similarity metric.
     ///
-    /// Returns exactly `test.len() - window() + 1` responses, or an empty
-    /// vector when the stream is shorter than the window.
-    fn scores(&self, test: &[Symbol]) -> Vec<f64>;
+    /// This is also the streaming hot path (`detdiv-stream` calls it
+    /// once per event), so implementations should not allocate where
+    /// the metric has an allocation-free form.
+    ///
+    /// `window.len()` must equal [`TrainedModel::window`];
+    /// implementations return `1.0` (maximally anomalous) for malformed
+    /// input rather than panicking on the serving path.
+    fn score_one(&self, window: &[Symbol]) -> f64;
 
-    /// Anomaly response of a *single* full window, bit-identical to the
-    /// response [`TrainedModel::scores`] would assign that window inside
-    /// any stream.
+    /// Anomaly responses for every window position of `test`: exactly
+    /// `test.len() - window() + 1` responses, or an empty vector when
+    /// the stream is shorter than the window.
     ///
-    /// This is the streaming hot path (`detdiv-stream` calls it once per
-    /// event): families whose per-window computation has an
-    /// allocation-free form override it; the default delegates to
-    /// [`TrainedModel::scores`] on the one-window slice, which is always
-    /// correct because every detector in this workspace scores a window
-    /// as a pure function of its contents (the batch↔stream differential
-    /// suite in `crates/stream/tests/differential.rs` enforces the
-    /// bit-identity).
-    ///
-    /// `window.len()` must equal [`TrainedModel::window`]; the default
-    /// returns `1.0` (maximally anomalous) for malformed input rather
-    /// than panicking on the serving path.
-    fn score_one(&self, window: &[Symbol]) -> f64 {
-        self.scores(window).pop().unwrap_or(1.0)
+    /// Derived from [`TrainedModel::score_one`]. Families whose metric
+    /// is costly override it with [`memoized_scores`], which computes
+    /// each distinct window once; only a post-processor that is not a
+    /// per-window function (Stide's locality frame count) overrides it
+    /// with a different computation.
+    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
+        test.windows(self.window())
+            .map(|w| self.score_one(w))
+            .collect()
     }
 
     /// The smallest response this detector's thresholding treats as a
@@ -150,6 +157,26 @@ impl<D: SequenceAnomalyDetector + ?Sized> SequenceAnomalyDetector for Box<D> {
     }
 }
 
+/// [`TrainedModel::scores`] for a model whose metric is costly: test
+/// streams are highly repetitive, so each distinct window is scored
+/// with [`TrainedModel::score_one`] once and its response reused.
+/// Bit-identical to the unmemoised responses.
+#[inline]
+pub fn memoized_scores<M: TrainedModel + ?Sized>(model: &M, test: &[Symbol]) -> Vec<f64> {
+    let mut memo: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
+    test.windows(model.window())
+        .map(|w| {
+            if let Some(&s) = memo.get(w) {
+                s
+            } else {
+                let s = model.score_one(w);
+                memo.insert(w, s);
+                s
+            }
+        })
+        .collect()
+}
+
 /// Number of window positions a detector with window `window` produces
 /// on a stream of length `stream_len` (zero if the window does not fit).
 #[inline]
@@ -191,32 +218,17 @@ mod tests {
         fn window(&self) -> usize {
             self.window
         }
-        fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-            if test.len() < self.window {
-                return Vec::new();
+        fn score_one(&self, window: &[Symbol]) -> f64 {
+            if window.iter().any(|s| s.id() == 9) {
+                1.0
+            } else {
+                0.0
             }
-            test.windows(self.window)
-                .map(|w| {
-                    if w.iter().any(|s| s.id() == 9) {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
         }
     }
 
     impl SequenceAnomalyDetector for FlagNine {
         fn train(&mut self, _profile: &StreamProfile<'_>) {}
-    }
-
-    #[test]
-    fn scores_len_matches_response_count() {
-        let d = FlagNine { window: 3 };
-        let s = symbols(&[1, 2, 9, 4, 5]);
-        assert_eq!(d.scores(&s).len(), response_count(s.len(), 3));
-        assert_eq!(d.scores(&symbols(&[1, 2])).len(), 0);
     }
 
     #[test]
@@ -245,14 +257,21 @@ mod tests {
     }
 
     #[test]
-    fn default_score_one_matches_batch_scores() {
+    fn provided_scores_are_one_score_one_per_window_and_memoizing_changes_nothing() {
         let d = FlagNine { window: 3 };
-        let s = symbols(&[1, 2, 9, 4, 5, 9, 6]);
+        let s = symbols(&[1, 2, 9, 4, 5, 9, 6, 1, 2, 9]);
         let batch = d.scores(&s);
+        assert_eq!(batch.len(), response_count(s.len(), 3));
         for (i, w) in s.windows(3).enumerate() {
             assert_eq!(d.score_one(w).to_bits(), batch[i].to_bits());
         }
-        // Malformed input degrades to maximally anomalous, not a panic.
-        assert_eq!(d.score_one(&symbols(&[1])), 1.0);
+        let memoized = memoized_scores(&d, &s);
+        assert_eq!(
+            memoized.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            batch.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        // A stream shorter than the window has no responses.
+        assert!(d.scores(&symbols(&[1, 9])).is_empty());
+        assert!(memoized_scores(&d, &symbols(&[1, 9])).is_empty());
     }
 }

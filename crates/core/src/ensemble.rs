@@ -16,7 +16,7 @@ use std::fmt;
 
 use detdiv_sequence::{StreamProfile, Symbol};
 
-use crate::detector::{alarms_at, SequenceAnomalyDetector, TrainedModel};
+use crate::detector::{SequenceAnomalyDetector, TrainedModel};
 use crate::error::EvalError;
 
 /// How an ensemble combines its members' alarms.
@@ -83,9 +83,10 @@ pub fn suppress_alarms(primary: &[bool], suppressor: &[bool]) -> Result<Vec<bool
 /// An alarm-level ensemble of same-window detectors, itself a
 /// [`SequenceAnomalyDetector`].
 ///
-/// Each member's responses are binarised at that member's own
-/// maximal-response floor, then combined with the configured
-/// [`CombinationRule`]; the ensemble's responses are crisp `{0, 1}`.
+/// At each window, each member's response is binarised at that
+/// member's own maximal-response floor, then the alarms are combined
+/// with the configured [`CombinationRule`]; the ensemble's responses
+/// are crisp `{0, 1}`.
 ///
 /// # Examples
 ///
@@ -167,31 +168,20 @@ impl TrainedModel for AlarmEnsemble {
         self.members.iter().map(|m| m.approx_bytes()).sum()
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        let mut combined: Option<Vec<bool>> = None;
-        for m in &self.members {
-            let member_alarms = alarms_at(&m.scores(test), m.maximal_response_floor());
-            combined = Some(match combined {
-                None => member_alarms,
-                Some(acc) => match self.rule {
-                    CombinationRule::Any => acc
-                        .iter()
-                        .zip(&member_alarms)
-                        .map(|(&a, &b)| a || b)
-                        .collect(),
-                    CombinationRule::All => acc
-                        .iter()
-                        .zip(&member_alarms)
-                        .map(|(&a, &b)| a && b)
-                        .collect(),
-                },
-            });
+    fn score_one(&self, window: &[Symbol]) -> f64 {
+        let mut alarms = self
+            .members
+            .iter()
+            .map(|m| m.score_one(window) >= m.maximal_response_floor());
+        let alarm = match self.rule {
+            CombinationRule::Any => alarms.any(|a| a),
+            CombinationRule::All => alarms.all(|a| a),
+        };
+        if alarm {
+            1.0
+        } else {
+            0.0
         }
-        combined
-            .expect("ensemble has members")
-            .into_iter()
-            .map(|a| if a { 1.0 } else { 0.0 })
-            .collect()
     }
 }
 
@@ -230,19 +220,12 @@ mod tests {
         fn window(&self) -> usize {
             2
         }
-        fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-            if test.len() < 2 {
-                return Vec::new();
+        fn score_one(&self, window: &[Symbol]) -> f64 {
+            if window[0].id() == self.trigger {
+                self.response
+            } else {
+                0.0
             }
-            test.windows(2)
-                .map(|w| {
-                    if w[0].id() == self.trigger {
-                        self.response
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
         }
         fn maximal_response_floor(&self) -> f64 {
             self.floor
@@ -317,8 +300,8 @@ mod tests {
             fn window(&self) -> usize {
                 2
             }
-            fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-                vec![0.0; test.len().saturating_sub(1)]
+            fn score_one(&self, _window: &[Symbol]) -> f64 {
+                0.0
             }
         }
         impl SequenceAnomalyDetector for CountTrain {
@@ -351,8 +334,8 @@ mod tests {
             fn window(&self) -> usize {
                 3
             }
-            fn scores(&self, _test: &[Symbol]) -> Vec<f64> {
-                Vec::new()
+            fn score_one(&self, _window: &[Symbol]) -> f64 {
+                0.0
             }
         }
         impl SequenceAnomalyDetector for W3 {

@@ -132,13 +132,12 @@ mod tests {
         fn window(&self) -> usize {
             self.window
         }
-        fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-            if test.len() < self.window {
-                return Vec::new();
+        fn score_one(&self, window: &[Symbol]) -> f64 {
+            if window[0].id() == 7 {
+                1.0
+            } else {
+                0.25
             }
-            test.windows(self.window)
-                .map(|w| if w[0].id() == 7 { 1.0 } else { 0.25 })
-                .collect()
         }
     }
 

@@ -37,7 +37,9 @@ mod metrics;
 mod outcome;
 
 pub use coverage::{CellStatus, CoverageMap};
-pub use detector::{alarms_at, response_count, SequenceAnomalyDetector, TrainedModel};
+pub use detector::{
+    alarms_at, memoized_scores, response_count, SequenceAnomalyDetector, TrainedModel,
+};
 pub use diversity::DiversityMatrix;
 pub use ensemble::{alarm_union, suppress_alarms, AlarmEnsemble, CombinationRule};
 pub use error::EvalError;

@@ -31,6 +31,30 @@ pub enum Classification {
 }
 
 impl Classification {
+    /// The verdict on one response given the detector's maximal-response
+    /// floor: capable at or above the floor, weak when positive but
+    /// below it, blind at zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use detdiv_core::Classification;
+    ///
+    /// assert_eq!(Classification::of(0.995, 0.995), Classification::Capable);
+    /// assert_eq!(Classification::of(0.5, 1.0), Classification::Weak);
+    /// assert_eq!(Classification::of(0.0, 1.0), Classification::Blind);
+    /// ```
+    #[inline]
+    pub fn of(response: f64, maximal_floor: f64) -> Classification {
+        if response >= maximal_floor {
+            Classification::Capable
+        } else if response > 0.0 {
+            Classification::Weak
+        } else {
+            Classification::Blind
+        }
+    }
+
     /// Whether this verdict counts as a detection (a star in the paper's
     /// performance maps).
     #[inline]
@@ -153,15 +177,8 @@ pub fn classify_scores(
             max_offset = i;
         }
     }
-    let classification = if max_response >= maximal_floor {
-        Classification::Capable
-    } else if max_response > 0.0 {
-        Classification::Weak
-    } else {
-        Classification::Blind
-    };
     Ok(DetectionOutcome {
-        classification,
+        classification: Classification::of(max_response, maximal_floor),
         max_response,
         max_position: span.first() + max_offset,
         span,
@@ -197,11 +214,8 @@ pub fn classify_scores(
 /// impl TrainedModel for MiniStide {
 ///     fn name(&self) -> &str { "mini-stide" }
 ///     fn window(&self) -> usize { self.dw }
-///     fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-///         if test.len() < self.dw { return Vec::new(); }
-///         test.windows(self.dw)
-///             .map(|w| if self.db.contains(w) { 0.0 } else { 1.0 })
-///             .collect()
+///     fn score_one(&self, w: &[Symbol]) -> f64 {
+///         if self.db.contains(w) { 0.0 } else { 1.0 }
 ///     }
 /// }
 /// impl SequenceAnomalyDetector for MiniStide {
@@ -351,8 +365,8 @@ mod tests {
         fn window(&self) -> usize {
             self.dw
         }
-        fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-            vec![self.value; response_count(test.len(), self.dw)]
+        fn score_one(&self, _window: &[Symbol]) -> f64 {
+            self.value
         }
     }
 
@@ -396,6 +410,9 @@ mod tests {
         }
         fn window(&self) -> usize {
             2
+        }
+        fn score_one(&self, _window: &[Symbol]) -> f64 {
+            0.0
         }
         fn scores(&self, _test: &[Symbol]) -> Vec<f64> {
             vec![0.0]

@@ -26,20 +26,13 @@ impl TrainedModel for ModTen {
     fn window(&self) -> usize {
         self.window
     }
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
+    fn score_one(&self, window: &[Symbol]) -> f64 {
+        let m = window[0].id() % 10;
+        if m == 0 {
+            1.0
+        } else {
+            f64::from(m) / 10.0
         }
-        test.windows(self.window)
-            .map(|w| {
-                let m = w[0].id() % 10;
-                if m == 0 {
-                    1.0
-                } else {
-                    f64::from(m) / 10.0
-                }
-            })
-            .collect()
     }
 }
 

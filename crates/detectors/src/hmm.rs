@@ -9,11 +9,9 @@
 //! distribution — a *latent-state* analogue of the Markov detector's
 //! explicit conditional table.
 
-use std::collections::HashMap;
-
-use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
+use detdiv_core::{memoized_scores, SequenceAnomalyDetector, TrainedModel};
 use detdiv_hmm::{baum_welch, Hmm, InitStrategy, TrainConfig};
-use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
+use detdiv_sequence::{StreamProfile, Symbol};
 
 /// Hyperparameters of the HMM-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,35 +146,26 @@ impl TrainedModel for HmmDetector {
         self.window
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
+    fn score_one(&self, window: &[Symbol]) -> f64 {
+        if window.len() != self.window {
+            return 1.0;
         }
         let Some(model) = &self.model else {
-            return vec![1.0; test.len() - self.window + 1];
+            return 1.0;
         };
-        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
-        test.windows(self.window)
-            .map(|w| {
-                if let Some(&s) = cache.get(w) {
-                    return s;
-                }
-                let context = &w[..self.window - 1];
-                let next = w[self.window - 1];
-                let score = if next.index() >= model.symbols()
-                    || context.iter().any(|s| s.index() >= model.symbols())
-                {
-                    // Foreign symbol: maximally anomalous by definition.
-                    1.0
-                } else {
-                    1.0 - model
-                        .predict_next(context, next)
-                        .expect("symbols checked against the model's range")
-                };
-                cache.insert(w, score);
-                score
-            })
-            .collect()
+        if window.iter().any(|s| s.index() >= model.symbols()) {
+            // Foreign symbol: maximally anomalous by definition.
+            return 1.0;
+        }
+        let (context, next) = (&window[..self.window - 1], window[self.window - 1]);
+        1.0 - model
+            .predict_next(context, next)
+            .expect("symbols checked against the model's range")
+    }
+
+    /// The forward pass runs once per distinct window.
+    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
+        memoized_scores(self, test)
     }
 
     fn maximal_response_floor(&self) -> f64 {

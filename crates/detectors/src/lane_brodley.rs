@@ -16,11 +16,10 @@
 //! `DW(DW−1)/2` (10 of 15 for DW = 5) — "close to normal" — which is why
 //! the detector is blind across the entire MFS space (§7, Figure 3).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_sequence::{BuildSymbolHasher, NgramCounter, StreamProfile, Symbol};
+use detdiv_core::{memoized_scores, SequenceAnomalyDetector, TrainedModel};
+use detdiv_sequence::{NgramCounter, StreamProfile, Symbol};
 
 /// Pairwise adjacency-weighted similarity between two same-length
 /// sequences.
@@ -156,34 +155,17 @@ impl TrainedModel for LaneBrodley {
         self.normals.distinct() * (self.window * std::mem::size_of::<Symbol>() + 48)
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
-        }
-        // Test streams are highly repetitive; memoise per distinct
-        // window so the max-similarity scan runs once per pattern.
-        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
-        test.windows(self.window)
-            .map(|w| {
-                if let Some(&s) = cache.get(w) {
-                    s
-                } else {
-                    let s = self.response(w);
-                    cache.insert(w, s);
-                    s
-                }
-            })
-            .collect()
-    }
-
+    #[inline]
     fn score_one(&self, window: &[Symbol]) -> f64 {
-        // Allocation-free streaming form: the batch path memoises
-        // [`LaneBrodley::response`] per distinct window, which never
-        // changes the value — one uncached call is bit-identical.
         if window.len() != self.window {
             return 1.0;
         }
         self.response(window)
+    }
+
+    /// The max-similarity scan runs once per distinct window.
+    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
+        memoized_scores(self, test)
     }
 }
 

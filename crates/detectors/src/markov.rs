@@ -114,32 +114,13 @@ impl TrainedModel for MarkovDetector {
         self.window
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
-        }
-        let Some(model) = &self.model else {
-            // Untrained: everything is maximally anomalous.
-            return vec![1.0; test.len() - self.window + 1];
-        };
-        test.windows(self.window)
-            .map(|w| {
-                let context = &w[..self.window - 1];
-                let next = w[self.window - 1];
-                match model.predict(context, next) {
-                    Prediction::UnseenContext => 1.0,
-                    Prediction::Known(p) => 1.0 - p,
-                }
-            })
-            .collect()
-    }
-
+    #[inline]
     fn score_one(&self, window: &[Symbol]) -> f64 {
-        // Allocation-free streaming form of the batch closure above.
         if window.len() != self.window {
             return 1.0;
         }
         let Some(model) = &self.model else {
+            // Untrained: everything is maximally anomalous.
             return 1.0;
         };
         let context = &window[..self.window - 1];

@@ -23,11 +23,9 @@
 //! critical." [`NeuralConfig`] exposes exactly those parameters, plus the
 //! detection floor itself; the ablation experiment ABL3 sweeps them.
 
-use std::collections::HashMap;
-
-use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
+use detdiv_core::{memoized_scores, SequenceAnomalyDetector, TrainedModel};
 use detdiv_nn::{encode_context, Mlp, MlpConfig};
-use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
+use detdiv_sequence::{StreamProfile, Symbol};
 
 /// Hyperparameters of the neural-network-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,23 +142,6 @@ impl NeuralDetector {
     pub fn is_trained(&self) -> bool {
         self.state.is_some()
     }
-
-    fn response_for(&self, state: &TrainedNet, window: &[Symbol]) -> f64 {
-        let ctx_len = self.window - 1;
-        let next = window[ctx_len];
-        // A symbol outside the training alphabet is a foreign symbol —
-        // maximally anomalous by definition.
-        if window.iter().any(|s| s.index() >= state.alphabet_size) {
-            return 1.0;
-        }
-        let ctx_ids: Vec<usize> = window[..ctx_len].iter().map(|s| s.index()).collect();
-        let input = encode_context(&ctx_ids, state.alphabet_size);
-        let out = state
-            .net
-            .forward(&input)
-            .expect("input width fixed at training time");
-        1.0 - out[next.index()]
-    }
 }
 
 impl TrainedModel for NeuralDetector {
@@ -172,27 +153,31 @@ impl TrainedModel for NeuralDetector {
         self.window
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
+    fn score_one(&self, window: &[Symbol]) -> f64 {
+        if window.len() != self.window {
+            return 1.0;
         }
         let Some(state) = &self.state else {
-            return vec![1.0; test.len() - self.window + 1];
+            return 1.0;
         };
-        // Repetitive streams revisit the same window constantly; memoise
-        // the forward passes.
-        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
-        test.windows(self.window)
-            .map(|w| {
-                if let Some(&s) = cache.get(w) {
-                    s
-                } else {
-                    let s = self.response_for(state, w);
-                    cache.insert(w, s);
-                    s
-                }
-            })
-            .collect()
+        // A symbol outside the training alphabet is a foreign symbol —
+        // maximally anomalous by definition.
+        if window.iter().any(|s| s.index() >= state.alphabet_size) {
+            return 1.0;
+        }
+        let ctx_len = self.window - 1;
+        let ctx_ids: Vec<usize> = window[..ctx_len].iter().map(|s| s.index()).collect();
+        let input = encode_context(&ctx_ids, state.alphabet_size);
+        let out = state
+            .net
+            .forward(&input)
+            .expect("input width fixed at training time");
+        1.0 - out[window[ctx_len].index()]
+    }
+
+    /// The forward pass runs once per distinct window.
+    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
+        memoized_scores(self, test)
     }
 
     fn maximal_response_floor(&self) -> f64 {

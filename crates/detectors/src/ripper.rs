@@ -19,11 +19,9 @@
 //! same threshold-tuning consideration the paper raises for the neural
 //! network.
 
-use std::collections::HashMap;
-
-use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
+use detdiv_core::{memoized_scores, SequenceAnomalyDetector, TrainedModel};
 use detdiv_rules::{examples_from_counter, learn_rules, LearnConfig, RuleSet};
-use detdiv_sequence::{BuildSymbolHasher, StreamProfile, Symbol};
+use detdiv_sequence::{StreamProfile, Symbol};
 
 /// Hyperparameters of the rule-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,31 +123,24 @@ impl TrainedModel for RipperDetector {
         self.window
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
+    fn score_one(&self, window: &[Symbol]) -> f64 {
+        if window.len() != self.window {
+            return 1.0;
         }
         let Some(rules) = &self.rules else {
-            return vec![1.0; test.len() - self.window + 1];
+            return 1.0;
         };
-        let mut cache: HashMap<&[Symbol], f64, BuildSymbolHasher> = HashMap::default();
-        test.windows(self.window)
-            .map(|w| {
-                if let Some(&s) = cache.get(w) {
-                    return s;
-                }
-                let context = &w[..self.window - 1];
-                let next = w[self.window - 1];
-                let p = rules.predict(context);
-                let score = if p.class == next {
-                    1.0 - p.confidence
-                } else {
-                    p.confidence
-                };
-                cache.insert(w, score);
-                score
-            })
-            .collect()
+        let p = rules.predict(&window[..self.window - 1]);
+        if p.class == window[self.window - 1] {
+            1.0 - p.confidence
+        } else {
+            p.confidence
+        }
+    }
+
+    /// The rule search runs once per distinct window.
+    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
+        memoized_scores(self, test)
     }
 
     fn maximal_response_floor(&self) -> f64 {

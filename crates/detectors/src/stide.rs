@@ -65,17 +65,8 @@ impl TrainedModel for Stide {
         self.window
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
-        }
-        test.windows(self.window)
-            .map(|w| if self.db.contains(w) { 0.0 } else { 1.0 })
-            .collect()
-    }
-
+    #[inline]
     fn score_one(&self, window: &[Symbol]) -> f64 {
-        // Allocation-free streaming form of the batch closure above.
         if window.len() != self.window {
             return 1.0;
         }
@@ -162,6 +153,13 @@ impl TrainedModel for StideLfc {
         self.stide.approx_bytes()
     }
 
+    fn score_one(&self, window: &[Symbol]) -> f64 {
+        self.scores(window).pop().unwrap_or(1.0)
+    }
+
+    /// The frame count is not a per-window function: each response
+    /// reads the `frame` windows before it, so batch scoring is this
+    /// family's definition (and it is scored batch-only).
     fn scores(&self, test: &[Symbol]) -> Vec<f64> {
         let raw = self.stide.scores(test);
         let mut out = Vec::with_capacity(raw.len());

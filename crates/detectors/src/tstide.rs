@@ -93,17 +93,8 @@ impl TrainedModel for TStide {
         self.window
     }
 
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        if test.len() < self.window {
-            return Vec::new();
-        }
-        test.windows(self.window)
-            .map(|w| 1.0 - self.db.relative_frequency(w))
-            .collect()
-    }
-
+    #[inline]
     fn score_one(&self, window: &[Symbol]) -> f64 {
-        // Allocation-free streaming form of the batch closure above.
         if window.len() != self.window {
             return 1.0;
         }

@@ -154,11 +154,13 @@ impl DetectorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detdiv_core::TrainedModel;
+    use detdiv_core::{LabeledCase, TrainedModel};
+    use detdiv_sequence::StreamProfile;
+    use detdiv_synth::{Corpus, SynthesisConfig};
+    use std::sync::Arc;
 
-    #[test]
-    fn builds_every_family() {
-        for kind in [
+    fn every_kind() -> [DetectorKind; 10] {
+        [
             DetectorKind::Stide,
             DetectorKind::StideLfc { frame: 10 },
             DetectorKind::TStide,
@@ -171,10 +173,52 @@ mod tests {
             DetectorKind::LaneBrodley,
             DetectorKind::hmm_default(),
             DetectorKind::ripper_default(),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn builds_every_family() {
+        for kind in every_kind() {
             let det = kind.build(3);
             assert_eq!(det.window(), 3);
             assert!(!det.name().is_empty());
+        }
+    }
+
+    #[test]
+    fn built_models_score_batch_per_window_and_streamed_alike() {
+        // Through `build`, so through the telemetry wrapper and the box,
+        // both of which forward `scores` and `score_one` separately.
+        let config = SynthesisConfig::builder()
+            .training_len(20_000)
+            .anomaly_sizes(2..=3)
+            .windows(2..=4)
+            .background_len(256)
+            .plant_repeats(2)
+            .seed(23)
+            .build()
+            .unwrap();
+        let corpus = Corpus::synthesize(&config).unwrap();
+        let window = 3;
+        let case = corpus.case(3, window).unwrap();
+        let test = case.test_stream();
+        let profile = StreamProfile::new(case.training());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Stide's locality frame count reads neighbouring windows, so it
+        // is scored batch-only.
+        for kind in every_kind()
+            .into_iter()
+            .filter(|k| !matches!(k, DetectorKind::StideLfc { .. }))
+        {
+            let mut det = kind.build(window);
+            det.train(&profile);
+            let model = Arc::new(det) as Arc<dyn TrainedModel>;
+            let batch = model.scores(test);
+            assert_eq!(batch.len(), test.len() - window + 1, "{}", kind.name());
+            let per_window: Vec<f64> = test.windows(window).map(|w| model.score_one(w)).collect();
+            let streamed = detdiv_stream::stream_scores(&model, test);
+            assert_eq!(bits(&batch), bits(&per_window), "{}", kind.name());
+            assert_eq!(bits(&batch), bits(&streamed), "{}", kind.name());
         }
     }
 

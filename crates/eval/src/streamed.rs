@@ -12,24 +12,19 @@
 //!
 //! The mode is a process-wide switch (like the model cache's
 //! `DETDIV_CACHE`), not a per-call parameter: the point is to swap the
-//! scoring engine under the *entire* unchanged experiment suite.
+//! scoring engine under the *entire* unchanged experiment suite. The
+//! switch itself is the flight layer's armed-subsystem flag, so
+//! `/healthz` reports the mode the pipeline reads.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static STREAM_SCORING: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables streaming scoring process-wide. Mirrored into
-/// the flight layer's armed-subsystem flags so `/healthz` can report
-/// the scoring mode.
+/// Enables or disables streaming scoring process-wide.
 pub fn set_stream_scoring(on: bool) {
-    STREAM_SCORING.store(on, Ordering::SeqCst);
     detdiv_flight::flags::set_stream_scoring(on);
 }
 
 /// Whether coverage evaluation currently scores through the streaming
 /// adapter.
 pub fn stream_scoring() -> bool {
-    STREAM_SCORING.load(Ordering::SeqCst)
+    detdiv_flight::flags::stream_scoring()
 }
 
 /// Applies the `DETDIV_STREAM` environment variable (`on`/`1` enables,

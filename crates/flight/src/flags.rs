@@ -3,19 +3,25 @@
 //! `detdiv-scope`'s liveness endpoint reports which optional
 //! subsystems are active in the process it is introspecting. The fault
 //! and flight answers come from their own crates; the serve and
-//! stream-scoring answers are plain process facts that scope and eval
-//! mirror here (this crate sits below both in the dependency graph, so
-//! it is the natural meeting point).
+//! stream-scoring answers are plain process facts kept here (this crate
+//! sits below scope and eval in the dependency graph, so it is the
+//! natural meeting point): scope mirrors whether it serves, and eval's
+//! stream-scoring switch *is* the flag below.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static STREAM_SCORING: AtomicBool = AtomicBool::new(false);
 static SERVING: AtomicBool = AtomicBool::new(false);
 
-/// Mirrors the evaluation layer's stream-scoring switch
+/// Sets the evaluation layer's stream-scoring switch
 /// (`regenerate --stream` / `DETDIV_STREAM`).
 pub fn set_stream_scoring(on: bool) {
     STREAM_SCORING.store(on, Ordering::Relaxed);
+}
+
+/// Whether the evaluation layer scores through the streaming adapter.
+pub fn stream_scoring() -> bool {
+    STREAM_SCORING.load(Ordering::Relaxed)
 }
 
 /// Mirrors whether a scope server is currently serving
@@ -41,7 +47,7 @@ pub struct Subsystems {
 pub fn subsystems() -> Subsystems {
     Subsystems {
         serve: SERVING.load(Ordering::Relaxed),
-        stream: STREAM_SCORING.load(Ordering::Relaxed),
+        stream: stream_scoring(),
         fault: detdiv_resil::armed(),
         flight: crate::armed(),
     }

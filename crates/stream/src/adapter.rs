@@ -1,22 +1,25 @@
 //! Streaming adapters over batch-trained models.
 //!
-//! Every detector family of the experiment suite scores a test stream
-//! as a *per-window pure* function: `scores(test)[i]` depends only on
-//! the trained state and `test[i..i + DW]` (the conformance suite pins
-//! this down). [`ModelAdapter`] exploits that: it keeps the last `DW`
-//! symbols in a fixed ring-less buffer and scores each full window with
-//! [`TrainedModel::score_one`], which is bit-identical to the batch
-//! score at the same position — streamed and batch evaluation are the
-//! same numbers, not approximately the same.
+//! Every detector family states its similarity metric once, as
+//! [`TrainedModel::score_one`] on one window, and batch
+//! [`TrainedModel::scores`] is derived from it (`score_one` mapped over
+//! the window positions, memoised per distinct window for the costly
+//! families). [`ModelAdapter`] keeps the last `DW` symbols in a fixed
+//! ring-less buffer and scores each full window with that same
+//! `score_one`, so streamed and batch evaluation are the same numbers
+//! by construction, not approximately the same. The one exception is
+//! Stide's locality frame count (`StideLfc`), a post-processor over
+//! neighbouring windows that is scored batch-only.
 //!
-//! The hot path allocates nothing: the window buffer is rotated with
-//! `copy_within`, the score comes from `score_one` (overridden
-//! allocation-free for the closed-form families), and the reason label
-//! is a `&'static str`.
+//! The adapter itself allocates nothing per event: the window buffer
+//! is rotated with `copy_within`, and the reason label — the
+//! [`Classification`] of the score against the model's floor — is a
+//! `&'static str`. The closed-form families (Stide, t-stide, Markov,
+//! Lane & Brodley) score a window without allocating.
 
 use std::sync::Arc;
 
-use detdiv_core::TrainedModel;
+use detdiv_core::{Classification, TrainedModel};
 use detdiv_sequence::Symbol;
 
 use crate::context::{DetectionResult, SignalContext};
@@ -120,12 +123,10 @@ impl StreamDetector for ModelAdapter {
             return None;
         }
         let score = self.model.score_one(&self.buf);
-        let reason = if score >= self.floor {
-            REASON_MAXIMAL
-        } else if score > 0.0 {
-            REASON_ELEVATED
-        } else {
-            REASON_NORMAL
+        let reason = match Classification::of(score, self.floor) {
+            Classification::Capable => REASON_MAXIMAL,
+            Classification::Weak => REASON_ELEVATED,
+            Classification::Blind => REASON_NORMAL,
         };
         Some(DetectionResult::certain(score, reason))
     }
@@ -169,7 +170,8 @@ impl StreamDetector for ModelAdapter {
 /// Streams `test` through a fresh [`ModelAdapter`] over `model` and
 /// collects the emitted scores.
 ///
-/// The result is bit-identical to `model.scores(test)` — same length
+/// For every per-window model (all but Stide's locality frame count)
+/// the result is bit-identical to `model.scores(test)` — same length
 /// (`test.len() − DW + 1`, or empty when the stream is shorter than
 /// one window), same values — which is what lets the evaluation
 /// pipeline swap scoring modes without perturbing a single artifact

@@ -39,9 +39,8 @@ pub struct SignalContext {
     pub stream_id_hash: u64,
     /// The categorical event symbol scored by the model adapters.
     pub symbol: Symbol,
-    /// Numeric magnitude for the value-based online detectors (EWMA,
-    /// CUSUM, adaptive threshold). Adapters and the fading histogram
-    /// ignore it.
+    /// Numeric magnitude for the value-based online detector (EWMA).
+    /// The model adapters ignore it.
     pub value: f64,
 }
 

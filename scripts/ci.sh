@@ -21,7 +21,10 @@
 #                               with --trace armed: tracing must not
 #                               perturb results (the trace files
 #                               themselves carry wall times and are
-#                               excluded from the comparison)
+#                               excluded from the comparison); the
+#                               width-1 report and stdout must also
+#                               match the sha256 pins in
+#                               scripts/expected/regenerate_*.sha256
 #   6. cache gate             — the report regenerated with the
 #                               single-flight trained-model cache
 #                               disabled (--no-cache) must be
@@ -156,6 +159,18 @@ DETDIV_LOG=off DETDIV_THREADS=4 ./target/release/regenerate \
 cmp "$GATE_DIR/t1/paper_report.json" "$GATE_DIR/t4/paper_report.json"
 cmp "$GATE_DIR/t1/stdout.txt" "$GATE_DIR/t4/stdout.txt"
 echo "report and stdout byte-identical at 1 and 4 threads (tracing armed)"
+# Batch and streamed scoring share each family's `score_one`, so the
+# stream gate's cmp cannot see a wrong response that moves both paths
+# alike; pin the artifacts' bytes themselves.
+for artifact in report:paper_report.json stdout:stdout.txt; do
+    PIN="scripts/expected/regenerate_${artifact%%:*}.sha256"
+    SHA=$(sha256sum < "$GATE_DIR/t1/${artifact#*:}" | cut -d' ' -f1)
+    [ "$SHA" = "$(cat "$PIN")" ] || {
+        echo "determinism gate: ${artifact#*:} sha256 $SHA differs from $PIN" >&2
+        exit 1
+    }
+done
+echo "report and stdout match the pinned sha256"
 
 banner "cache gate (cached vs --no-cache byte identity + conformance + hit telemetry)"
 # The determinism-gate runs above went through the single-flight

@@ -44,8 +44,7 @@
 //!   [`stream::StreamDetector`] contract, sliding-window adapters that
 //!   score event-by-event bit-identically to the batch path (switch the
 //!   whole suite over with `regenerate --stream` or `DETDIV_STREAM=on`),
-//!   and genuinely-online detectors (EWMA, CUSUM, adaptive thresholds,
-//!   fading histograms).
+//!   and a genuinely-online detector (EWMA).
 //!
 //! # Quickstart
 //!
