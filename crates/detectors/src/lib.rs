@@ -16,9 +16,11 @@
 //! | [`LaneBrodley`] | adjacency-weighted positional similarity | (blind to MFS anomalies) |
 //!
 //! Extensions beyond the paper's four: [`TStide`] (Stide with a frequency
-//! threshold, Warrender et al. 1999), [`StideLfc`] (Stide with the
-//! locality frame count the paper deliberately sets aside) [`HmmDetector`] (the hidden-Markov data model of the same study) and
-//! [`RipperDetector`] (its rule-induction data model).
+//! threshold, Warrender et al. 1999), [`HmmDetector`] (the hidden-Markov
+//! data model of the same study) and [`RipperDetector`] (its
+//! rule-induction data model). [`locality_frame_count`] is the
+//! post-processor over Stide's responses that the paper deliberately
+//! sets aside.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,5 +40,5 @@ pub use lane_brodley::{lane_brodley_sim_max, lane_brodley_similarity, LaneBrodle
 pub use markov::MarkovDetector;
 pub use neural::{NeuralConfig, NeuralDetector};
 pub use ripper::{RipperConfig, RipperDetector};
-pub use stide::{Stide, StideLfc};
+pub use stide::{locality_frame_count, Stide};
 pub use tstide::TStide;

@@ -90,97 +90,50 @@ impl SequenceAnomalyDetector for Stide {
     }
 }
 
-/// Stide with the *locality frame count* (LFC) post-processor of
-/// Warrender et al., mentioned and deliberately set aside by the paper's
-/// §5.5 ("Processes occurring after the application of the similarity
-/// measure were ignored, e.g., Stide's locality frame count").
+/// The *locality frame count* (LFC) post-processor of Warrender et
+/// al. over a detector's raw responses, mentioned and deliberately set
+/// aside by the paper's §5.5 ("Processes occurring after the
+/// application of the similarity measure were ignored, e.g., Stide's
+/// locality frame count").
 ///
 /// The LFC replaces each position's binary mismatch with the fraction of
 /// mismatches among the most recent `frame` windows, suppressing isolated
-/// mismatches while amplifying temporally clustered ones. Included here
-/// as the ablation the paper implies: with `frame == 1` it degenerates to
-/// plain Stide.
+/// mismatches while amplifying temporally clustered ones. It reads
+/// neighbouring windows, so it applies to a whole score vector after
+/// scoring, never to one window. With `frame == 1` it returns Stide's
+/// responses unchanged.
+///
+/// # Panics
+///
+/// Panics if `frame` is zero.
 ///
 /// # Examples
 ///
 /// ```
 /// use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-/// use detdiv_detectors::StideLfc;
+/// use detdiv_detectors::{locality_frame_count, Stide};
 /// use detdiv_sequence::{symbols, StreamProfile};
 ///
-/// let mut det = StideLfc::new(2, 2);
-/// det.train(&StreamProfile::new(&symbols(&[1, 2, 3, 1, 2, 3])));
+/// let mut stide = Stide::new(2);
+/// stide.train(&StreamProfile::new(&symbols(&[1, 2, 3, 1, 2, 3])));
 /// // Mismatch stream for (3,1,2,1): 0, 0, 1 -> LFC(2): 0, 0, 0.5
-/// assert_eq!(det.scores(&symbols(&[3, 1, 2, 1])), vec![0.0, 0.0, 0.5]);
+/// let raw = stide.scores(&symbols(&[3, 1, 2, 1]));
+/// assert_eq!(locality_frame_count(&raw, 2), vec![0.0, 0.0, 0.5]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct StideLfc {
-    stide: Stide,
-    frame: usize,
-}
-
-impl StideLfc {
-    /// Creates an untrained LFC-Stide with window `window` and locality
-    /// frame `frame`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` or `frame` is zero.
-    pub fn new(window: usize, frame: usize) -> Self {
-        assert!(frame > 0, "locality frame must be positive");
-        StideLfc {
-            stide: Stide::new(window),
-            frame,
+pub fn locality_frame_count(raw: &[f64], frame: usize) -> Vec<f64> {
+    assert!(frame > 0, "locality frame must be positive");
+    let mut out = Vec::with_capacity(raw.len());
+    let mut in_frame = 0usize;
+    for i in 0..raw.len() {
+        if raw[i] > 0.0 {
+            in_frame += 1;
         }
-    }
-
-    /// The locality frame length.
-    pub fn frame(&self) -> usize {
-        self.frame
-    }
-}
-
-impl TrainedModel for StideLfc {
-    fn name(&self) -> &str {
-        "stide-lfc"
-    }
-
-    fn window(&self) -> usize {
-        self.stide.window
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.stide.approx_bytes()
-    }
-
-    fn score_one(&self, window: &[Symbol]) -> f64 {
-        self.scores(window).pop().unwrap_or(1.0)
-    }
-
-    /// The frame count is not a per-window function: each response
-    /// reads the `frame` windows before it, so batch scoring is this
-    /// family's definition (and it is scored batch-only).
-    fn scores(&self, test: &[Symbol]) -> Vec<f64> {
-        let raw = self.stide.scores(test);
-        let mut out = Vec::with_capacity(raw.len());
-        let mut in_frame = 0usize;
-        for i in 0..raw.len() {
-            if raw[i] > 0.0 {
-                in_frame += 1;
-            }
-            if i >= self.frame && raw[i - self.frame] > 0.0 {
-                in_frame -= 1;
-            }
-            out.push(in_frame as f64 / self.frame as f64);
+        if i >= frame && raw[i - frame] > 0.0 {
+            in_frame -= 1;
         }
-        out
+        out.push(in_frame as f64 / frame as f64);
     }
-}
-
-impl SequenceAnomalyDetector for StideLfc {
-    fn train(&mut self, profile: &StreamProfile<'_>) {
-        self.stide.train(profile);
-    }
+    out
 }
 
 #[cfg(test)]
@@ -278,12 +231,13 @@ mod tests {
 
     #[test]
     fn lfc_smooths_isolated_mismatches() {
-        let mut det = StideLfc::new(2, 4);
-        det.train(&StreamProfile::new(&symbols(&[
+        let mut stide = Stide::new(2);
+        stide.train(&StreamProfile::new(&symbols(&[
             1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4,
         ])));
         // Single foreign bigram (2,1) inside an otherwise normal stream.
-        let scores = det.scores(&symbols(&[1, 2, 1, 2, 3, 4, 1, 2]));
+        let raw = stide.scores(&symbols(&[1, 2, 1, 2, 3, 4, 1, 2]));
+        let scores = locality_frame_count(&raw, 4);
         // Mismatch raw: (1,2)=0 (2,1)=1 (1,2)=0 (2,3)=0 (3,4)=0 (4,1)=0 (1,2)=0
         assert_eq!(scores[1], 0.25);
         // The mismatch washes out of the frame after 4 steps.
@@ -294,29 +248,25 @@ mod tests {
 
     #[test]
     fn lfc_amplifies_clustered_mismatches() {
-        let mut det = StideLfc::new(2, 2);
-        det.train(&StreamProfile::new(&symbols(&[1, 2, 3, 4, 1, 2, 3, 4])));
+        let mut stide = Stide::new(2);
+        stide.train(&StreamProfile::new(&symbols(&[1, 2, 3, 4, 1, 2, 3, 4])));
         // Two adjacent foreign bigrams: (2,1) and (1,4)? (4,1) known...
         // stream (1,2,1,4): bigrams (1,2)=0 (2,1)=1 (1,4)=1
-        let scores = det.scores(&symbols(&[1, 2, 1, 4]));
-        assert_eq!(scores, vec![0.0, 0.5, 1.0]);
+        let raw = stide.scores(&symbols(&[1, 2, 1, 4]));
+        assert_eq!(locality_frame_count(&raw, 2), vec![0.0, 0.5, 1.0]);
     }
 
     #[test]
     fn lfc_frame_one_equals_stide() {
-        let mut lfc = StideLfc::new(2, 1);
         let mut stide = Stide::new(2);
-        let train = symbols(&[1, 2, 3, 1, 2, 3]);
-        let profile = StreamProfile::new(&train);
-        lfc.train(&profile);
-        stide.train(&profile);
-        let test = symbols(&[1, 2, 1, 3, 2, 2]);
-        assert_eq!(lfc.scores(&test), stide.scores(&test));
+        stide.train(&StreamProfile::new(&symbols(&[1, 2, 3, 1, 2, 3])));
+        let raw = stide.scores(&symbols(&[1, 2, 1, 3, 2, 2]));
+        assert_eq!(locality_frame_count(&raw, 1), raw);
     }
 
     #[test]
     #[should_panic(expected = "locality frame must be positive")]
     fn lfc_zero_frame_rejected() {
-        let _ = StideLfc::new(2, 0);
+        let _ = locality_frame_count(&[1.0], 0);
     }
 }

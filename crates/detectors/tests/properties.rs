@@ -2,8 +2,8 @@
 
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
 use detdiv_detectors::{
-    lane_brodley_sim_max, lane_brodley_similarity, LaneBrodley, MarkovDetector, Stide, StideLfc,
-    TStide,
+    lane_brodley_sim_max, lane_brodley_similarity, locality_frame_count, LaneBrodley,
+    MarkovDetector, Stide, TStide,
 };
 use std::collections::BTreeSet;
 
@@ -84,7 +84,6 @@ proptest! {
         prop_assume!(train.len() > dw);
         let mut detectors: Vec<Box<dyn SequenceAnomalyDetector>> = vec![
             Box::new(Stide::new(dw)),
-            Box::new(StideLfc::new(dw, 4)),
             Box::new(TStide::new(dw)),
             Box::new(MarkovDetector::new(dw)),
             Box::new(LaneBrodley::new(dw)),
@@ -96,6 +95,11 @@ proptest! {
             prop_assert_eq!(scores.len(), expected, "{}", det.name());
             for &x in &scores {
                 prop_assert!((0.0..=1.0).contains(&x), "{}: {}", det.name(), x);
+            }
+            let framed = locality_frame_count(&scores, 4);
+            prop_assert_eq!(framed.len(), expected, "{} + lfc", det.name());
+            for &x in &framed {
+                prop_assert!((0.0..=1.0).contains(&x), "{} + lfc: {}", det.name(), x);
             }
         }
     }
@@ -160,12 +164,9 @@ proptest! {
     ) {
         prop_assume!(train.len() >= dw);
         let mut plain = Stide::new(dw);
-        let mut lfc = StideLfc::new(dw, frame);
-        let profile = StreamProfile::new(&train);
-        plain.train(&profile);
-        lfc.train(&profile);
+        plain.train(&StreamProfile::new(&train));
         let raw = plain.scores(&test);
-        let smooth = lfc.scores(&test);
+        let smooth = locality_frame_count(&raw, frame);
         for i in 0..raw.len() {
             let start = i.saturating_sub(frame - 1);
             let expected: f64 =

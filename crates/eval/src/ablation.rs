@@ -5,7 +5,7 @@
 use detdiv_core::{
     alarms_at, analyze_alarms, evaluate_case, CoverageMap, IncidentSpan, LabeledCase,
 };
-use detdiv_detectors::NeuralConfig;
+use detdiv_detectors::{locality_frame_count, NeuralConfig};
 use detdiv_synth::Corpus;
 use serde::{Deserialize, Serialize};
 
@@ -103,13 +103,13 @@ pub fn abl2_locality_frame_count(
         case.injection_position(),
         case.anomaly_len(),
     )?;
-    // Each frame is its own detector configuration (and cache key): fan
-    // the frames out and flatten the per-frame threshold rows in job
-    // order, so the table is identical to the serial nested loop.
+    // The frame count post-processes one Stide response vector: score
+    // once, fan the frames out and flatten the per-frame threshold rows
+    // in job order, so the table is identical to the serial nested loop.
+    let raw = trained_model(case.training(), &DetectorKind::Stide, window).scores(test);
     let frames = [1usize, 5, 20];
     let per_frame = detdiv_par::par_try_map(&frames, |&frame| {
-        let det = trained_model(case.training(), &DetectorKind::StideLfc { frame }, window);
-        let scores = det.scores(test);
+        let scores = locality_frame_count(&raw, frame);
         let mut rows = Vec::with_capacity(3);
         for threshold in [0.2, 0.5, 1.0] {
             let alarms = alarms_at(&scores, threshold);

@@ -4,7 +4,7 @@
 use detdiv_core::{InstrumentedDetector, SequenceAnomalyDetector};
 use detdiv_detectors::{
     HmmConfig, HmmDetector, LaneBrodley, MarkovDetector, NeuralConfig, NeuralDetector,
-    RipperConfig, RipperDetector, Stide, StideLfc, TStide,
+    RipperConfig, RipperDetector, Stide, TStide,
 };
 
 /// Boxes `detector` behind the telemetry-recording wrapper, so every
@@ -23,11 +23,6 @@ where
 pub enum DetectorKind {
     /// Stide (exact sequence matching).
     Stide,
-    /// Stide with a locality frame count of the given length.
-    StideLfc {
-        /// Locality frame length.
-        frame: usize,
-    },
     /// t-stide (sequence matching with a frequency threshold).
     TStide,
     /// The Markov-based detector under the paper's maximal-response
@@ -99,7 +94,6 @@ impl DetectorKind {
     pub fn name(&self) -> &'static str {
         match self {
             DetectorKind::Stide => "stide",
-            DetectorKind::StideLfc { .. } => "stide-lfc",
             DetectorKind::TStide => "t-stide",
             DetectorKind::Markov => "markov",
             DetectorKind::MarkovStrict => "markov-strict",
@@ -119,7 +113,6 @@ impl DetectorKind {
     pub fn build(&self, window: usize) -> Box<dyn SequenceAnomalyDetector> {
         match self {
             DetectorKind::Stide => instrumented(Stide::new(window)),
-            DetectorKind::StideLfc { frame } => instrumented(StideLfc::new(window, *frame)),
             DetectorKind::TStide => instrumented(TStide::new(window)),
             DetectorKind::Markov => instrumented(MarkovDetector::new(window)),
             DetectorKind::MarkovStrict => instrumented(MarkovDetector::strict(window)),
@@ -159,10 +152,9 @@ mod tests {
     use detdiv_synth::{Corpus, SynthesisConfig};
     use std::sync::Arc;
 
-    fn every_kind() -> [DetectorKind; 10] {
+    fn every_kind() -> [DetectorKind; 9] {
         [
             DetectorKind::Stide,
-            DetectorKind::StideLfc { frame: 10 },
             DetectorKind::TStide,
             DetectorKind::Markov,
             DetectorKind::MarkovStrict,
@@ -204,12 +196,7 @@ mod tests {
         let test = case.test_stream();
         let profile = StreamProfile::new(case.training());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // Stide's locality frame count reads neighbouring windows, so it
-        // is scored batch-only.
-        for kind in every_kind()
-            .into_iter()
-            .filter(|k| !matches!(k, DetectorKind::StideLfc { .. }))
-        {
+        for kind in every_kind() {
             let mut det = kind.build(window);
             det.train(&profile);
             let model = Arc::new(det) as Arc<dyn TrainedModel>;

@@ -116,7 +116,7 @@ impl CellRecord<'_> {
 }
 
 /// One streaming detection decision (or warmup absorption) from
-/// `StreamEngine::push`.
+/// `Bank::push`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamRecord<'a> {
     /// Human label of the stream, or `""` when unlabeled.

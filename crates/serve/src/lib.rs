@@ -8,9 +8,9 @@
 //!
 //! * **Sharding** — streams are assigned to one of N shards by their
 //!   FNV-1a hash ([`detdiv_stream::hash_stream_id`]); each shard owns a
-//!   [`detdiv_stream::StreamEngine`] and is only ever drained by one
-//!   worker at a time, so per-stream verdict order is independent of
-//!   the worker count.
+//!   queue and a table of per-stream records and is only ever drained
+//!   by one worker at a time, so per-stream verdict order is
+//!   independent of the worker count.
 //! * **Bounded queues, typed backpressure** — every shard queue has a
 //!   hard capacity; a full queue rejects with [`RejectReason`], never
 //!   buffers unboundedly. Load shedding is the caller's explicit
@@ -18,12 +18,13 @@
 //! * **Two-tier detection** — a cheap always-on EWMA band
 //!   ([`Tier1Config`]) fronts the expensive detector banks; each stream
 //!   is one 40-byte record in its shard's table, and only streams that
-//!   escalate past the gate get (and keep) tier-2 state. The
+//!   escalate past the gate get (and keep) a tier-2
+//!   [`detdiv_stream::Bank`], boxed in that same record. The
 //!   differential suite checks every verdict against a sequential
 //!   reference model of the gate and the bank.
 //! * **Supervised execution** — a panicking detector degrades exactly
-//!   one slot of one stream ([`detdiv_stream::StreamEngine`]'s
-//!   isolation, surfaced through `detdiv_flight::streams`); a
+//!   one slot of one stream ([`detdiv_stream::Bank`]'s isolation,
+//!   surfaced through `detdiv_flight::streams`); a
 //!   shard-level fault defers that shard's batch via
 //!   [`detdiv_resil::supervised`] at the `serve/drain` site. Neither
 //!   takes down the service.

@@ -1,7 +1,7 @@
 //! The sharded ingest service.
 //!
 //! [`IngestService`] owns N shards, each a bounded ingestion queue plus
-//! an embedded [`StreamEngine`]. Producers call
+//! a table of per-stream records. Producers call
 //! [`enqueue`](IngestService::enqueue) (cheap: one lock, one push, or a
 //! typed rejection); a drain cycle fans the shards out across the
 //! [`detdiv_par`] pool, each worker draining whole shards so any one
@@ -20,9 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use detdiv_guard::introspect::{GuardShardStats, GuardStats};
 use detdiv_guard::{BreakerState, DegradationLevel, GuardConfig, HibernationStore, PressureSample};
 use detdiv_resil::RetryPolicy;
-use detdiv_stream::{
-    DetectionResult, EwmaState, SignalContext, SlotResult, StreamDetector, StreamEngine,
-};
+use detdiv_stream::{Bank, DetectionResult, EwmaState, SignalContext, SlotResult, StreamDetector};
 
 use crate::config::{ServeConfig, Tier1Config};
 use crate::guard::{
@@ -126,27 +124,25 @@ pub struct DrainSummary {
     pub deferred_shards: u64,
 }
 
-/// Shared bank factory: every shard's engine builds per-stream banks
-/// from the same recipe.
-type SharedFactory = Arc<dyn Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync>;
-pub(crate) type BankFactory = Box<dyn FnMut() -> Vec<Box<dyn StreamDetector>> + Send>;
+/// The tier-2 bank recipe, shared by every shard.
+pub(crate) type BankFactory = Box<dyn Fn() -> Vec<Box<dyn StreamDetector>> + Send + Sync>;
 
 /// One gated stream's per-stream state: its tier-1 gate statistics,
-/// whether it has escalated to tier 2, and the guard's LRU key. The
-/// gate's `alpha` and `warmup` are service-wide ([`Tier1Config`]), so
-/// the record holds only what differs per stream — 40 bytes.
+/// the guard's LRU key, and its tier-2 bank — present exactly when the
+/// stream has escalated. The gate's `alpha` and `warmup` are
+/// service-wide ([`Tier1Config`]), so the record holds only what
+/// differs per stream — 40 bytes.
 #[derive(Default)]
 pub(crate) struct StreamRecord {
     pub(crate) gate: EwmaState,
     /// Drain cycle of the stream's last event under a guard (0 without
     /// one): the hibernation pass spills in `(last_touch, hash)` order.
     pub(crate) last_touch: u64,
-    pub(crate) escalated: bool,
+    pub(crate) bank: Option<Box<Bank>>,
 }
 
 pub(crate) struct Shard {
     pub(crate) queue: VecDeque<SignalContext>,
-    pub(crate) engine: StreamEngine<BankFactory>,
     /// Stream hash → record, for every resident stream the shard has
     /// seen. A hibernated stream is in the guard's store instead, never
     /// in both. Keeps std's keyed `RandomState`: stream ids arrive from
@@ -155,6 +151,9 @@ pub(crate) struct Shard {
     /// would let a sender who chooses ids pile them into one probe
     /// chain.
     pub(crate) records: HashMap<u64, StreamRecord>,
+    /// Records holding a tier-2 bank, counted where banks are built
+    /// and dropped: the guard's resident estimate.
+    pub(crate) banks: u64,
     /// Overload-protection state; `None` unless the service was built
     /// with [`IngestService::with_guard`].
     pub(crate) guard: Option<GuardShard>,
@@ -186,6 +185,7 @@ pub(crate) struct Shard {
 /// ```
 pub struct IngestService {
     config: ServeConfig,
+    pub(crate) factory: BankFactory,
     pub(crate) shards: Vec<Mutex<Shard>>,
     stats: Arc<ServiceStats>,
     pub(crate) guard: Option<GuardRuntime>,
@@ -220,14 +220,12 @@ impl IngestService {
     ) -> IngestService {
         let alpha = config.tier1.alpha;
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        let factory: SharedFactory = Arc::new(factory);
         let shards = (0..config.shards)
             .map(|_| {
-                let f = Arc::clone(&factory);
                 Mutex::new(Shard {
                     queue: VecDeque::new(),
-                    engine: StreamEngine::new(Box::new(move || f()) as BankFactory),
                     records: HashMap::new(),
+                    banks: 0,
                     guard: None,
                 })
             })
@@ -235,6 +233,7 @@ impl IngestService {
         IngestService {
             stats: Arc::new(ServiceStats::new(config.shards)),
             config,
+            factory: Box::new(factory),
             shards,
             guard: None,
         }
@@ -400,7 +399,7 @@ impl IngestService {
     /// event is popped: an injected (or real) shard-level panic defers
     /// the whole batch — events stay queued for the next drain — and
     /// never takes down sibling shards. Per-stream panics inside
-    /// detector slots are finer-grained still: the embedded engine
+    /// detector slots are finer-grained still: the stream's bank
     /// degrades exactly that slot (see the backpressure suite).
     pub fn drain(&self, sink: &impl VerdictSink) -> DrainSummary {
         let indices: Vec<usize> = (0..self.config.shards).collect();
@@ -485,11 +484,10 @@ impl IngestService {
                 g.record(index, "ladder", from.name(), to.name(), 0);
             }
         }
-        let degraded_before = shard.engine.degraded_slots();
         let Shard {
             queue,
-            engine,
             records,
+            banks,
             guard,
         } = shard;
         // The shard's cycle only moves between drains, so one read
@@ -499,12 +497,14 @@ impl IngestService {
             index,
             cfg: self.config.tier1,
             sink,
-            engine,
+            factory: &self.factory,
+            banks,
             guard: guard
                 .as_mut()
                 .zip(self.guard.as_ref().map(|rt| &rt.stats.shards[index])),
             slot_buf: Vec::new(),
             escalated: 0,
+            degraded: 0,
         };
         while let Some(ctx) = queue.pop_front() {
             drain.processed += 1;
@@ -519,7 +519,7 @@ impl IngestService {
             drain.emitted += gated.event(record, &ctx);
         }
         drain.escalated = gated.escalated;
-        drain.degraded = shard.engine.degraded_slots() - degraded_before;
+        drain.degraded = gated.degraded;
         self.guard_cycle_end(index, shard);
         let stats = &self.stats.shards[index];
         stats.depth.store(0, Ordering::Relaxed);
@@ -549,10 +549,8 @@ impl IngestService {
         };
         let gs = &rt.stats.shards[index];
         // Resident estimate: every gated stream costs a record;
-        // escalated streams (those with a bank in the engine) cost the
-        // bank on top.
-        let mut resident = shard.records.len() as u64 * GATE_COST
-            + shard.engine.stream_count() as u64 * rt.bank_cost;
+        // escalated streams cost their bank on top.
+        let mut resident = shard.records.len() as u64 * GATE_COST + shard.banks * rt.bank_cost;
         // Hibernation: while over the shard's budget slice, spill the
         // least-recently-touched streams to the checksummed segment.
         // LRU order is (last-touch cycle, hash) — both deterministic —
@@ -569,9 +567,7 @@ impl IngestService {
                     if resident <= budget {
                         break;
                     }
-                    let slots = shard.engine.snapshot_stream(hash).unwrap_or_default();
-                    let line =
-                        crate::snapshot::render_stream_line(hash, &shard.records[&hash], &slots);
+                    let line = crate::snapshot::render_stream_line(hash, &shard.records[&hash]);
                     let store = g.store.as_mut().expect("checked above");
                     if store.spill(hash, &line).is_err() {
                         // An unwritable segment leaves the stream
@@ -579,10 +575,10 @@ impl IngestService {
                         // losing state.
                         continue;
                     }
-                    shard.records.remove(&hash);
-                    let had_bank = shard.engine.close_stream(hash);
-                    resident = resident
-                        .saturating_sub(GATE_COST + if had_bank { rt.bank_cost } else { 0 });
+                    let removed = shard.records.remove(&hash);
+                    let banked = u64::from(removed.is_some_and(|record| record.bank.is_some()));
+                    shard.banks -= banked;
+                    resident = resident.saturating_sub(GATE_COST + banked * rt.bank_cost);
                     gs.hibernated.fetch_add(1, Ordering::Relaxed);
                     g.record(index, "hibernate", "", "spilled", hash);
                 }
@@ -609,11 +605,15 @@ impl IngestService {
             .sum()
     }
 
-    /// Detector slots permanently degraded by caught panics, summed
-    /// over shards.
+    /// Detector slots this service has degraded by caught panics,
+    /// summed over the shards' `degraded` counters. A slot restored
+    /// already degraded (by rehydration or recovery) is not counted
+    /// again.
     pub fn degraded_slots(&self) -> u64 {
-        (0..self.config.shards)
-            .map(|i| self.shard(i).engine.degraded_slots())
+        self.stats
+            .shards
+            .iter()
+            .map(|s| s.degraded.load(Ordering::Relaxed))
             .sum()
     }
 }
@@ -628,18 +628,21 @@ impl Drop for IngestService {
 }
 
 /// One shard's gated drain: what every event needs besides its own
-/// stream's record. Borrows the shard's engine and guard state (with
-/// the shard's guard counters) for the cycle; the record table is
-/// borrowed separately by the drain loop.
+/// stream's record. Borrows the shard's bank count and guard state
+/// (with the shard's guard counters) for the cycle; the record table
+/// is borrowed separately by the drain loop.
 struct GatedDrain<'a> {
     index: usize,
     cfg: Tier1Config,
     sink: &'a dyn VerdictSink,
-    engine: &'a mut StreamEngine<BankFactory>,
+    factory: &'a BankFactory,
+    banks: &'a mut u64,
     guard: Option<(&'a mut GuardShard, &'a GuardShardStats)>,
     slot_buf: Vec<SlotResult>,
     /// Streams escalated this cycle.
     escalated: u64,
+    /// Slots newly degraded this cycle.
+    degraded: u64,
 }
 
 impl GatedDrain<'_> {
@@ -669,13 +672,12 @@ impl GatedDrain<'_> {
             if parsed.is_some() { "restored" } else { "cold" },
             hash,
         );
-        match parsed {
-            Some(p) => {
-                p.restore_bank(self.engine);
-                p.record()
-            }
-            None => StreamRecord::default(),
-        }
+        let Some(p) = parsed else {
+            return StreamRecord::default();
+        };
+        let (record, _) = p.record(self.factory);
+        *self.banks += u64::from(record.bank.is_some());
+        record
     }
 
     /// Runs one event through the tier-1 gate and, once escalated, the
@@ -692,59 +694,66 @@ impl GatedDrain<'_> {
             None => (DegradationLevel::Full, true),
         };
         let (alpha, warmup) = (self.cfg.alpha, self.cfg.warmup);
-        let mut emitted = 0u64;
-        if !record.escalated {
-            let Some(result) = record.gate.update(alpha, warmup, ctx) else {
-                return 0; // gate warmup: no verdict yet
-            };
-            let wants_escalation = result.score >= self.cfg.escalate_score;
-            // New escalations are admitted only at Full with a non-open
-            // breaker; a deferred escalation still emits the gate
-            // verdict, retagged so consumers can see the degradation.
-            let admit = level == DegradationLevel::Full && breaker_admits;
-            let result = if wants_escalation && !admit {
-                DetectionResult {
-                    reason: if level != DegradationLevel::Full {
-                        REASON_ESCALATION_DEFERRED
-                    } else {
-                        REASON_ESCALATION_DEFERRED_BREAKER
-                    },
-                    ..result
+        match &mut record.bank {
+            None => {
+                let Some(result) = record.gate.update(alpha, warmup, ctx) else {
+                    return 0; // gate warmup: no verdict yet
+                };
+                let wants_escalation = result.score >= self.cfg.escalate_score;
+                // New escalations are admitted only at Full with a
+                // non-open breaker; a deferred escalation still emits
+                // the gate verdict, retagged so consumers can see the
+                // degradation.
+                let admit = level == DegradationLevel::Full && breaker_admits;
+                let result = if wants_escalation && !admit {
+                    DetectionResult {
+                        reason: if level != DegradationLevel::Full {
+                            REASON_ESCALATION_DEFERRED
+                        } else {
+                            REASON_ESCALATION_DEFERRED_BREAKER
+                        },
+                        ..result
+                    }
+                } else {
+                    result
+                };
+                self.sink.on_verdict(&VerdictEvent {
+                    shard: self.index,
+                    stream_hash: ctx.stream_id_hash,
+                    seq: ctx.seq,
+                    tier: Tier::Gate,
+                    slot: 0,
+                    result,
+                });
+                if !(wants_escalation && admit) {
+                    return 1;
                 }
-            } else {
-                result
-            };
-            emitted += 1;
-            self.sink.on_verdict(&VerdictEvent {
-                shard: self.index,
-                stream_hash: ctx.stream_id_hash,
-                seq: ctx.seq,
-                tier: Tier::Gate,
-                slot: 0,
-                result,
-            });
-            if !(wants_escalation && admit) {
-                return emitted;
+                self.escalated += 1;
+                *self.banks += 1;
+                let bank = record
+                    .bank
+                    .insert(Box::new(Bank::new(ctx.stream_id_hash, (self.factory)())));
+                // The escalating event is also tier 2's first.
+                1 + self.tier2(bank, ctx)
             }
-            record.escalated = true;
-            self.escalated += 1;
-            // Fall through: the escalating event is also tier 2's first.
-        } else if level >= DegradationLevel::Tier1Only || !breaker_admits {
-            // Degraded fallback: the escalated stream's tier-2 bank is
-            // suppressed this cycle; its gate verdict stands in at
-            // halved confidence so downstream consumers can discount it.
-            let reason = if !breaker_admits {
-                REASON_BREAKER_FALLBACK
-            } else {
-                REASON_TIER1_ONLY
-            };
-            if let Some(result) = record.gate.update(alpha, warmup, ctx) {
+            Some(_) if level >= DegradationLevel::Tier1Only || !breaker_admits => {
+                // Degraded fallback: the escalated stream's tier-2 bank
+                // is suppressed this cycle; its gate verdict stands in
+                // at halved confidence so downstream consumers can
+                // discount it.
+                let reason = if !breaker_admits {
+                    REASON_BREAKER_FALLBACK
+                } else {
+                    REASON_TIER1_ONLY
+                };
+                let Some(result) = record.gate.update(alpha, warmup, ctx) else {
+                    return 0;
+                };
                 let result = DetectionResult {
                     confidence: result.confidence * 0.5,
                     reason,
                     ..result
                 };
-                emitted += 1;
                 self.sink.on_verdict(&VerdictEvent {
                     shard: self.index,
                     stream_hash: ctx.stream_id_hash,
@@ -769,18 +778,19 @@ impl GatedDrain<'_> {
                         .render(),
                     );
                 }
+                1
             }
-            return emitted;
+            Some(bank) => self.tier2(bank, ctx),
         }
-        let degraded_before = if self.guard.is_some() {
-            self.engine.degraded_slots()
-        } else {
-            0
-        };
+    }
+
+    /// Pushes one event through an escalated stream's bank and delivers
+    /// its verdicts. Returns the number emitted.
+    fn tier2(&mut self, bank: &mut Bank, ctx: &SignalContext) -> u64 {
         self.slot_buf.clear();
-        self.engine.push(ctx, &mut self.slot_buf);
+        let degraded = bank.push(ctx, &mut self.slot_buf);
+        self.degraded += degraded;
         for slot in &self.slot_buf {
-            emitted += 1;
             self.sink.on_verdict(&VerdictEvent {
                 shard: self.index,
                 stream_hash: ctx.stream_id_hash,
@@ -794,7 +804,7 @@ impl GatedDrain<'_> {
         // supervised failure; a clean push is a success (and closes a
         // half-open breaker's probe).
         if let Some((g, stats)) = self.guard.as_mut() {
-            let transition = if self.engine.degraded_slots() > degraded_before {
+            let transition = if degraded > 0 {
                 g.breaker.on_failure(g.cycle)
             } else {
                 g.breaker.on_success()
@@ -812,7 +822,7 @@ impl GatedDrain<'_> {
                 );
             }
         }
-        emitted
+        self.slot_buf.len() as u64
     }
 }
 

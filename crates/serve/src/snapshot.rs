@@ -16,7 +16,7 @@
 //!
 //! Per stream: the escalation flag, the tier-1 gate's serialized state,
 //! and each tier-2 slot's degraded flag + detector state
-//! ([`detdiv_stream::SlotState`]). Hibernated streams (spilled by the
+//! ([`detdiv_stream::Bank::snapshot`]). Hibernated streams (spilled by the
 //! guard's cold-stream hibernation) are included from their segment
 //! records, so a snapshot taken under memory pressure still captures
 //! every stream. Recovery is strictly best-effort and never fatal: a
@@ -36,7 +36,7 @@ use std::sync::atomic::Ordering;
 
 use detdiv_resil::{checksum_line, AtomicFile, Journal};
 use detdiv_sequence::Symbol;
-use detdiv_stream::{EwmaState, SignalContext, SlotState, StreamEngine};
+use detdiv_stream::{Bank, EwmaState, SignalContext, SlotState};
 
 use crate::service::{BankFactory, IngestService, StreamRecord};
 
@@ -119,10 +119,12 @@ pub(crate) struct ParsedStream {
 /// Renders one stream's serialized state as a `stream …` line — the
 /// format shared by snapshot files and the guard's hibernation
 /// segments.
-pub(crate) fn render_stream_line(hash: u64, record: &StreamRecord, slots: &[SlotState]) -> String {
+pub(crate) fn render_stream_line(hash: u64, record: &StreamRecord) -> String {
+    let slots = record.bank.as_ref().map(|bank| bank.snapshot());
+    let slots = slots.as_deref().unwrap_or_default();
     let mut line = format!(
         "stream {hash:016x} esc={} t1={} slots={}",
-        u8::from(record.escalated),
+        u8::from(record.bank.is_some()),
         to_hex(&record.gate.to_bytes()),
         slots.len()
     );
@@ -136,25 +138,25 @@ pub(crate) fn render_stream_line(hash: u64, record: &StreamRecord, slots: &[Slot
 }
 
 impl ParsedStream {
-    /// The record this line describes. Rejected gate
-    /// bytes leave the gate reset: cold start.
-    pub(crate) fn record(&self) -> StreamRecord {
-        StreamRecord {
-            gate: self
-                .tier1_state
-                .as_deref()
-                .and_then(EwmaState::from_bytes)
-                .unwrap_or_default(),
-            escalated: self.escalated,
+    /// The record this line describes, built in one step: rejected gate
+    /// bytes leave the gate reset (cold start), and an escalated stream
+    /// gets a bank from `factory` restored from its slot states. The
+    /// flag is `false` when the bank shape no longer matched: that bank
+    /// restarts from warmup instead of resuming wrong state.
+    pub(crate) fn record(&self, factory: &BankFactory) -> (StreamRecord, bool) {
+        let mut restored = true;
+        let bank = self.escalated.then(|| {
+            let mut bank = Bank::new(self.hash, factory());
+            restored = self.slots.is_empty() || bank.restore(&self.slots);
+            Box::new(bank)
+        });
+        let gate = self.tier1_state.as_deref().and_then(EwmaState::from_bytes);
+        let record = StreamRecord {
+            gate: gate.unwrap_or_default(),
             last_touch: 0,
-        }
-    }
-
-    /// Restores the tier-2 slots into `engine`. Returns `false` when
-    /// the bank shape no longer matched and the stream restarts from
-    /// warmup instead of resuming wrong state.
-    pub(crate) fn restore_bank(&self, engine: &mut StreamEngine<BankFactory>) -> bool {
-        self.slots.is_empty() || engine.restore_stream(self.hash, &self.slots)
+            bank,
+        };
+        (record, restored)
     }
 }
 
@@ -255,10 +257,7 @@ impl IngestService {
             let mut lines: Vec<(u64, String)> = shard
                 .records
                 .iter()
-                .map(|(&hash, record)| {
-                    let slots = shard.engine.snapshot_stream(hash).unwrap_or_default();
-                    (hash, render_stream_line(hash, record, &slots))
-                })
+                .map(|(&hash, record)| (hash, render_stream_line(hash, record)))
                 .collect();
             if let Some(store) = shard.guard.as_mut().and_then(|g| g.store.as_mut()) {
                 for hash in store.hashes() {
@@ -379,12 +378,16 @@ impl IngestService {
         let mut skipped = 0u64;
         for p in parsed {
             let index = self.shard_of(p.hash);
-            let mut shard = self.shard(index);
-            shard.records.insert(p.hash, p.record());
-            if !p.restore_bank(&mut shard.engine) {
+            let (record, restored) = p.record(&self.factory);
+            if !restored {
                 // Bank shape drifted since the snapshot: the stream
                 // restarts from warmup instead of resuming wrong state.
                 skipped += 1;
+            }
+            let mut shard = self.shard(index);
+            shard.banks += u64::from(record.bank.is_some());
+            if let Some(replaced) = shard.records.insert(p.hash, record) {
+                shard.banks -= u64::from(replaced.bank.is_some());
             }
             streams += 1;
         }

@@ -18,6 +18,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
+use detdiv_guard::GuardConfig;
 use detdiv_sequence::Symbol;
 use detdiv_serve::{
     IngestService, NullSink, RejectReason, ServeConfig, Tier1Config, VerdictEvent, VerdictSink,
@@ -252,4 +253,63 @@ fn chaos_armed_service_survives_and_records_blast_radius() {
 
     detdiv_flight::streams::set_enabled(false);
     detdiv_flight::streams::reset();
+}
+
+/// A detector that panics on every value at or above `limit`.
+struct Brittle {
+    limit: f64,
+}
+
+impl StreamDetector for Brittle {
+    fn name(&self) -> &str {
+        "brittle"
+    }
+
+    fn warmup_len(&self) -> usize {
+        0
+    }
+
+    fn update(&mut self, ctx: &SignalContext) -> Option<DetectionResult> {
+        assert!(ctx.value < self.limit, "over the limit");
+        Some(DetectionResult::certain(0.0, "calm"))
+    }
+
+    fn reset(&mut self) {}
+}
+
+#[test]
+fn a_degraded_slot_is_counted_once_across_hibernation_round_trips() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!(
+        "detdiv-serve-backpressure-recount-{}",
+        std::process::id()
+    ));
+    // A 1-byte budget spills the stream at the end of every drain, so
+    // each later event rehydrates it with its slot already degraded.
+    let guard = GuardConfig {
+        budget_bytes: Some(1),
+        spill_dir: Some(dir.clone()),
+        ..GuardConfig::default()
+    };
+    let service =
+        IngestService::with_guard(ServeConfig::new(1, 16).gated(ESCALATE_ALL), guard, || {
+            vec![Box::new(Brittle { limit: 1000.0 }) as Box<dyn StreamDetector>]
+        })
+        .unwrap();
+    let s = hash_stream_id("brittle");
+    let mut summaries = Vec::new();
+    let mut degraded_slots = Vec::new();
+    for (seq, value) in [5000.0, 5.0, 5.0, 5.0].into_iter().enumerate() {
+        service
+            .enqueue(SignalContext::new(seq as u64, s, Symbol::new(0), value))
+            .unwrap();
+        summaries.push(service.drain(&NullSink).degraded);
+        degraded_slots.push(service.degraded_slots());
+    }
+    let stats = service.guard_stats().unwrap();
+    assert_eq!(stats.shards[0].hibernated.load(Ordering::Relaxed), 4);
+    assert_eq!(stats.shards[0].rehydrated.load(Ordering::Relaxed), 3);
+    assert_eq!(summaries, [1, 0, 0, 0], "one panic, reported by its drain");
+    assert_eq!(degraded_slots, [1, 1, 1, 1], "rehydration recounts nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,9 +7,7 @@
 //! families). [`ModelAdapter`] keeps the last `DW` symbols in a fixed
 //! ring-less buffer and scores each full window with that same
 //! `score_one`, so streamed and batch evaluation are the same numbers
-//! by construction, not approximately the same. The one exception is
-//! Stide's locality frame count (`StideLfc`), a post-processor over
-//! neighbouring windows that is scored batch-only.
+//! by construction, not approximately the same.
 //!
 //! The adapter itself allocates nothing per event: the window buffer
 //! is rotated with `copy_within`, and the reason label — the

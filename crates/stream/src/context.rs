@@ -4,7 +4,7 @@
 //! stream identity: the producer hashes its stream name once (with
 //! [`hash_stream_id`]) when the stream is opened, and the per-event hot
 //! path — [`crate::StreamDetector::update`] and
-//! [`crate::StreamEngine::push`] — never touches a string or allocates.
+//! [`crate::Bank::push`] — never touches a string or allocates.
 
 use detdiv_sequence::Symbol;
 

@@ -4,9 +4,9 @@ use crate::context::{DetectionResult, SignalContext};
 
 /// A detector consuming one event at a time.
 ///
-/// Implementations are owned by a single stream (the
-/// [`crate::StreamEngine`] builds one bank per stream id), so `update`
-/// takes `&mut self`; `Send` lets banks migrate across worker threads.
+/// Implementations are owned by a single stream (each stream gets its
+/// own [`crate::Bank`]), so `update` takes `&mut self`; `Send` lets
+/// banks migrate across worker threads.
 ///
 /// ## Warmup
 ///

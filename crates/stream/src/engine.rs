@@ -1,29 +1,30 @@
-//! The multi-stream engine: routing, per-slot panic isolation, and
-//! degradation accounting.
+//! Per-stream detector banks: per-slot panic isolation and degradation
+//! accounting, plus the multi-stream engine that routes to them.
 //!
-//! A [`StreamEngine`] owns one *bank* of [`StreamDetector`]s per
-//! distinct stream id (built lazily by the factory the engine was
-//! constructed with) and routes each pushed [`SignalContext`] to its
-//! stream's bank by the pre-hashed id — interleaved multi-stream feeds
-//! keep every stream's warmup and window state independent, exactly as
-//! if each stream were fed alone.
+//! A [`Bank`] is one stream's tier-2 detectors. Each slot's `update`
+//! runs under `catch_unwind`: a panicking detector must not take down
+//! its siblings or the process, so a panic permanently degrades that
+//! one slot (subsequent events skip it) and [`Bank::push`] reports it
+//! for the caller to count. When a [`detdiv_resil`] fault plan is
+//! armed, every update passes the `stream/update` fault site first, so
+//! chaos runs exercise exactly this isolation path.
 //!
-//! A panicking detector must not take down its siblings or the process:
-//! each slot's `update` runs under `catch_unwind`, a panic permanently
-//! degrades that one slot (subsequent events skip it), and the engine
-//! counts degradations for the caller to surface. When a
-//! [`detdiv_resil`] fault plan is armed, every update passes the
-//! `stream/update` fault site first, so chaos runs exercise exactly
-//! this isolation path.
+//! A [`StreamEngine`] keeps one bank per distinct stream id (built
+//! lazily by the factory the engine was constructed with) and routes
+//! each pushed [`SignalContext`] to its stream's bank by the pre-hashed
+//! id — interleaved multi-stream feeds keep every stream's warmup and
+//! window state independent, exactly as if each stream were fed alone.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use detdiv_flight::streams::StreamStats;
 
 use crate::context::{DetectionResult, SignalContext};
 use crate::detector::StreamDetector;
 
-/// One detector verdict routed back to the caller by
-/// [`StreamEngine::push`].
+/// One detector verdict routed back to the caller by [`Bank::push`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotResult {
     /// Index of the emitting detector within its stream's bank (banks
@@ -39,10 +40,10 @@ struct Slot {
     degraded: bool,
 }
 
-/// One slot's captured state in a stream snapshot: the degraded flag
+/// One slot's captured state in a bank snapshot: the degraded flag
 /// plus the detector's serialized per-stream state (`None` when the
 /// detector is not snapshotable — that slot restarts from warmup on
-/// [`StreamEngine::restore_stream`]).
+/// [`Bank::restore`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotState {
     /// Whether the slot had been permanently degraded by a caught
@@ -61,107 +62,68 @@ impl std::fmt::Debug for Slot {
     }
 }
 
-/// One stream's bank plus its cached introspection handle. The handle
-/// is resolved once (when the registry is enabled), so the per-event
-/// hot path updates atomics without ever touching the registry lock.
-struct StreamEntry {
-    slots: Vec<Slot>,
-    stats: Option<std::sync::Arc<detdiv_flight::streams::StreamStats>>,
-}
-
-/// A push-based engine fanning each event out to a per-stream bank of
-/// detectors.
+/// One stream's tier-2 detectors plus its cached introspection handle.
+/// The handle is resolved once (when the registry is enabled), so the
+/// per-event hot path updates atomics without ever touching the
+/// registry lock.
 ///
 /// # Examples
 ///
 /// ```
-/// use detdiv_stream::{hash_stream_id, Ewma, SignalContext, StreamDetector, StreamEngine};
+/// use detdiv_stream::{hash_stream_id, Bank, Ewma, SignalContext, StreamDetector};
 /// use detdiv_sequence::Symbol;
 ///
-/// let mut engine = StreamEngine::new(|| {
-///     vec![Box::new(Ewma::new(0.1, 4)) as Box<dyn StreamDetector>]
-/// });
 /// let stream = hash_stream_id("host-a");
+/// let mut bank = Bank::new(stream, vec![Box::new(Ewma::new(0.1, 4)) as Box<dyn StreamDetector>]);
 /// let mut out = Vec::new();
 /// for i in 0..8 {
-///     let ctx = SignalContext::new(i, stream, Symbol::new(0), 5.0);
-///     engine.push(&ctx, &mut out);
+///     let degraded = bank.push(&SignalContext::new(i, stream, Symbol::new(0), 5.0), &mut out);
+///     assert_eq!(degraded, 0);
 /// }
 /// assert_eq!(out.len(), 4); // events 0..=3 were warmup; 4.. score
-/// assert_eq!(engine.stream_count(), 1);
 /// ```
-pub struct StreamEngine<F>
-where
-    F: FnMut() -> Vec<Box<dyn StreamDetector>>,
-{
-    factory: F,
-    streams: HashMap<u64, StreamEntry>,
-    emitted: u64,
-    degraded: u64,
+#[derive(Debug)]
+pub struct Bank {
+    slots: Vec<Slot>,
+    stats: Option<Arc<StreamStats>>,
 }
 
-impl<F> std::fmt::Debug for StreamEngine<F>
-where
-    F: FnMut() -> Vec<Box<dyn StreamDetector>>,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamEngine")
-            .field("streams", &self.streams.len())
-            .field("emitted", &self.emitted)
-            .field("degraded", &self.degraded)
-            .finish()
-    }
-}
-
-impl<F> StreamEngine<F>
-where
-    F: FnMut() -> Vec<Box<dyn StreamDetector>>,
-{
-    /// Creates an engine whose per-stream banks are built by `factory`
-    /// on first contact with each stream id.
-    pub fn new(factory: F) -> StreamEngine<F> {
-        StreamEngine {
-            factory,
-            streams: HashMap::new(),
-            emitted: 0,
-            degraded: 0,
+impl Bank {
+    /// A bank of `detectors` for the stream `stream_id_hash`.
+    pub fn new(stream_id_hash: u64, detectors: Vec<Box<dyn StreamDetector>>) -> Bank {
+        Bank {
+            slots: detectors
+                .into_iter()
+                .map(|detector| Slot {
+                    detector,
+                    degraded: false,
+                })
+                .collect(),
+            stats: detdiv_flight::streams::handle(stream_id_hash),
         }
     }
 
-    /// Routes one event to its stream's bank, appending every emitted
+    /// Feeds one event to every live slot, appending every emitted
     /// verdict to `out` (which is *not* cleared — callers own the
     /// buffer so the steady-state hot path performs no allocation).
+    /// Returns how many slots this event newly degraded.
     ///
     /// A slot whose detector panics is degraded: the panic is caught,
-    /// counted, and the slot skips all subsequent events. `push` itself
-    /// never panics on detector failure.
-    pub fn push(&mut self, ctx: &SignalContext, out: &mut Vec<SlotResult>) {
-        let entry = self
-            .streams
-            .entry(ctx.stream_id_hash)
-            .or_insert_with(|| StreamEntry {
-                slots: (self.factory)()
-                    .into_iter()
-                    .map(|detector| Slot {
-                        detector,
-                        degraded: false,
-                    })
-                    .collect(),
-                stats: detdiv_flight::streams::handle(ctx.stream_id_hash),
-            });
+    /// reported, and the slot skips all subsequent events. `push`
+    /// itself never panics on detector failure.
+    pub fn push(&mut self, ctx: &SignalContext, out: &mut Vec<SlotResult>) -> u64 {
         // The registry can be enabled after a stream's first contact
         // (scope starting mid-run); re-resolve lazily, but only when
         // enabled — the disarmed path stays atomic-load cheap.
-        if entry.stats.is_none() && detdiv_flight::streams::enabled() {
-            entry.stats = detdiv_flight::streams::handle(ctx.stream_id_hash);
+        if self.stats.is_none() && detdiv_flight::streams::enabled() {
+            self.stats = detdiv_flight::streams::handle(ctx.stream_id_hash);
         }
-        if let Some(stats) = &entry.stats {
+        if let Some(stats) = &self.stats {
             stats.on_event(ctx.seq);
         }
         let flight = detdiv_flight::armed();
         let label = if flight {
-            entry
-                .stats
+            self.stats
                 .as_ref()
                 .map(|s| s.label_string())
                 .unwrap_or_default()
@@ -169,7 +131,7 @@ where
             String::new()
         };
         let mut newly_degraded = 0u64;
-        for (slot_index, slot) in entry.slots.iter_mut().enumerate() {
+        for (slot_index, slot) in self.slots.iter_mut().enumerate() {
             if slot.degraded {
                 continue;
             }
@@ -181,8 +143,7 @@ where
             }));
             match update {
                 Ok(Some(result)) => {
-                    self.emitted += 1;
-                    if let Some(stats) = &entry.stats {
+                    if let Some(stats) = &self.stats {
                         stats.on_emit(result.score);
                     }
                     if flight {
@@ -229,7 +190,7 @@ where
                 Err(_) => {
                     slot.degraded = true;
                     newly_degraded += 1;
-                    if let Some(stats) = &entry.stats {
+                    if let Some(stats) = &self.stats {
                         stats.on_degraded();
                     }
                     if flight {
@@ -248,7 +209,6 @@ where
             }
         }
         if newly_degraded > 0 {
-            self.degraded += newly_degraded;
             if detdiv_obs::telemetry_enabled() {
                 detdiv_obs::incr_counter("stream/degraded", newly_degraded);
             }
@@ -259,92 +219,121 @@ where
             // `degraded` record emitted above.
             detdiv_flight::blackbox::dump_on_degradation();
         }
+        newly_degraded
     }
 
-    /// Number of distinct streams seen so far.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
+    /// Captures the bank's per-slot state: each slot's degraded flag
+    /// plus its detector's [`StreamDetector::state_bytes`] (which is
+    /// `None` for non-snapshotable detectors — such slots restart from
+    /// warmup on restore).
+    pub fn snapshot(&self) -> Vec<SlotState> {
+        self.slots
+            .iter()
+            .map(|slot| SlotState {
+                degraded: slot.degraded,
+                state: slot.detector.state_bytes(),
+            })
+            .collect()
     }
 
-    /// Total verdicts emitted across all slots.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Number of slots permanently degraded by a caught panic.
-    pub fn degraded_slots(&self) -> u64 {
-        self.degraded
-    }
-
-    /// Forgets a stream's bank (its detectors are dropped); returns
-    /// whether the stream existed.
-    pub fn close_stream(&mut self, stream_id_hash: u64) -> bool {
-        self.streams.remove(&stream_id_hash).is_some()
-    }
-
-    /// Captures one stream's per-slot state for a snapshot: each
-    /// slot's degraded flag plus its detector's
-    /// [`StreamDetector::state_bytes`] (which is `None` for
-    /// non-snapshotable detectors — such slots restart from warmup on
-    /// restore). `None` when the stream is unknown.
-    pub fn snapshot_stream(&self, stream_id_hash: u64) -> Option<Vec<SlotState>> {
-        let entry = self.streams.get(&stream_id_hash)?;
-        Some(
-            entry
-                .slots
-                .iter()
-                .map(|slot| SlotState {
-                    degraded: slot.degraded,
-                    state: slot.detector.state_bytes(),
-                })
-                .collect(),
-        )
-    }
-
-    /// Rebuilds one stream from snapshot state: constructs a fresh
-    /// bank via the factory, restores each slot's detector state and
-    /// degraded flag, and installs the entry (replacing any existing
-    /// one). Returns `false` — leaving the engine unchanged — when the
-    /// snapshot's slot count does not match the factory's bank (the
-    /// bank composition changed since the snapshot was taken).
+    /// Restores a freshly built bank from [`snapshot`](Bank::snapshot)
+    /// state: each slot's degraded flag and detector state. Returns
+    /// `false` — leaving the bank unchanged — when the snapshot's slot
+    /// count does not match (the bank composition changed since the
+    /// snapshot was taken).
     ///
     /// A slot whose `state` is `None`, or whose bytes the detector
     /// rejects, starts cold (from warmup): recovery degrades to a
     /// restart for that slot, never to wrong state.
-    pub fn restore_stream(&mut self, stream_id_hash: u64, slots: &[SlotState]) -> bool {
-        let mut bank: Vec<Slot> = (self.factory)()
-            .into_iter()
-            .map(|detector| Slot {
-                detector,
-                degraded: false,
-            })
-            .collect();
-        if bank.len() != slots.len() {
+    pub fn restore(&mut self, saved: &[SlotState]) -> bool {
+        if self.slots.len() != saved.len() {
             return false;
         }
-        let mut restored_degraded = 0u64;
-        for (slot, saved) in bank.iter_mut().zip(slots) {
+        for (slot, saved) in self.slots.iter_mut().zip(saved) {
             slot.degraded = saved.degraded;
-            if saved.degraded {
-                restored_degraded += 1;
-            }
             if let Some(bytes) = &saved.state {
                 // A rejected payload leaves the detector reset: the
                 // restore_state contract.
                 let _ = slot.detector.restore_state(bytes);
             }
         }
-        if let Some(previous) = self.streams.insert(
-            stream_id_hash,
-            StreamEntry {
-                slots: bank,
-                stats: detdiv_flight::streams::handle(stream_id_hash),
-            },
-        ) {
-            self.degraded -= previous.slots.iter().filter(|s| s.degraded).count() as u64;
-        }
-        self.degraded += restored_degraded;
         true
+    }
+}
+
+/// A push-based engine fanning each event out to a per-stream [`Bank`].
+///
+/// # Examples
+///
+/// ```
+/// use detdiv_stream::{hash_stream_id, Ewma, SignalContext, StreamDetector, StreamEngine};
+/// use detdiv_sequence::Symbol;
+///
+/// let mut engine = StreamEngine::new(|| {
+///     vec![Box::new(Ewma::new(0.1, 4)) as Box<dyn StreamDetector>]
+/// });
+/// let stream = hash_stream_id("host-a");
+/// let mut out = Vec::new();
+/// for i in 0..8 {
+///     let ctx = SignalContext::new(i, stream, Symbol::new(0), 5.0);
+///     engine.push(&ctx, &mut out);
+/// }
+/// assert_eq!(out.len(), 4); // events 0..=3 were warmup; 4.. score
+/// assert_eq!(engine.stream_count(), 1);
+/// ```
+pub struct StreamEngine<F>
+where
+    F: FnMut() -> Vec<Box<dyn StreamDetector>>,
+{
+    factory: F,
+    banks: HashMap<u64, Bank>,
+    degraded: u64,
+}
+
+impl<F> std::fmt::Debug for StreamEngine<F>
+where
+    F: FnMut() -> Vec<Box<dyn StreamDetector>>,
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamEngine")
+            .field("streams", &self.banks.len())
+            .field("degraded", &self.degraded)
+            .finish()
+    }
+}
+
+impl<F> StreamEngine<F>
+where
+    F: FnMut() -> Vec<Box<dyn StreamDetector>>,
+{
+    /// Creates an engine whose per-stream banks are built by `factory`
+    /// on first contact with each stream id.
+    pub fn new(factory: F) -> StreamEngine<F> {
+        StreamEngine {
+            factory,
+            banks: HashMap::new(),
+            degraded: 0,
+        }
+    }
+
+    /// Routes one event to its stream's bank ([`Bank::push`]).
+    pub fn push(&mut self, ctx: &SignalContext, out: &mut Vec<SlotResult>) {
+        let factory = &mut self.factory;
+        let bank = self
+            .banks
+            .entry(ctx.stream_id_hash)
+            .or_insert_with(|| Bank::new(ctx.stream_id_hash, factory()));
+        self.degraded += bank.push(ctx, out);
+    }
+
+    /// Number of distinct streams seen so far.
+    pub fn stream_count(&self) -> usize {
+        self.banks.len()
+    }
+
+    /// Number of slots permanently degraded by a caught panic.
+    pub fn degraded_slots(&self) -> u64 {
+        self.degraded
     }
 }
 
@@ -401,7 +390,6 @@ mod tests {
         }
         assert_eq!(engine.stream_count(), 2);
         assert_eq!(out.len(), 1, "only stream a is past warmup");
-        assert_eq!(engine.emitted(), 1);
     }
 
     #[test]
@@ -465,7 +453,7 @@ mod tests {
             .expect("registry entry for the engine's stream");
         assert_eq!(snap.label, "engine-registry");
         assert_eq!(snap.events, 4);
-        assert_eq!(snap.emitted, engine.emitted());
+        assert_eq!(snap.emitted, out.len() as u64);
         assert_eq!(snap.degraded, 1);
         assert_eq!(snap.last_event_index, 3);
         assert!(detdiv_flight::streams::degraded_streams() >= 1);
@@ -474,39 +462,33 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
-        let make =
-            || StreamEngine::new(|| vec![Box::new(Ewma::new(0.2, 3)) as Box<dyn StreamDetector>]);
         let s = hash_stream_id("resumable");
+        let make = || {
+            Bank::new(
+                s,
+                vec![Box::new(Ewma::new(0.2, 3)) as Box<dyn StreamDetector>],
+            )
+        };
         let values: Vec<f64> = (0..40).map(|i| ((i * 13) % 11) as f64).collect();
+        let ctx = |i: usize, v: f64| SignalContext::new(i as u64, s, Symbol::new(0), v);
         // Uninterrupted reference run.
         let mut reference = make();
         let mut expected = Vec::new();
         for (i, &v) in values.iter().enumerate() {
-            reference.push(
-                &SignalContext::new(i as u64, s, Symbol::new(0), v),
-                &mut expected,
-            );
+            reference.push(&ctx(i, v), &mut expected);
         }
-        // Run half, snapshot, restore into a fresh engine, run the rest.
+        // Run half, snapshot, restore into a fresh bank, run the rest.
         let mut first = make();
         let mut out = Vec::new();
         for (i, &v) in values[..20].iter().enumerate() {
-            first.push(
-                &SignalContext::new(i as u64, s, Symbol::new(0), v),
-                &mut out,
-            );
+            first.push(&ctx(i, v), &mut out);
         }
-        assert_eq!(first.stream_count(), 1);
-        let saved = first.snapshot_stream(s).expect("known stream snapshots");
-        assert!(first.snapshot_stream(s ^ 1).is_none());
+        let saved = first.snapshot();
         let mut resumed = make();
-        assert!(resumed.restore_stream(s, &saved));
+        assert!(resumed.restore(&saved));
         let mut tail = Vec::new();
-        for (i, &v) in values[20..].iter().enumerate() {
-            resumed.push(
-                &SignalContext::new(20 + i as u64, s, Symbol::new(0), v),
-                &mut tail,
-            );
+        for (i, &v) in values.iter().enumerate().skip(20) {
+            resumed.push(&ctx(i, v), &mut tail);
         }
         let expected_tail: Vec<_> = expected[expected.len() - tail.len()..].to_vec();
         assert_eq!(tail.len(), expected_tail.len());
@@ -515,39 +497,25 @@ mod tests {
             assert_eq!(a.result.score.to_bits(), b.result.score.to_bits());
         }
         // A shape-mismatched snapshot is refused, not half-applied.
-        let mut other = StreamEngine::new(bank);
-        assert!(!other.restore_stream(s, &saved));
-        assert_eq!(other.stream_count(), 0);
+        let mut other = Bank::new(s, bank());
+        assert!(!other.restore(&saved));
+        assert!(other.snapshot().iter().all(|slot| !slot.degraded));
     }
 
     #[test]
-    fn restore_stream_carries_degraded_flags() {
-        let mut engine = StreamEngine::new(bank);
+    fn restore_carries_degraded_flags() {
         let s = hash_stream_id("wounded");
+        let mut wounded = Bank::new(s, bank());
         let mut out = Vec::new();
-        engine.push(&SignalContext::new(0, s, Symbol::new(0), 13.0), &mut out);
-        assert_eq!(engine.degraded_slots(), 1);
-        let saved = engine.snapshot_stream(s).unwrap();
+        let trigger = SignalContext::new(0, s, Symbol::new(0), 13.0);
+        assert_eq!(wounded.push(&trigger, &mut out), 1);
+        let saved = wounded.snapshot();
         assert!(saved[0].degraded && !saved[1].degraded);
-        let mut recovered = StreamEngine::new(bank);
-        assert!(recovered.restore_stream(s, &saved));
-        assert_eq!(recovered.degraded_slots(), 1, "flag survives recovery");
-        // The degraded slot stays down: its trigger value cannot re-panic.
-        recovered.push(&SignalContext::new(1, s, Symbol::new(0), 13.0), &mut out);
-        assert_eq!(recovered.degraded_slots(), 1);
-        // Restoring over an existing entry replaces, not double-counts.
-        assert!(recovered.restore_stream(s, &saved));
-        assert_eq!(recovered.degraded_slots(), 1);
-    }
-
-    #[test]
-    fn close_stream_drops_state() {
-        let mut engine = StreamEngine::new(bank);
-        let s = hash_stream_id("s");
-        let mut out = Vec::new();
-        engine.push(&SignalContext::new(0, s, Symbol::new(0), 1.0), &mut out);
-        assert!(engine.close_stream(s));
-        assert!(!engine.close_stream(s));
-        assert_eq!(engine.stream_count(), 0);
+        let mut recovered = Bank::new(s, bank());
+        assert!(recovered.restore(&saved));
+        assert_eq!(recovered.snapshot(), saved, "flag survives recovery");
+        // The degraded slot stays down: its trigger value cannot re-panic,
+        // and restoring reports no new degradation.
+        assert_eq!(recovered.push(&trigger, &mut out), 0);
     }
 }

@@ -17,9 +17,11 @@
 //! * [`Ewma`] — a genuinely-online zero-dependency detector with no
 //!   training set at all; its bare running statistics ([`EwmaState`])
 //!   are the serve path's per-stream tier-1 gate;
-//! * [`StreamEngine`] — multi-stream routing by pre-hashed id with
-//!   per-slot panic isolation, degradation accounting, and per-stream
-//!   snapshot/restore ([`SlotState`]) for crash-safe serving.
+//! * [`Bank`] — one stream's detectors with per-slot panic isolation,
+//!   degradation reporting and snapshot/restore ([`SlotState`]); the
+//!   serve path keeps one in each escalated stream's record;
+//! * [`StreamEngine`] — multi-stream routing by pre-hashed id to one
+//!   bank per stream.
 //!
 //! Because streamed and batch scores are the same bits, the evaluation
 //! pipeline can swap scoring modes (`regenerate --stream`) and produce
@@ -40,5 +42,5 @@ mod online;
 pub use adapter::{stream_scores, ModelAdapter, REASON_ELEVATED, REASON_MAXIMAL, REASON_NORMAL};
 pub use context::{hash_stream_id, DetectionResult, SignalContext};
 pub use detector::StreamDetector;
-pub use engine::{SlotResult, SlotState, StreamEngine};
+pub use engine::{Bank, SlotResult, SlotState, StreamEngine};
 pub use online::{Ewma, EwmaState, DEFAULT_WARMUP};

@@ -101,7 +101,9 @@
 #                               on both paths, and its guard audit
 #                               trail matches the committed sha256
 #                               and reconstructs under `flightcheck
-#                               --guard`, chaos variant included
+#                               --guard`, chaos variant included (its
+#                               degraded count must equal its
+#                               "degraded" flight records)
 #
 # Performance is not measured here: `perfbench/` (see BENCHMARK.json)
 # is the repository's one timing instrument; phase 4 runs its smoke
@@ -509,9 +511,18 @@ echo "guard audit trail matches the expected hash and reconstructs ($(cat "$OVER
 DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
     $OVERLOAD_ARGS --threads 4 --fault "$FAULT_SPEC" \
     --flight "$OVERLOAD_DIR/chaos_audit.jsonl" \
-    > "$OVERLOAD_DIR/chaos_stdout.txt" 2> /dev/null
+    > "$OVERLOAD_DIR/chaos_stdout.txt" 2> "$OVERLOAD_DIR/chaos_stderr.txt"
 grep -q "offered=80000" "$OVERLOAD_DIR/chaos_stdout.txt" || {
     echo "overload gate: chaos run lost events" >&2
+    exit 1
+}
+# The chaos run's digest varies from run to run, but its count relation
+# does not: every slot loadgen reports degraded is one caught panic,
+# and each caught panic writes exactly one "degraded" flight record.
+CHAOS_DEGRADED=$(sed -n 's/.* \([0-9][0-9]*\) degraded, .*/\1/p' "$OVERLOAD_DIR/chaos_stderr.txt")
+CHAOS_RECORDS=$(grep -c '"t":"degraded"' "$OVERLOAD_DIR/chaos_audit.jsonl" || true)
+[ -n "$CHAOS_DEGRADED" ] && [ "$CHAOS_DEGRADED" = "$CHAOS_RECORDS" ] || {
+    echo "overload gate: loadgen reported ${CHAOS_DEGRADED:-no} degraded slot(s) against $CHAOS_RECORDS degraded flight record(s)" >&2
     exit 1
 }
 ./target/release/flightcheck --dump "$OVERLOAD_DIR/chaos_audit.jsonl" --guard \
@@ -520,6 +531,6 @@ grep -Eq "[1-9][0-9]* breaker" "$OVERLOAD_DIR/chaos_flightcheck.txt" || {
     echo "overload gate: injected tier-2 panics never opened the breaker" >&2
     exit 1
 }
-echo "chaos overload run opened the breaker and its audit trail still chains"
+echo "chaos overload run opened the breaker, its audit trail still chains, and its $CHAOS_DEGRADED degraded slot(s) match the flight log"
 
 banner "CI green"

@@ -5,7 +5,7 @@ use detdiv::core::{
     alarms_at, analyze_alarms, threshold_sweep, AlarmEnsemble, CombinationRule, IncidentSpan,
     LabeledCase,
 };
-use detdiv::detectors::{MarkovDetector, StideLfc, TStide};
+use detdiv::detectors::{locality_frame_count, MarkovDetector, TStide};
 use detdiv::prelude::*;
 use detdiv::trace::{generate_sendmail_like, mfs_census, TraceGenConfig, TraceSet};
 use std::sync::OnceLock;
@@ -157,14 +157,10 @@ fn lfc_pipeline_smooths_stide() {
 
     let mut plain = Stide::new(4);
     plain.train(&StreamProfile::new(case.training()));
-    let plain_alarm_count = alarms_at(&plain.scores(case.test_stream()), 1.0)
-        .iter()
-        .filter(|&&a| a)
-        .count();
+    let raw = plain.scores(case.test_stream());
+    let plain_alarm_count = alarms_at(&raw, 1.0).iter().filter(|&&a| a).count();
 
-    let mut lfc = StideLfc::new(4, 16);
-    lfc.train(&StreamProfile::new(case.training()));
-    let lfc_alarm_count = alarms_at(&lfc.scores(case.test_stream()), 1.0)
+    let lfc_alarm_count = alarms_at(&locality_frame_count(&raw, 16), 1.0)
         .iter()
         .filter(|&&a| a)
         .count();
