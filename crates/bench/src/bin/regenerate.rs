@@ -11,8 +11,9 @@
 //! * `--paper` — shorthand for `--training-len 1000000`;
 //! * `--seed` — synthesis seed (default: the paper configuration's);
 //! * `--json` — additionally write the full report as JSON (only with
-//!   `all`); run telemetry is written as `paper_telemetry.json` next
-//!   to the report. The output directory is checked for writability
+//!   `all`; naming another experiment is an argument error); run
+//!   telemetry is written as `paper_telemetry.json` next to the
+//!   report. The output directory is checked for writability
 //!   *before* any computation starts, so a bad path fails in
 //!   milliseconds, not after the full evaluation;
 //! * `--threads` — worker count for the evaluation grid's parallel
@@ -203,6 +204,12 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    if args.json.is_some() && args.experiment != "all" {
+        return Err(format!(
+            "--json writes the full report and needs --experiment all (got {})",
+            args.experiment
+        ));
     }
     Ok(args)
 }

@@ -5,8 +5,9 @@
 //!
 //! * an unwritable `--json` destination fails *fast* (before any
 //!   synthesis) with a non-zero exit code and a stderr diagnostic;
-//! * invalid flags (`--threads 0`, unknown experiments) are rejected
-//!   with diagnostics even when logging is off;
+//! * invalid flags (`--threads 0`, unknown experiments, `--json` with
+//!   an experiment other than `all`) are rejected with diagnostics even
+//!   when logging is off;
 //! * a corpus-free experiment runs to success under an explicit
 //!   `--threads` override.
 
@@ -90,6 +91,30 @@ fn zero_threads_is_rejected_with_a_diagnostic() {
         stderr.contains("--threads") && stderr.contains("at least 1"),
         "diagnostic should explain the constraint: {stderr:?}"
     );
+}
+
+/// `--json` writes only the full report, so pairing it with a single
+/// experiment is an argument error rather than a run that exits 0 and
+/// writes nothing.
+#[test]
+fn json_with_a_single_experiment_is_rejected() {
+    let target = std::env::temp_dir().join(format!(
+        "detdiv_cli_json_single_{}.json",
+        std::process::id()
+    ));
+    let output = regenerate()
+        .args(["--log", "off", "--experiment", "fig7", "--json"])
+        .arg(&target)
+        .output()
+        .expect("spawn regenerate");
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--json") && stderr.contains("--experiment all"),
+        "the diagnostic names both flags: {stderr:?}"
+    );
+    assert!(output.stdout.is_empty(), "no experiment ran");
+    assert!(!target.exists(), "no report written at {target:?}");
 }
 
 /// Unknown experiment ids fail with a diagnostic under `--log off`

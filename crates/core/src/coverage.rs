@@ -112,11 +112,6 @@ impl CoverageMap {
         &self.detector
     }
 
-    /// Renames the map (used when deriving combined maps).
-    pub fn set_detector(&mut self, name: &str) {
-        self.detector = name.to_owned();
-    }
-
     /// The anomaly sizes of the grid, ascending.
     pub fn anomaly_sizes(&self) -> &[usize] {
         &self.anomaly_sizes

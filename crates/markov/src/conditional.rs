@@ -131,11 +131,6 @@ impl ConditionalModel {
         self.context_len
     }
 
-    /// Number of distinct contexts observed.
-    pub fn distinct_contexts(&self) -> usize {
-        self.table.len()
-    }
-
     /// `P(next | context)` as a [`Prediction`].
     ///
     /// # Panics

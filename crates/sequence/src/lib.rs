@@ -18,8 +18,6 @@
 //!   *foreign*, *rare* (relative frequency below 0.5 %,
 //!   [`DEFAULT_RARE_THRESHOLD`]) and *minimal foreign* sequences (MFS,
 //!   §5.1 of the paper);
-//! * [`SubstringIndex`] — a suffix-automaton index answering the same
-//!   questions for patterns of *any* length in `O(pattern)` time;
 //! * [`minimal_foreign_positions`] — the census tool behind the paper's
 //!   observation (§4.1) that natural data is replete with MFSs.
 //!
@@ -50,14 +48,12 @@
 
 mod error;
 mod hash;
-mod index;
 mod ngram;
 mod profile;
 mod symbol;
 
 pub use error::SequenceError;
 pub use hash::BuildSymbolHasher;
-pub use index::SubstringIndex;
 pub use ngram::{NgramCounter, DEFAULT_RARE_THRESHOLD};
 pub use profile::{minimal_foreign_positions, StreamProfile};
 pub use symbol::{symbols, Alphabet, Symbol, SymbolTable};

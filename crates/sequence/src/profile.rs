@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::SequenceError;
-use crate::ngram::{NgramCounter, DEFAULT_RARE_THRESHOLD};
+use crate::ngram::NgramCounter;
 use crate::symbol::Symbol;
 
 /// The n-gram census of a borrowed stream, one counter per window
@@ -177,11 +177,6 @@ impl<'a> StreamProfile<'a> {
         self.counter(gram.len()).is_rare(gram, threshold)
     }
 
-    /// Whether `gram` is rare under the paper's 0.5 % definition.
-    pub fn is_rare_default(&self, gram: &[Symbol]) -> bool {
-        self.is_rare(gram, DEFAULT_RARE_THRESHOLD)
-    }
-
     /// Whether `gram` is a *minimal foreign sequence*: foreign, while all
     /// of its proper contiguous subsequences occur (§5.1).
     ///
@@ -283,6 +278,7 @@ pub fn minimal_foreign_positions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ngram::DEFAULT_RARE_THRESHOLD;
     use crate::symbol::symbols;
 
     fn cycle_stream(reps: usize) -> Vec<Symbol> {

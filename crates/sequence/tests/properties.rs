@@ -220,37 +220,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// The suffix-automaton index agrees with the brute-force counters
-    /// at every length, on arbitrary streams.
-    #[test]
-    fn substring_index_matches_counters(s in stream(4, 1, 120)) {
-        use detdiv_sequence::SubstringIndex;
-        let idx = SubstringIndex::build(&s);
-        for len in 1..=4.min(s.len()) {
-            let counter = NgramCounter::from_stream(&s, len);
-            for w in s.windows(len) {
-                prop_assert_eq!(idx.count(w), counter.count(w));
-                prop_assert!(idx.contains(w));
-            }
-        }
-        prop_assert!(idx.state_count() <= 2 * s.len().max(1));
-    }
-
-    /// Index-based MFS checks agree with profile-based ones for any
-    /// probe within the profiled range.
-    #[test]
-    fn substring_index_matches_profile_mfs(
-        s in stream(3, 6, 100),
-        probe in prop::collection::vec(0u32..3, 2..5),
-    ) {
-        use detdiv_sequence::SubstringIndex;
-        let profile = StreamProfile::build(&s, 5).unwrap();
-        let idx = SubstringIndex::build(&s);
-        let gram: Vec<Symbol> = probe.into_iter().map(Symbol::new).collect();
-        prop_assert_eq!(idx.is_foreign(&gram), profile.is_foreign(&gram));
-        prop_assert_eq!(idx.is_minimal_foreign(&gram), profile.is_minimal_foreign(&gram));
-        prop_assert_eq!(idx.count(&gram), profile.count(&gram));
-    }
-}

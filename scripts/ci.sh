@@ -7,7 +7,9 @@
 #   1. cargo fmt --check      — formatting is canonical
 #   2. cargo clippy, cargo doc — lints as errors across the workspace,
 #                               rustdoc's included (every doc link
-#                               resolves; RUSTDOCFLAGS="-D warnings")
+#                               resolves; RUSTDOCFLAGS="-D warnings"),
+#                               and no member declares a dependency
+#                               its src/ never names
 #   3. cargo build --release  — the artifacts the paper run uses
 #   4. cargo test -q          — every unit, integration, and doc test,
 #                               then the benchmark's own smoke tests
@@ -126,6 +128,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 banner "cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
+banner "unused dependency declarations"
+# A package named under a member's [dependencies] must be used by that
+# member's own code: its identifier (`-` -> `_`) appears in its src/.
+unused_deps=0
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    member="$(dirname "$manifest")"
+    for dep in $(sed -n '/^\[dependencies\]/,/^\[/s/^\([A-Za-z0-9_-]\+\)[ .=].*/\1/p' "$manifest"); do
+        if ! grep -rqw -- "${dep//-/_}" "$member/src"; then
+            echo "$manifest: [dependencies] names $dep, which $member/src never uses" >&2
+            unused_deps=1
+        fi
+    done
+done
+[ "$unused_deps" -eq 0 ]
 
 banner "cargo build --release"
 cargo build --release --workspace

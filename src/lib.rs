@@ -110,8 +110,7 @@ pub mod prelude {
     };
     pub use detdiv_eval::{coverage_map, DetectorKind, FullReport};
     pub use detdiv_sequence::{
-        symbols, Alphabet, NgramCounter, StreamProfile, SubstringIndex, Symbol,
-        DEFAULT_RARE_THRESHOLD,
+        symbols, Alphabet, NgramCounter, StreamProfile, Symbol, DEFAULT_RARE_THRESHOLD,
     };
     pub use detdiv_serve::{IngestService, ServeConfig, Tier1Config, VerdictSink};
     pub use detdiv_stream::{
