@@ -47,6 +47,6 @@ mod pressure;
 
 pub use breaker::{Breaker, BreakerConfig, BreakerState, BreakerTransition};
 pub use config::{GuardConfig, ENV_GUARD_BYTES, ENV_GUARD_DIR};
-pub use hibernate::HibernationStore;
+pub use hibernate::{HibernationStore, SpillChunk, CHUNK_BYTES};
 pub use ladder::{Ladder, LadderTransition};
 pub use pressure::{DegradationLevel, PressureSample};

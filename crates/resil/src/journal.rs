@@ -25,7 +25,81 @@ const APPEND_SITE: &str = "io/journal_append";
 /// other subsystems (the flight recorder's audit dumps) can emit
 /// journal-compatible files without owning a `Journal`.
 pub fn checksum_line(payload: &str) -> String {
-    format!("{:016x} {payload}", fnv1a(payload.as_bytes()))
+    let mut line = String::with_capacity(CHECKSUM_PREFIX + payload.len());
+    push_checksum_line(&mut line, |out| out.push_str(payload));
+    line
+}
+
+/// Bytes a checksummed line carries before its payload: sixteen hex
+/// digits and a space.
+const CHECKSUM_PREFIX: usize = 17;
+
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// `value` as sixteen lowercase hex digits, most significant first —
+/// the bytes `format!("{value:016x}")` renders.
+fn hex16(value: u64) -> [u8; 16] {
+    std::array::from_fn(|i| HEX_DIGITS[(value >> (60 - 4 * i)) as usize & 0xf])
+}
+
+/// Appends `bytes` to `out` as lowercase hex, two digits per byte.
+///
+/// # Examples
+///
+/// ```
+/// let mut out = String::from("t1=");
+/// detdiv_resil::push_hex(&mut out, &[0x00, 0xff, 0x1a]);
+/// assert_eq!(out, "t1=00ff1a");
+/// ```
+pub fn push_hex(out: &mut String, bytes: &[u8]) {
+    out.reserve(2 * bytes.len());
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+    }
+}
+
+/// Appends one checksummed line (no newline) to `out`, its payload
+/// written in place by `render`: the bytes [`checksum_line`] returns
+/// for that payload, without a separate payload string.
+///
+/// # Examples
+///
+/// ```
+/// use detdiv_resil::{checksum_line, push_checksum_line};
+///
+/// let mut out = String::new();
+/// push_checksum_line(&mut out, |line| line.push_str("payload-x"));
+/// assert_eq!(out, checksum_line("payload-x"));
+/// ```
+pub fn push_checksum_line(out: &mut String, render: impl FnOnce(&mut String)) {
+    let start = out.len();
+    out.push_str("0000000000000000 ");
+    render(out);
+    let payload = &out.as_bytes()[start + CHECKSUM_PREFIX..];
+    debug_assert!(!payload.contains(&b'\n'), "payloads are single lines");
+    let digits = hex16(fnv1a(payload));
+    let digits = std::str::from_utf8(&digits).expect("hex digits are ASCII");
+    out.replace_range(start..start + 16, digits);
+}
+
+/// The payload of one checksummed line (`<fnv1a-hex-16> <payload>`,
+/// no newline) when its framing and lowercase checksum are intact —
+/// the lines [`checksum_line`] renders and no others.
+///
+/// # Examples
+///
+/// ```
+/// use detdiv_resil::{checksum_line, verified_payload};
+///
+/// let line = checksum_line("payload-x");
+/// assert_eq!(verified_payload(line.as_bytes()), Some(&b"payload-x"[..]));
+/// assert_eq!(verified_payload(b"0000000000000000 payload-x"), None);
+/// ```
+pub fn verified_payload(line: &[u8]) -> Option<&[u8]> {
+    let (sum, payload) = line.split_at_checked(CHECKSUM_PREFIX)?;
+    (sum[16] == b' ' && sum[..16] == hex16(fnv1a(payload))).then_some(payload)
 }
 
 /// An append-only log of checkpoint records that survives `SIGKILL`
@@ -72,7 +146,8 @@ impl Journal {
             ));
         }
         io_point(APPEND_SITE)?;
-        let line = format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()));
+        let mut line = checksum_line(payload);
+        line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.sync_all()?;
         Ok(())
@@ -156,10 +231,7 @@ impl Journal {
 /// Verifies one journal line; returns the payload when the framing and
 /// checksum are intact.
 fn parse_line(line: &str) -> Option<&str> {
-    let (sum, payload) = line.split_at_checked(16)?;
-    let payload = payload.strip_prefix(' ')?;
-    let expect = u64::from_str_radix(sum, 16).ok()?;
-    (fnv1a(payload.as_bytes()) == expect).then_some(payload)
+    verified_payload(line.as_bytes()).map(|_| &line[CHECKSUM_PREFIX..])
 }
 
 /// Clips a corrupt line for an error message.

@@ -76,7 +76,7 @@ pub use fault::{
     FaultPlan, SuppressGuard,
 };
 pub use fnv::{fnv1a, Fnv1a};
-pub use journal::{checksum_line, Journal};
+pub use journal::{checksum_line, push_checksum_line, push_hex, verified_payload, Journal};
 pub use supervise::{
     clear_failure_observer, set_failure_observer, supervised, CellOutcome, FailureObserver,
     RetryPolicy,

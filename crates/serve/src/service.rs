@@ -18,7 +18,9 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use detdiv_guard::introspect::{GuardShardStats, GuardStats};
-use detdiv_guard::{BreakerState, DegradationLevel, GuardConfig, HibernationStore, PressureSample};
+use detdiv_guard::{
+    BreakerState, DegradationLevel, GuardConfig, HibernationStore, PressureSample, SpillChunk,
+};
 use detdiv_resil::RetryPolicy;
 use detdiv_stream::{Bank, DetectionResult, EwmaState, SignalContext, SlotResult, StreamDetector};
 
@@ -554,7 +556,10 @@ impl IngestService {
         // Hibernation: while over the shard's budget slice, spill the
         // least-recently-touched streams to the checksummed segment.
         // LRU order is (last-touch cycle, hash) — both deterministic —
-        // so the spill sequence is width-invariant too.
+        // so the spill sequence is width-invariant too. Victims are
+        // rendered into chunks of at most `CHUNK_BYTES`, one write
+        // each; a chunk's streams leave the table only once it is
+        // written.
         if let Some(budget) = rt.shard_budget {
             if resident > budget && g.store.is_some() {
                 let mut candidates: Vec<(u64, u64)> = shard
@@ -563,24 +568,42 @@ impl IngestService {
                     .map(|(&hash, record)| (record.last_touch, hash))
                     .collect();
                 candidates.sort_unstable();
-                for (_, hash) in candidates {
-                    if resident <= budget {
+                let mut victims = candidates.into_iter().map(|(_, hash)| hash).peekable();
+                let mut chunk = SpillChunk::default();
+                while resident > budget {
+                    // The bytes this chunk's victims release once written.
+                    let mut freed = 0u64;
+                    while resident.saturating_sub(freed) > budget {
+                        let Some(&hash) = victims.peek() else {
+                            break;
+                        };
+                        let record = &shard.records[&hash];
+                        if !chunk.push(hash, |line| {
+                            crate::snapshot::push_stream_line(line, hash, record)
+                        }) {
+                            break;
+                        }
+                        freed += GATE_COST + u64::from(record.bank.is_some()) * rt.bank_cost;
+                        victims.next();
+                    }
+                    if chunk.is_empty() {
                         break;
                     }
-                    let line = crate::snapshot::render_stream_line(hash, &shard.records[&hash]);
+                    // An unwritable segment leaves the chunk's streams
+                    // resident; pressure stays high instead of losing
+                    // state, and the next victims get their own try.
                     let store = g.store.as_mut().expect("checked above");
-                    if store.spill(hash, &line).is_err() {
-                        // An unwritable segment leaves the stream
-                        // resident; pressure stays high instead of
-                        // losing state.
-                        continue;
+                    if store.append(&chunk).is_ok() {
+                        resident = resident.saturating_sub(freed);
+                        for hash in chunk.hashes() {
+                            let removed = shard.records.remove(&hash);
+                            shard.banks -=
+                                u64::from(removed.is_some_and(|record| record.bank.is_some()));
+                            gs.hibernated.fetch_add(1, Ordering::Relaxed);
+                            g.record(index, "hibernate", "", "spilled", hash);
+                        }
                     }
-                    let removed = shard.records.remove(&hash);
-                    let banked = u64::from(removed.is_some_and(|record| record.bank.is_some()));
-                    shard.banks -= banked;
-                    resident = resident.saturating_sub(GATE_COST + banked * rt.bank_cost);
-                    gs.hibernated.fetch_add(1, Ordering::Relaxed);
-                    g.record(index, "hibernate", "", "spilled", hash);
+                    chunk.clear();
                 }
             }
         }

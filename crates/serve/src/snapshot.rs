@@ -31,10 +31,11 @@
 //! shard) and re-enqueued by recovery, so snapshotting no longer
 //! requires the caller to drain first for a clean cut.
 
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
-use detdiv_resil::{checksum_line, AtomicFile, Journal};
+use detdiv_resil::{checksum_line, push_hex, AtomicFile, Journal};
 use detdiv_sequence::Symbol;
 use detdiv_stream::{Bank, EwmaState, SignalContext, SlotState};
 
@@ -70,28 +71,25 @@ pub enum RecoverOutcome {
     },
 }
 
-fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+/// The value of one hex digit, either case; `None` for any other byte
+/// (a sign, or a byte of a multi-byte character).
+fn nibble(digit: u8) -> Option<u8> {
+    match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        b'A'..=b'F' => Some(digit - b'A' + 10),
+        _ => None,
     }
-    out
 }
 
 fn from_hex(s: &str) -> Option<Vec<u8>> {
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
+    s.chunks_exact(2)
+        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
         .collect()
-}
-
-fn opt_hex(state: &Option<Vec<u8>>) -> String {
-    match state {
-        Some(bytes) => to_hex(bytes),
-        None => "-".to_owned(),
-    }
 }
 
 fn parse_opt_hex(token: &str) -> Option<Option<Vec<u8>>> {
@@ -120,21 +118,55 @@ pub(crate) struct ParsedStream {
 /// format shared by snapshot files and the guard's hibernation
 /// segments.
 pub(crate) fn render_stream_line(hash: u64, record: &StreamRecord) -> String {
-    let slots = record.bank.as_ref().map(|bank| bank.snapshot());
-    let slots = slots.as_deref().unwrap_or_default();
-    let mut line = format!(
-        "stream {hash:016x} esc={} t1={} slots={}",
-        u8::from(record.bank.is_some()),
-        to_hex(&record.gate.to_bytes()),
-        slots.len()
-    );
-    for slot in slots {
-        line.push(' ');
-        line.push(if slot.degraded { 'd' } else { 'h' });
-        line.push(':');
-        line.push_str(&opt_hex(&slot.state));
-    }
+    let mut line = String::new();
+    push_stream_line(&mut line, hash, record);
     line
+}
+
+/// Appends [`render_stream_line`]'s line to `out`.
+pub(crate) fn push_stream_line(out: &mut String, hash: u64, record: &StreamRecord) {
+    let slots = record.bank.as_ref().map(|bank| bank.snapshot());
+    let slots = slots.as_deref();
+    push_stream_fields(
+        out,
+        hash,
+        slots.is_some(),
+        &record.gate.to_bytes(),
+        slots.unwrap_or_default(),
+    );
+}
+
+/// Appends the line of a stream with these fields to `out`, after
+/// reserving room for all of it.
+fn push_stream_fields(
+    out: &mut String,
+    hash: u64,
+    escalated: bool,
+    gate: &[u8],
+    slots: &[SlotState],
+) {
+    // "stream " + 16 + " esc=x t1=" + " slots=" + up to 20 digits.
+    let slot_bytes: usize = slots
+        .iter()
+        .map(|slot| 3 + slot.state.as_ref().map_or(1, |state| 2 * state.len()))
+        .sum();
+    out.reserve(70 + 2 * gate.len() + slot_bytes);
+    out.push_str("stream ");
+    push_hex(out, &hash.to_be_bytes());
+    out.push_str(if escalated {
+        " esc=1 t1="
+    } else {
+        " esc=0 t1="
+    });
+    push_hex(out, gate);
+    let _ = write!(out, " slots={}", slots.len());
+    for slot in slots {
+        out.push_str(if slot.degraded { " d:" } else { " h:" });
+        match &slot.state {
+            Some(bytes) => push_hex(out, bytes),
+            None => out.push('-'),
+        }
+    }
 }
 
 impl ParsedStream {
@@ -173,7 +205,9 @@ pub(crate) fn parse_stream_line(line: &str) -> Option<ParsedStream> {
     };
     let tier1_state = parse_opt_hex(tokens.next()?.strip_prefix("t1=")?)?;
     let slot_count: usize = tokens.next()?.strip_prefix("slots=")?.parse().ok()?;
-    let mut slots = Vec::with_capacity(slot_count);
+    // The count comes from disk: reserve no more slots than the line
+    // has room for (each token is at least three bytes and a space).
+    let mut slots = Vec::with_capacity(slot_count.min(line.len() / 4));
     for _ in 0..slot_count {
         let token = tokens.next()?;
         let (flag, hex) = token.split_once(':')?;
@@ -420,14 +454,19 @@ impl IngestService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn hex_roundtrips_and_rejects_odd_lengths() {
-        assert_eq!(to_hex(&[0x00, 0xff, 0x1a]), "00ff1a");
+    fn hex_decodes_either_case_and_rejects_everything_else() {
         assert_eq!(from_hex("00ff1a"), Some(vec![0x00, 0xff, 0x1a]));
+        assert_eq!(from_hex("00FF1A"), Some(vec![0x00, 0xff, 0x1a]));
         assert_eq!(from_hex(""), Some(Vec::new()));
         assert!(from_hex("abc").is_none());
         assert!(from_hex("zz").is_none());
+        // A sign is not a digit, and a byte of a multi-byte character
+        // is not one either (4 bytes, so the length check passes).
+        assert!(from_hex("+f").is_none());
+        assert!(from_hex("aéb").is_none());
     }
 
     #[test]
@@ -450,9 +489,117 @@ mod tests {
                 }
             ]
         );
+        let mut rendered = String::new();
+        push_stream_fields(&mut rendered, p.hash, p.escalated, &[0x0a, 0x0b], &p.slots);
+        assert_eq!(rendered, line);
         // Wrong slot counts and trailing garbage are version drift.
         assert!(parse_stream_line("stream 1 esc=1 t1=- slots=1").is_none());
         assert!(parse_stream_line("stream 1 esc=1 t1=- slots=0 h:-").is_none());
         assert!(parse_stream_line("stream 1 esc=2 t1=- slots=0").is_none());
+    }
+
+    #[test]
+    fn non_hex_state_tokens_are_refused_not_fatal() {
+        assert!(parse_stream_line("stream 1 esc=0 t1=aéb slots=0").is_none());
+        assert!(parse_stream_line("stream 1 esc=0 t1=+f0a slots=0").is_none());
+        assert!(parse_stream_line("stream 1 esc=1 t1=- slots=1 h:aéb").is_none());
+    }
+
+    #[test]
+    fn a_slot_count_no_line_can_hold_is_refused_not_allocated_for() {
+        let line = "stream 1 esc=1 t1=- slots=18446744073709551615 h:-";
+        assert!(parse_stream_line(line).is_none());
+    }
+
+    /// The pieces stream lines are made of, plus characters a corrupt
+    /// or hand-edited line might hold.
+    const FRAGMENTS: &[&str] = &[
+        "stream ",
+        "00000000deadbeef",
+        "1",
+        " ",
+        "esc=0",
+        "esc=1",
+        "t1=",
+        "slots=",
+        "2",
+        "h:",
+        "d:",
+        ":",
+        "-",
+        "0a",
+        "f",
+        "+f",
+        "é",
+        "aéb",
+        "\u{1f600}",
+        "Z",
+        "\t",
+        "99999999999999",
+    ];
+
+    fn fragment_line() -> impl Strategy<Value = String> {
+        prop::collection::vec(0usize..FRAGMENTS.len(), 0..24)
+            .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+    }
+
+    fn any_char() -> impl Strategy<Value = char> {
+        (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}'))
+    }
+
+    fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(0u8..=255, 0..max)
+    }
+
+    fn slot_states() -> impl Strategy<Value = Vec<SlotState>> {
+        prop::collection::vec((0u8..2, 0u8..3, bytes(24)), 0..6).prop_map(|slots| {
+            slots
+                .into_iter()
+                .map(|(degraded, kind, state)| SlotState {
+                    degraded: degraded == 1,
+                    state: (kind > 0).then_some(state),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parsing_never_panics(
+            fragments in fragment_line(),
+            chars in prop::collection::vec(any_char(), 0..48),
+            at in 0usize..256,
+        ) {
+            let chars: String = chars.into_iter().collect();
+            let _ = parse_stream_line(&fragments);
+            let _ = parse_stream_line(&chars);
+            // Splice the random characters into the fragment line at a
+            // character boundary.
+            let mut at = at.min(fragments.len());
+            while !fragments.is_char_boundary(at) {
+                at -= 1;
+            }
+            let spliced = format!("{}{chars}{}", &fragments[..at], &fragments[at..]);
+            let _ = parse_stream_line(&spliced);
+        }
+
+        #[test]
+        fn rendered_lines_parse_back(
+            hash in 0u64..=u64::MAX,
+            escalated in 0u8..2,
+            gate in bytes(40),
+            slots in slot_states(),
+        ) {
+            let escalated = escalated == 1;
+            let mut line = String::new();
+            push_stream_fields(&mut line, hash, escalated, &gate, &slots);
+            let p = parse_stream_line(&line).expect("a rendered line parses");
+            prop_assert_eq!(p.hash, hash);
+            prop_assert_eq!(p.escalated, escalated);
+            prop_assert_eq!(p.tier1_state, Some(gate));
+            prop_assert_eq!(p.slots, slots);
+        }
     }
 }

@@ -313,3 +313,66 @@ fn a_degraded_slot_is_counted_once_across_hibernation_round_trips() {
     assert_eq!(degraded_slots, [1, 1, 1, 1], "rehydration recounts nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// DESIGN §17: an unwritable segment leaves the stream resident. The
+/// shard's segment is `/dev/full`, so every spill write fails with
+/// `ENOSPC`; a 1-byte budget asks for a spill of every stream at the
+/// end of every drain. No stream may leave the table, and the gate
+/// state each keeps must serve the verdicts an unguarded service
+/// serves. The gate never escalates here: over budget, the guard's
+/// ladder defers escalations, which would differ from the control for
+/// a reason other than the segment.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_unwritable_segment_leaves_every_stream_resident() {
+    let dir = std::env::temp_dir().join(format!(
+        "detdiv-serve-backpressure-unwritable-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::os::unix::fs::symlink("/dev/full", dir.join("shard-0.seg")).unwrap();
+    let gate_only = Tier1Config {
+        alpha: 0.3,
+        warmup: 2,
+        escalate_score: f64::INFINITY,
+    };
+    let config = ServeConfig::new(1, 64).gated(gate_only);
+    let factory = || vec![Box::new(Ewma::new(0.2, 3)) as Box<dyn StreamDetector>];
+    let guard = GuardConfig {
+        budget_bytes: Some(1),
+        spill_dir: Some(dir.clone()),
+        ..GuardConfig::default()
+    };
+    let guarded = IngestService::with_guard(config, guard, factory).unwrap();
+    let control = IngestService::new(config, factory);
+    let streams: Vec<u64> = (0..8)
+        .map(|i| hash_stream_id(&format!("resident-{i}")))
+        .collect();
+    let (guarded_sink, control_sink) = (Collect::default(), Collect::default());
+    for seq in 0..6u64 {
+        for (i, &s) in (0u64..).zip(&streams) {
+            let ctx = SignalContext::new(seq, s, Symbol::new(0), ((seq * 7 + i) % 5) as f64);
+            guarded.enqueue(ctx).unwrap();
+            control.enqueue(ctx).unwrap();
+        }
+        guarded.drain(&guarded_sink);
+        control.drain(&control_sink);
+        assert_eq!(
+            guarded.stream_count(),
+            streams.len(),
+            "every stream stays resident"
+        );
+    }
+    let stats = guarded.guard_stats().unwrap();
+    assert_eq!(stats.shards[0].hibernated.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.shards[0].rehydrated.load(Ordering::Relaxed), 0);
+    let verdicts = guarded_sink.0.into_inner().unwrap();
+    assert_eq!(
+        verdicts.len(),
+        8 * 4,
+        "past warmup, one gate verdict per event"
+    );
+    assert_eq!(verdicts, control_sink.0.into_inner().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -382,6 +382,28 @@ fn missing_file_and_shape_drift_are_discarded() {
 }
 
 #[test]
+fn a_checksummed_line_with_non_hex_state_is_discarded_not_fatal() {
+    // `aéb` is four bytes, an even length, but not hex: a checksum-valid
+    // line carrying it must discard the snapshot, not panic the parser.
+    let path = temp_path("non-hex");
+    let content: String = [
+        "serve-snapshot v2 shards=2 tiering=gate",
+        "stream 00000000deadbeef esc=0 t1=aéb slots=0",
+        "end streams=1 queued=0",
+    ]
+    .iter()
+    .map(|line| detdiv_resil::checksum_line(line) + "\n")
+    .collect();
+    std::fs::write(&path, content).unwrap();
+    let fresh = IngestService::new(config(2, 0, 0.0), bank_factory());
+    assert!(
+        matches!(fresh.recover(&path), RecoverOutcome::Discarded { reason } if reason.contains("malformed stream line"))
+    );
+    assert_eq!(fresh.stream_count(), 0);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn bank_shape_drift_degrades_to_cold_start_streams() {
     let path = temp_path("bank-drift");
     let service = IngestService::new(config(2, 0, 0.0), bank_factory());

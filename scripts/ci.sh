@@ -98,8 +98,10 @@
 #                               state, and the serve suites pass at
 #                               both widths
 #  13. overload gate          — `loadgen --overload`'s accounting line
-#                               is identical at widths 1 and 4 and to
-#                               the committed expected line, sheds
+#                               and every shard's hibernation segment
+#                               are identical at widths 1 and 4 and to
+#                               the committed expected line and
+#                               segment sha256, sheds
 #                               on both paths, and its guard audit
 #                               trail matches the committed sha256
 #                               and reconstructs under `flightcheck
@@ -498,13 +500,33 @@ OVERLOAD_DIR="$GATE_DIR/overload"
 mkdir -p "$OVERLOAD_DIR"
 OVERLOAD_ARGS="--streams 2000 --events-per-stream 40 --shards 16 --queue-cap 1024 \
     --overload --guard-bytes 65536"
-DETDIV_LOG=off DETDIV_THREADS=1 timeout 300 ./target/release/loadgen \
-    $OVERLOAD_ARGS --threads 1 > "$OVERLOAD_DIR/t1_stdout.txt" 2> /dev/null
-DETDIV_LOG=off DETDIV_THREADS=4 timeout 300 ./target/release/loadgen \
-    $OVERLOAD_ARGS --threads 4 > "$OVERLOAD_DIR/t4_stdout.txt" 2> /dev/null
+# Both runs keep their hibernation segments in fresh directories, so
+# the spilled bytes are pinned too: each shard's segment must match
+# across widths, and their concatenation in shard order must match the
+# committed sha256.
+rm -rf "$OVERLOAD_DIR/seg_t1" "$OVERLOAD_DIR/seg_t4"
+mkdir -p "$OVERLOAD_DIR/seg_t1" "$OVERLOAD_DIR/seg_t4"
+DETDIV_LOG=off DETDIV_THREADS=1 DETDIV_GUARD_DIR="$OVERLOAD_DIR/seg_t1" timeout 300 \
+    ./target/release/loadgen $OVERLOAD_ARGS --threads 1 > "$OVERLOAD_DIR/t1_stdout.txt" 2> /dev/null
+DETDIV_LOG=off DETDIV_THREADS=4 DETDIV_GUARD_DIR="$OVERLOAD_DIR/seg_t4" timeout 300 \
+    ./target/release/loadgen $OVERLOAD_ARGS --threads 4 > "$OVERLOAD_DIR/t4_stdout.txt" 2> /dev/null
 cmp "$OVERLOAD_DIR/t1_stdout.txt" "$OVERLOAD_DIR/t4_stdout.txt"
 cmp "$OVERLOAD_DIR/t1_stdout.txt" scripts/expected/loadgen_overload.txt
 echo "overload stdout identical at widths 1 and 4 and to the expected line ($(cat "$OVERLOAD_DIR/t1_stdout.txt"))"
+SEGMENTS=$(ls "$OVERLOAD_DIR/seg_t1" | sed -n 's/^shard-\([0-9][0-9]*\)\.seg$/\1/p' | sort -n)
+[ "$(echo $SEGMENTS)" = "$(seq -s ' ' 0 15)" ] || {
+    echo "overload gate: expected segments shard-0.seg … shard-15.seg, found: $(ls "$OVERLOAD_DIR/seg_t1")" >&2
+    exit 1
+}
+for i in $SEGMENTS; do
+    cmp "$OVERLOAD_DIR/seg_t1/shard-$i.seg" "$OVERLOAD_DIR/seg_t4/shard-$i.seg"
+done
+SEG_SHA=$(for i in $SEGMENTS; do cat "$OVERLOAD_DIR/seg_t1/shard-$i.seg"; done | sha256sum | cut -d' ' -f1)
+[ "$SEG_SHA" = "$(cat scripts/expected/loadgen_overload_segments.sha256)" ] || {
+    echo "overload gate: segment sha256 $SEG_SHA differs from scripts/expected/loadgen_overload_segments.sha256" >&2
+    exit 1
+}
+echo "hibernation segments identical at widths 1 and 4 and to the expected hash"
 grep -q "offered=80000" "$OVERLOAD_DIR/t1_stdout.txt" || {
     echo "overload gate: not every event was offered" >&2
     exit 1
