@@ -34,11 +34,6 @@
 //!   train every model afresh (equivalent to `DETDIV_CACHE=off`).
 //!   Results are byte-identical either way; this exists for honest
 //!   timing comparisons and as an escape hatch;
-//! * `--stream` — score every coverage cell through the push-based
-//!   streaming adapter (`detdiv-stream`), one event at a time, instead
-//!   of one batch `scores()` call (equivalent to `DETDIV_STREAM=on`).
-//!   Streamed scores are bit-identical to batch scores, so artifacts
-//!   are byte-identical either way — CI enforces this with `cmp`;
 //! * `--fault SPEC` — arm deterministic fault injection
 //!   (`seed:rate:kinds[:stall_ms]`, e.g. `42:1%:panic`); overrides the
 //!   `DETDIV_FAULT` environment variable. Injected panics are absorbed
@@ -98,7 +93,6 @@ struct Args {
     log: Option<obs::Level>,
     trace: Option<String>,
     no_cache: bool,
-    stream: bool,
     fault: Option<String>,
     resume: Option<String>,
     serve: Option<String>,
@@ -116,7 +110,6 @@ fn parse_args() -> Result<Args, String> {
         // `--trace PATH` below overrides the environment.
         trace: obs::trace::env_path(),
         no_cache: false,
-        stream: false,
         fault: None,
         resume: None,
         // `--serve ADDR` below overrides the environment.
@@ -173,7 +166,6 @@ fn parse_args() -> Result<Args, String> {
                 args.trace = Some(it.next().ok_or("--trace needs a path")?);
             }
             "--no-cache" => args.no_cache = true,
-            "--stream" => args.stream = true,
             "--fault" => {
                 args.fault = Some(it.next().ok_or("--fault needs a spec")?);
             }
@@ -188,13 +180,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: regenerate [--experiment ID] [--training-len N] [--paper] [--seed N] [--json PATH] [--threads N] [--log LEVEL] [--trace PATH] [--no-cache] [--stream] [--fault SPEC] [--resume PATH] [--serve ADDR] [--flight PATH]\n\
+                    "usage: regenerate [--experiment ID] [--training-len N] [--paper] [--seed N] [--json PATH] [--threads N] [--log LEVEL] [--trace PATH] [--no-cache] [--fault SPEC] [--resume PATH] [--serve ADDR] [--flight PATH]\n\
                      experiments: fig2 fig3 fig4 fig5 fig6 fig7 comb1 comb2 comb3 abl1 abl2 abl3 abl4 nat1 ext1 div1 masq1 fn1 ana1 all\n\
                      threads:     parallel fan-out width (default: DETDIV_THREADS, then available parallelism; results are thread-count independent)\n\
                      log levels:  off error warn info debug trace (default info; DETDIV_LOG also honoured)\n\
                      trace:       write a Chrome trace-event JSON file (DETDIV_TRACE also honoured; independent of --log off)\n\
                      no-cache:    train every model afresh, bypassing the single-flight model cache (DETDIV_CACHE=off also honoured; results identical)\n\
-                     stream:      score coverage cells through the push-based streaming adapter (DETDIV_STREAM=on also honoured; artifacts byte-identical)\n\
                      fault:       arm deterministic fault injection, seed:rate:kinds[:stall_ms] e.g. 42:1%:panic (DETDIV_FAULT also honoured)\n\
                      resume:      journal completed coverage rows to PATH and resume an interrupted run from it (removed on success)\n\
                      serve:       serve live metrics on ADDR while the run executes: /metrics /healthz /snapshot.json /profilez /streams /flightz (DETDIV_SERVE also honoured; artifacts stay byte-identical)\n\
@@ -470,16 +461,6 @@ fn main() -> ExitCode {
     }
     if args.no_cache {
         detdiv_cache::set_enabled(false);
-    }
-    // Streaming scoring: DETDIV_STREAM applies first, an explicit
-    // --stream wins. The scores are bit-identical to batch, so this
-    // only changes *how* cells are scored, never what they say.
-    detdiv_eval::apply_stream_env();
-    if args.stream {
-        detdiv_eval::set_stream_scoring(true);
-    }
-    if detdiv_eval::stream_scoring() {
-        obs::info!("streaming scoring enabled");
     }
     // Deterministic fault injection: an explicit --fault spec wins over
     // the DETDIV_FAULT environment variable; either arms the same

@@ -1,11 +1,8 @@
 //! Shared helpers for the `detdiv` harness binaries: the `DETDIV_*`
-//! environment preflight every binary runs first, and the paper-grid
-//! corpus `streamcheck` sweeps.
+//! environment preflight every binary runs first.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
-
-use detdiv_synth::{Corpus, SynthesisConfig};
 
 /// Validates the `DETDIV_*` environment knobs the harness binaries
 /// honour, so a typo (`DETDIV_THREADS=four`, `DETDIV_LOG=quiet`)
@@ -61,13 +58,6 @@ pub fn preflight_env() -> Result<(), String> {
             }
         }
     }
-    if let Some(value) = env_value("DETDIV_STREAM")? {
-        if !matches!(value.trim(), "on" | "1" | "off" | "0") {
-            return Err(format!(
-                "DETDIV_STREAM: unknown mode {value:?} (expected on, 1, off or 0)"
-            ));
-        }
-    }
     if let Some(value) = env_value("DETDIV_FLIGHT")? {
         let path = value.trim();
         if path.ends_with('/') || std::path::Path::new(path).is_dir() {
@@ -88,22 +78,6 @@ fn env_value(name: &str) -> Result<Option<String>, String> {
         Err(std::env::VarError::NotPresent) => Ok(None),
         Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name}: not valid Unicode")),
     }
-}
-
-/// A mid-size corpus exercising the full paper grid (AS 2–9, DW 2–15)
-/// at a reduced training length.
-///
-/// # Panics
-///
-/// Panics if synthesis fails.
-pub fn grid_corpus(training_len: usize) -> Corpus {
-    let config = SynthesisConfig::builder()
-        .training_len(training_len)
-        .background_len(2048)
-        .seed(2005)
-        .build()
-        .expect("grid benchmark configuration is valid");
-    Corpus::synthesize(&config).expect("grid benchmark corpus synthesizes")
 }
 
 #[cfg(test)]
@@ -174,15 +148,6 @@ mod tests {
         assert!(preflight_env().is_err(), "non-numeric interval rejected");
         std::env::remove_var("DETDIV_SCOPE_INTERVAL_MS");
 
-        for good in ["on", "off", "1", "0"] {
-            std::env::set_var("DETDIV_STREAM", good);
-            assert!(preflight_env().is_ok(), "DETDIV_STREAM={good} passes");
-        }
-        std::env::set_var("DETDIV_STREAM", "sometimes");
-        let err = preflight_env().unwrap_err();
-        assert!(err.contains("DETDIV_STREAM"), "{err}");
-        std::env::remove_var("DETDIV_STREAM");
-
         std::env::set_var("DETDIV_FLIGHT", "/tmp/detdiv-flight.jsonl");
         assert!(preflight_env().is_ok(), "file path passes");
         std::env::set_var("DETDIV_FLIGHT", "/tmp/");
@@ -191,11 +156,5 @@ mod tests {
         std::env::remove_var("DETDIV_FLIGHT");
 
         assert!(preflight_env().is_ok(), "clean again after the sweep");
-    }
-
-    #[test]
-    fn fixtures_build() {
-        let g = grid_corpus(60_000);
-        assert_eq!(g.anomalies().count(), 8);
     }
 }

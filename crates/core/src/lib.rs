@@ -47,6 +47,5 @@ pub use incident::IncidentSpan;
 pub use instrument::InstrumentedDetector;
 pub use metrics::{analyze_alarms, threshold_sweep, AlarmAnalysis, RocPoint};
 pub use outcome::{
-    classify_scores, evaluate_case, evaluate_scores, Classification, DetectionOutcome, LabeledCase,
-    OwnedCase,
+    classify_scores, evaluate_case, Classification, DetectionOutcome, LabeledCase, OwnedCase,
 };

@@ -237,33 +237,8 @@ pub fn evaluate_case<D>(detector: &D, case: &dyn LabeledCase) -> Result<Detectio
 where
     D: TrainedModel + ?Sized,
 {
-    let scores = detector.scores(case.test_stream());
-    evaluate_scores(detector, case, &scores)
-}
-
-/// Classifies an externally produced response vector against a labelled
-/// case, exactly as [`evaluate_case`] classifies the detector's own
-/// batch responses.
-///
-/// This is the seam the streaming engine plugs into: `detdiv-stream`
-/// produces `scores` one event at a time through the push API, then
-/// hands them here so batch and streamed evaluations share one
-/// classification (and telemetry) path. `scores[i]` must be the
-/// response covering `test[i .. i + detector.window()]` — the indexing
-/// convention of [`TrainedModel::scores`].
-///
-/// # Errors
-///
-/// The same geometry and length errors as [`evaluate_case`].
-pub fn evaluate_scores<D>(
-    detector: &D,
-    case: &dyn LabeledCase,
-    scores: &[f64],
-) -> Result<DetectionOutcome, EvalError>
-where
-    D: TrainedModel + ?Sized,
-{
     let test = case.test_stream();
+    let scores = detector.scores(test);
     let span = IncidentSpan::compute(
         test.len(),
         detector.window(),
@@ -277,7 +252,7 @@ where
             found: scores.len(),
         });
     }
-    let outcome = classify_scores(scores, span, detector.maximal_response_floor());
+    let outcome = classify_scores(&scores, span, detector.maximal_response_floor());
     if detdiv_obs::telemetry_enabled() {
         detdiv_obs::incr_counter("eval/cases", 1);
         match &outcome {

@@ -219,6 +219,11 @@ fn parse_record(line: &str) -> Option<(String, Row)> {
     let mut row = Vec::new();
     for cell in cells.split(',') {
         let (a, s) = cell.split_once(':')?;
+        // ASCII digits only, as `encode_cells` writes them: `parse`
+        // alone would also take a sign.
+        if a.is_empty() || !a.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
         row.push((a.parse().ok()?, letter_status(s)?));
     }
     Some((key.to_owned(), row))
@@ -301,5 +306,8 @@ mod tests {
         assert!(parse_record("header|v1").is_none());
         assert!(parse_record("row|tag|Stide|6|2:X").is_none());
         assert!(parse_record("row|tag|Stide|6|nocolon").is_none());
+        assert!(parse_record("row|tag|Stide|6|+3:D").is_none());
+        assert!(parse_record("row|tag|Stide|6|2:D,+3:D").is_none());
+        assert!(parse_record("row|tag|Stide|6|:D").is_none());
     }
 }

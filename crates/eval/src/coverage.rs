@@ -19,7 +19,7 @@
 //! `tests/par_determinism.rs`).
 
 use detdiv_cache::ModelCache;
-use detdiv_core::{evaluate_case, evaluate_scores, CellStatus, CoverageMap, LabeledCase};
+use detdiv_core::{evaluate_case, CellStatus, CoverageMap};
 use detdiv_resil::{CellOutcome, RetryPolicy};
 use detdiv_sequence::StreamProfile;
 use detdiv_synth::Corpus;
@@ -92,16 +92,7 @@ fn coverage_row(
             detdiv_resil::point(&format!("score/{}", kind.name()));
         }
         let case = corpus.case(anomaly_size, window)?;
-        // Streaming mode scores through the push-based adapter; the
-        // scores are bit-identical to the batch call (the adapter's
-        // contract), so the verdict — and every downstream artifact —
-        // is unchanged.
-        let outcome = if crate::streamed::stream_scoring() {
-            let scores = detdiv_stream::stream_scores(&detector, case.test_stream());
-            evaluate_scores(detector.as_ref(), &case, &scores)?
-        } else {
-            evaluate_case(detector.as_ref(), &case)?
-        };
+        let outcome = evaluate_case(detector.as_ref(), &case)?;
         detdiv_obs::record_cell(kind.name(), window, anomaly_size, cell_started.elapsed());
         let status = CellStatus::from(outcome.classification());
         // One wide event per cell decision: the audit-log leg of the
@@ -170,42 +161,8 @@ fn coverage_row(
 /// assert!(!map.detects(3, 2).unwrap());
 /// ```
 pub fn coverage_map(corpus: &Corpus, kind: &DetectorKind) -> Result<CoverageMap, HarnessError> {
-    let _span = detdiv_obs::span!("coverage", detector = kind.name());
-    let config = corpus.config();
-    let mut map = CoverageMap::new(
-        kind.name(),
-        1..=config.max_anomaly(),
-        *config.windows().start()..=config.max_window(),
-    );
-    let windows: Vec<usize> = config.windows().collect();
-    // Re-root worker-thread span stacks under this experiment so their
-    // `train` spans and grid cells carry the right context.
-    let parent = detdiv_obs::current_path();
-    let sweep = Sweep::new(corpus, detdiv_cache::global());
-    let tag = checkpoint::corpus_tag(corpus, sweep.fingerprint);
-    let rows = detdiv_par::par_try_map_supervised(
-        &windows,
-        &row_policy(),
-        |_, &window| format!("row/{}/{window}", kind.name()),
-        |&window| -> Result<CoverageRow, HarnessError> {
-            if let Some(row) = tag
-                .as_deref()
-                .and_then(|tag| checkpoint::lookup(tag, kind, window))
-            {
-                return Ok(row);
-            }
-            let _ctx = detdiv_obs::context(&parent);
-            let row = coverage_row(&sweep, kind, window)?;
-            if let Some(tag) = tag.as_deref() {
-                checkpoint::record(tag, kind, window, &row);
-            }
-            Ok(row)
-        },
-    )?;
-    for (window, outcome) in windows.into_iter().zip(rows) {
-        merge_row_outcome(&mut map, config.anomaly_sizes(), window, outcome)?;
-    }
-    Ok(map)
+    let mut maps = coverage_maps_in(corpus, std::slice::from_ref(kind), detdiv_cache::global())?;
+    Ok(maps.remove(0))
 }
 
 /// Writes one supervised row outcome into the map: a completed row

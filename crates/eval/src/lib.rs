@@ -62,7 +62,6 @@ mod figures;
 mod kinds;
 mod masquerade;
 mod report;
-mod streamed;
 
 pub use ablation::{
     abl1_maximal_response_semantics, abl2_locality_frame_count, abl3_nn_sensitivity,
@@ -84,7 +83,15 @@ pub use figures::{fig2_incident_span, fig7_similarity, Fig2Result, Fig7Result};
 pub use kinds::DetectorKind;
 pub use masquerade::{masq1_lane_brodley_masquerade, MasqueradeResult};
 pub use report::FullReport;
-pub use streamed::{apply_stream_env, set_stream_scoring, stream_scoring};
+
+/// Does nothing. Coverage cells once had a second, streamed scoring
+/// mode behind this switch; it wrote the same bytes as batch scoring by
+/// contract, so turning it off is all that ever mattered, and that is
+/// now the only mode. The name remains only because the benchmark pins
+/// it off (`perfbench/src/main.rs`); ROADMAP item 8 deletes this stub
+/// together with that call.
+#[doc(hidden)]
+pub fn set_stream_scoring(_on: bool) {}
 
 /// Serializes the unit tests that switch the process-wide model cache
 /// or pool width, or assert on what the global cache holds.

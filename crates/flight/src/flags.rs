@@ -2,27 +2,14 @@
 //!
 //! `detdiv-scope`'s liveness endpoint reports which optional
 //! subsystems are active in the process it is introspecting. The fault
-//! and flight answers come from their own crates; the serve and
-//! stream-scoring answers are plain process facts kept here (this crate
-//! sits below scope and eval in the dependency graph, so it is the
-//! natural meeting point): scope mirrors whether it serves, and eval's
-//! stream-scoring switch *is* the flag below.
+//! and flight answers come from their own crates; whether a scope
+//! server is serving is a plain process fact kept here (this crate
+//! sits below scope in the dependency graph, so it is the natural
+//! meeting point), mirrored by scope itself.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-static STREAM_SCORING: AtomicBool = AtomicBool::new(false);
 static SERVING: AtomicBool = AtomicBool::new(false);
-
-/// Sets the evaluation layer's stream-scoring switch
-/// (`regenerate --stream` / `DETDIV_STREAM`).
-pub fn set_stream_scoring(on: bool) {
-    STREAM_SCORING.store(on, Ordering::Relaxed);
-}
-
-/// Whether the evaluation layer scores through the streaming adapter.
-pub fn stream_scoring() -> bool {
-    STREAM_SCORING.load(Ordering::Relaxed)
-}
 
 /// Mirrors whether a scope server is currently serving
 /// (`DETDIV_SERVE`); set and cleared by `detdiv-scope`.
@@ -35,8 +22,6 @@ pub fn set_serving(on: bool) {
 pub struct Subsystems {
     /// A scope metrics server is live.
     pub serve: bool,
-    /// Coverage rows score through the streaming adapter.
-    pub stream: bool,
     /// A `detdiv-resil` fault plan is armed.
     pub fault: bool,
     /// The flight recorder is armed.
@@ -47,7 +32,6 @@ pub struct Subsystems {
 pub fn subsystems() -> Subsystems {
     Subsystems {
         serve: SERVING.load(Ordering::Relaxed),
-        stream: stream_scoring(),
         fault: detdiv_resil::armed(),
         flight: crate::armed(),
     }
@@ -60,13 +44,9 @@ mod tests {
     #[test]
     fn flags_reflect_their_setters() {
         let _guard = crate::test_lock();
-        set_stream_scoring(true);
         set_serving(true);
-        let s = subsystems();
-        assert!(s.serve && s.stream);
-        set_stream_scoring(false);
+        assert!(subsystems().serve);
         set_serving(false);
-        let s = subsystems();
-        assert!(!s.serve && !s.stream);
+        assert!(!subsystems().serve);
     }
 }

@@ -22,7 +22,7 @@
 //! * `GET /healthz` — JSON liveness: status, uptime, last-sample age,
 //!   whether telemetry is enabled, scrape count, degraded-stream
 //!   count, and which optional subsystems are armed
-//!   (serve/stream/fault/flight).
+//!   (serve/fault/flight).
 //! * `GET /snapshot.json` — the full serialized
 //!   [`detdiv_obs::TelemetrySnapshot`], timeseries section included.
 //! * `GET /profilez` — the live self-profile table as plain text.
@@ -80,7 +80,6 @@ struct Health {
 #[derive(Debug, Serialize)]
 struct SubsystemHealth {
     serve: bool,
-    stream: bool,
     fault: bool,
     flight: bool,
 }
@@ -401,7 +400,6 @@ fn health(shared: &Shared) -> Health {
         degraded_streams: detdiv_flight::streams::degraded_streams(),
         subsystems: SubsystemHealth {
             serve: armed.serve,
-            stream: armed.stream,
             fault: armed.fault,
             flight: armed.flight,
         },

@@ -92,6 +92,27 @@ fn from_hex(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
+/// The number a fixed-width hex field spells: exactly `width` hex
+/// digits, as the writer renders it, so a sign or a short or long field
+/// is refused.
+fn fixed_hex(token: &str, width: usize) -> Option<u64> {
+    if token.len() != width {
+        return None;
+    }
+    token
+        .bytes()
+        .try_fold(0u64, |n, digit| Some(n << 4 | u64::from(nibble(digit)?)))
+}
+
+/// The count a decimal field spells: ASCII digits only, so a sign is
+/// refused.
+fn decimal(token: &str) -> Option<usize> {
+    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    token.parse().ok()
+}
+
 fn parse_opt_hex(token: &str) -> Option<Option<Vec<u8>>> {
     if token == "-" {
         Some(None)
@@ -197,14 +218,14 @@ pub(crate) fn parse_stream_line(line: &str) -> Option<ParsedStream> {
     if tokens.next()? != "stream" {
         return None;
     }
-    let hash = u64::from_str_radix(tokens.next()?, 16).ok()?;
+    let hash = fixed_hex(tokens.next()?, 16)?;
     let escalated = match tokens.next()?.strip_prefix("esc=")? {
         "0" => false,
         "1" => true,
         _ => return None,
     };
     let tier1_state = parse_opt_hex(tokens.next()?.strip_prefix("t1=")?)?;
-    let slot_count: usize = tokens.next()?.strip_prefix("slots=")?.parse().ok()?;
+    let slot_count = decimal(tokens.next()?.strip_prefix("slots=")?)?;
     // The count comes from disk: reserve no more slots than the line
     // has room for (each token is at least three bytes and a space).
     let mut slots = Vec::with_capacity(slot_count.min(line.len() / 4));
@@ -236,20 +257,32 @@ pub(crate) fn parse_stream_line(line: &str) -> Option<ParsedStream> {
 fn parse_footer(line: &str) -> Option<(usize, usize)> {
     let rest = line.strip_prefix("end streams=")?;
     let (streams, queued) = rest.split_once(" queued=")?;
-    Some((streams.parse().ok()?, queued.parse().ok()?))
+    Some((decimal(streams)?, decimal(queued)?))
 }
 
-/// Parses a `queued <seq> <hash> <symbol> <value-bits>` residue line
-/// back into the event it captured.
+/// Renders one queued event as a `queued <seq> <hash> <symbol>
+/// <value-bits>` residue line.
+fn render_queued_line(ctx: &SignalContext) -> String {
+    format!(
+        "queued {:016x} {:016x} {:08x} {:016x}",
+        ctx.seq,
+        ctx.stream_id_hash,
+        ctx.symbol.id(),
+        ctx.value.to_bits()
+    )
+}
+
+/// Parses a [`render_queued_line`] residue line back into the event it
+/// captured.
 fn parse_queued_line(line: &str) -> Option<SignalContext> {
     let mut tokens = line.split_whitespace();
     if tokens.next()? != "queued" {
         return None;
     }
-    let seq = u64::from_str_radix(tokens.next()?, 16).ok()?;
-    let hash = u64::from_str_radix(tokens.next()?, 16).ok()?;
-    let symbol = u32::from_str_radix(tokens.next()?, 16).ok()?;
-    let bits = u64::from_str_radix(tokens.next()?, 16).ok()?;
+    let seq = fixed_hex(tokens.next()?, 16)?;
+    let hash = fixed_hex(tokens.next()?, 16)?;
+    let symbol = u32::try_from(fixed_hex(tokens.next()?, 8)?).ok()?;
+    let bits = fixed_hex(tokens.next()?, 16)?;
     if tokens.next().is_some() {
         return None; // trailing garbage: version drift, discard
     }
@@ -310,14 +343,7 @@ impl IngestService {
                 streams += 1;
             }
             for ctx in &shard.queue {
-                let line = format!(
-                    "queued {:016x} {:016x} {:08x} {:016x}",
-                    ctx.seq,
-                    ctx.stream_id_hash,
-                    ctx.symbol.id(),
-                    ctx.value.to_bits()
-                );
-                residue.push_str(&checksum_line(&line));
+                residue.push_str(&checksum_line(&render_queued_line(ctx)));
                 residue.push('\n');
                 queued += 1;
             }
@@ -493,21 +519,50 @@ mod tests {
         push_stream_fields(&mut rendered, p.hash, p.escalated, &[0x0a, 0x0b], &p.slots);
         assert_eq!(rendered, line);
         // Wrong slot counts and trailing garbage are version drift.
-        assert!(parse_stream_line("stream 1 esc=1 t1=- slots=1").is_none());
-        assert!(parse_stream_line("stream 1 esc=1 t1=- slots=0 h:-").is_none());
-        assert!(parse_stream_line("stream 1 esc=2 t1=- slots=0").is_none());
+        assert!(parse_stream_line("stream 00000000deadbeef esc=1 t1=- slots=1").is_none());
+        assert!(parse_stream_line("stream 00000000deadbeef esc=1 t1=- slots=0 h:-").is_none());
+        assert!(parse_stream_line("stream 00000000deadbeef esc=2 t1=- slots=0").is_none());
     }
 
     #[test]
     fn non_hex_state_tokens_are_refused_not_fatal() {
-        assert!(parse_stream_line("stream 1 esc=0 t1=aéb slots=0").is_none());
-        assert!(parse_stream_line("stream 1 esc=0 t1=+f0a slots=0").is_none());
-        assert!(parse_stream_line("stream 1 esc=1 t1=- slots=1 h:aéb").is_none());
+        let parses = |line: &str| parse_stream_line(line).is_some();
+        assert!(parses("stream 00000000deadbeef esc=1 t1=- slots=1 h:ab"));
+        assert!(!parses("stream 00000000deadbeef esc=0 t1=aéb slots=0"));
+        assert!(!parses("stream 00000000deadbeef esc=0 t1=+f0a slots=0"));
+        assert!(!parses("stream 00000000deadbeef esc=1 t1=- slots=1 h:aéb"));
+        // Numbers are spelled as the writer spells them: no sign, and
+        // the hash at its full 16 digits.
+        assert!(!parses("stream +dead esc=0 t1=- slots=0"));
+        assert!(!parses("stream +0000000deadbeef esc=0 t1=- slots=0"));
+        assert!(!parses("stream dead esc=0 t1=- slots=0"));
+        assert!(!parses("stream 00000000deadbeef esc=1 t1=- slots=+1 h:ab"));
+        assert!(!parses("stream 00000000deadbeef esc=1 t1=- slots= "));
+    }
+
+    #[test]
+    fn signed_footer_and_queued_fields_are_refused() {
+        assert_eq!(parse_footer("end streams=117 queued=3"), Some((117, 3)));
+        assert!(parse_footer("end streams=+1 queued=0").is_none());
+        assert!(parse_footer("end streams=1 queued=+0").is_none());
+        assert!(parse_footer("end streams= queued=0").is_none());
+        let line = "queued 0000000000000001 00000000deadbeef 00000003 3ff0000000000000";
+        let ctx = parse_queued_line(line).expect("parses");
+        assert_eq!(render_queued_line(&ctx), line);
+        for signed in [
+            "queued +000000000000001 00000000deadbeef 00000003 3ff0000000000000",
+            "queued 0000000000000001 +0000000deadbeef 00000003 3ff0000000000000",
+            "queued 0000000000000001 00000000deadbeef +0000003 3ff0000000000000",
+            "queued 0000000000000001 00000000deadbeef 00000003 +ff0000000000000",
+            "queued +1 00000000deadbeef 00000003 3ff0000000000000",
+        ] {
+            assert!(parse_queued_line(signed).is_none(), "{signed}");
+        }
     }
 
     #[test]
     fn a_slot_count_no_line_can_hold_is_refused_not_allocated_for() {
-        let line = "stream 1 esc=1 t1=- slots=18446744073709551615 h:-";
+        let line = "stream 00000000deadbeef esc=1 t1=- slots=18446744073709551615 h:-";
         assert!(parse_stream_line(line).is_none());
     }
 
@@ -600,6 +655,28 @@ mod tests {
             prop_assert_eq!(p.escalated, escalated);
             prop_assert_eq!(p.tier1_state, Some(gate));
             prop_assert_eq!(p.slots, slots);
+            // A sign in front of either number makes the line corrupt.
+            let signed_hash = line.replacen("stream ", "stream +", 1);
+            prop_assert!(parse_stream_line(&signed_hash).is_none());
+            let signed_count = line.replacen(" slots=", " slots=+", 1);
+            prop_assert!(parse_stream_line(&signed_count).is_none());
+        }
+
+        #[test]
+        fn queued_lines_parse_back(
+            seq in 0u64..=u64::MAX,
+            hash in 0u64..=u64::MAX,
+            symbol in 0u32..=u32::MAX,
+            bits in 0u64..=u64::MAX,
+            field in 1usize..5,
+        ) {
+            let ctx = SignalContext::new(seq, hash, Symbol::new(symbol), f64::from_bits(bits));
+            let line = render_queued_line(&ctx);
+            let parsed = parse_queued_line(&line).expect("a rendered line parses");
+            prop_assert_eq!(render_queued_line(&parsed), line.clone());
+            let mut tokens: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            tokens[field].insert(0, '+');
+            prop_assert!(parse_queued_line(&tokens.join(" ")).is_none());
         }
     }
 }

@@ -23,10 +23,9 @@
 //! * [`StreamEngine`] — multi-stream routing by pre-hashed id to one
 //!   bank per stream.
 //!
-//! Because streamed and batch scores are the same bits, the evaluation
-//! pipeline can swap scoring modes (`regenerate --stream`) and produce
-//! byte-identical artifacts — which is exactly what the CI differential
-//! gate checks.
+//! Because streamed and batch scores are the same bits, the report
+//! scores in batch only: a score the serve path streams is the score
+//! the report's coverage cell was built from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,17 +36,13 @@
 #                               cached run must record a non-zero
 #                               cache/hits counter (a silent cache is
 #                               a disabled cache)
-#   7. stream gate            — `streamcheck` bit-compares streamed
-#                               against batch scores for every family ×
-#                               window × anomaly-size cell of the full
-#                               paper grid; the batch↔stream
-#                               differential suite runs explicitly; and
-#                               the report regenerated with streamed
-#                               scoring (--stream, and once via
-#                               DETDIV_STREAM=on) must be
-#                               byte-identical to the batch runs —
-#                               streaming is the batch pipeline
-#                               reordered in time, not a new pipeline
+#   7. stream gate            — the batch↔stream differential suite
+#                               runs explicitly: streamed scores must
+#                               be bit-identical to batch scores for
+#                               every family at every window of the
+#                               paper grid (DW 2-15), at the warmup
+#                               boundary, and on interleaved and
+#                               random streams
 #   8. trace gate             — the exported Chrome trace files must be
 #                               valid trace-event JSON with per-thread
 #                               monotonic timestamps and balanced B/E
@@ -70,9 +66,8 @@
 #                               ~1% training-panic injection
 #                               (--fault 42:1%:panic) must be
 #                               byte-identical to the fault-free runs
-#                               at widths 1 and 4 — and once more with
-#                               --stream on top of the injection; the
-#                               width-4 chaos run is additionally
+#                               at widths 1 and 4; the width-4 chaos
+#                               run is additionally
 #                               SIGKILLed mid-run and finished with
 #                               --resume, and must still match
 #                               byte-for-byte (exit 0, no wedged
@@ -180,9 +175,8 @@ DETDIV_LOG=off DETDIV_THREADS=4 ./target/release/regenerate \
 cmp "$GATE_DIR/t1/paper_report.json" "$GATE_DIR/t4/paper_report.json"
 cmp "$GATE_DIR/t1/stdout.txt" "$GATE_DIR/t4/stdout.txt"
 echo "report and stdout byte-identical at 1 and 4 threads (tracing armed)"
-# Batch and streamed scoring share each family's `score_one`, so the
-# stream gate's cmp cannot see a wrong response that moves both paths
-# alike; pin the artifacts' bytes themselves.
+# Width agreement alone passes a wrong response that moves every
+# width's bytes alike; pin the artifacts' bytes themselves.
 for artifact in report:paper_report.json stdout:stdout.txt; do
     PIN="scripts/expected/regenerate_${artifact%%:*}.sha256"
     SHA=$(sha256sum < "$GATE_DIR/t1/${artifact#*:}" | cut -d' ' -f1)
@@ -222,33 +216,14 @@ grep -q '"cache/hits": *[1-9]' "$GATE_DIR/telemetry_report.json" || {
 }
 echo "cache hit telemetry present ($(grep -o '"cache/hits": *[0-9]*' "$GATE_DIR/telemetry_report.json"))"
 
-banner "stream gate (streamcheck grid + streamed-run byte identity)"
-# Event-by-event streaming claims bit-identity with batch scoring;
-# `streamcheck` enforces it for every family × window × anomaly-size
-# cell of the full paper grid (DW 2-15 × AS 2-9, seven families).
-./target/release/streamcheck
-# The differential suite covers the structural edges the grid cannot:
-# warmup boundaries, empty/short/duplicate-run streams, interleaved
-# multi-stream feeds, and randomized training/test pairs.
+banner "stream gate (batch↔stream differential suite)"
+# Event-by-event streaming claims bit-identity with batch scoring. The
+# differential suite enforces it for every family at every window of
+# the paper grid (DW 2-15) on a synthesized corpus's test streams, and
+# covers the structural edges: warmup boundaries, empty/short/
+# duplicate-run streams, interleaved multi-stream feeds, and randomized
+# training/test pairs.
 cargo test -q --release -p detdiv-stream --test differential
-# Report-level identity: the whole experiment suite scored through the
-# streaming adapters must regenerate byte-identical artifacts — once
-# via the --stream flag at width 4, once via DETDIV_STREAM=on at
-# width 1, both compared against the batch determinism-gate runs.
-mkdir -p "$GATE_DIR/stream"
-DETDIV_LOG=off DETDIV_THREADS=4 ./target/release/regenerate \
-    --training-len 60000 --stream \
-    --json "$GATE_DIR/stream/flag.json" \
-    > "$GATE_DIR/stream/flag_stdout.txt" 2> /dev/null
-cmp "$GATE_DIR/t1/paper_report.json" "$GATE_DIR/stream/flag.json"
-cmp "$GATE_DIR/t1/stdout.txt" "$GATE_DIR/stream/flag_stdout.txt"
-DETDIV_LOG=off DETDIV_THREADS=1 DETDIV_STREAM=on ./target/release/regenerate \
-    --training-len 60000 \
-    --json "$GATE_DIR/stream/env.json" \
-    > "$GATE_DIR/stream/env_stdout.txt" 2> /dev/null
-cmp "$GATE_DIR/t1/paper_report.json" "$GATE_DIR/stream/env.json"
-cmp "$GATE_DIR/t1/stdout.txt" "$GATE_DIR/stream/env_stdout.txt"
-echo "streamed runs (--stream and DETDIV_STREAM=on) byte-identical to batch runs"
 
 banner "trace gate (Chrome trace-event JSON validity + B/E balance + no dropped events)"
 ./target/release/tracecheck "$GATE_DIR/t1/trace.json"
@@ -327,16 +302,6 @@ DETDIV_LOG=off DETDIV_THREADS=1 timeout 900 ./target/release/regenerate \
 cmp "$GATE_DIR/t1/paper_report.json" "$CHAOS_DIR/t1.json"
 cmp "$GATE_DIR/t1/stdout.txt" "$CHAOS_DIR/t1_stdout.txt"
 echo "width-1 chaos run byte-identical to the fault-free run"
-# Streamed chaos: the same injection with streamed scoring on top —
-# supervised retries around training and the streaming score path must
-# compose without perturbing a byte.
-DETDIV_LOG=off DETDIV_THREADS=1 timeout 900 ./target/release/regenerate \
-    --training-len 60000 --fault "$FAULT_SPEC" --stream \
-    --json "$CHAOS_DIR/stream.json" \
-    > "$CHAOS_DIR/stream_stdout.txt" 2> /dev/null
-cmp "$GATE_DIR/t1/paper_report.json" "$CHAOS_DIR/stream.json"
-cmp "$GATE_DIR/t1/stdout.txt" "$CHAOS_DIR/stream_stdout.txt"
-echo "streamed chaos run byte-identical to the fault-free run"
 # Width 4: chaos run with a row journal, SIGKILLed once rows have
 # committed, then finished with --resume; the resumed output must be
 # byte-identical to the fault-free t4 run.

@@ -42,9 +42,8 @@
 //!   scale with the `loadgen` binary);
 //! * [`stream`] — the online streaming engine: a push-based
 //!   [`stream::StreamDetector`] contract, sliding-window adapters that
-//!   score event-by-event bit-identically to the batch path (switch the
-//!   whole suite over with `regenerate --stream` or `DETDIV_STREAM=on`),
-//!   and a genuinely-online detector (EWMA).
+//!   score event-by-event bit-identically to the batch path, and a
+//!   genuinely-online detector (EWMA).
 //!
 //! # Quickstart
 //!

@@ -187,47 +187,6 @@ fn full_report_is_byte_identical_across_cache_and_thread_axes() {
     );
 }
 
-/// The streaming axis: with streamed scoring switched on (the
-/// `regenerate --stream` path, where every test stream is pushed
-/// event-by-event through the sliding-window adapters instead of being
-/// scored in one batch call), the full report serializes to the *same
-/// bytes as the batch reference* — at pool widths 1, 2, 4 and 8, with
-/// the trained-model cache on and off. This is the report-level face of
-/// the bit-identity contract `crates/stream/tests/differential.rs`
-/// proves score-by-score.
-#[test]
-fn full_report_is_byte_identical_across_stream_cache_and_thread_axes() {
-    let _guard = lock_pool();
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            detdiv::eval::set_stream_scoring(false);
-            detdiv::cache::set_enabled(true);
-        }
-    }
-    let _restore = Restore;
-
-    let corpus = small_corpus();
-    let report_at = |streamed: bool, cache_on: bool, threads: usize| {
-        detdiv::eval::set_stream_scoring(streamed);
-        detdiv::cache::set_enabled(cache_on);
-        with_global_threads(threads, || {
-            let mut report = FullReport::generate_on(&corpus).expect("report");
-            report.telemetry = Default::default();
-            serde_json::to_string(&report).expect("serialize")
-        })
-    };
-
-    let batch_reference = report_at(false, true, 1);
-    for (cache_on, threads) in [(true, 1), (true, 2), (true, 4), (true, 8), (false, 2)] {
-        assert_eq!(
-            report_at(true, cache_on, threads),
-            batch_reference,
-            "streamed report bytes diverged from batch at cache={cache_on} threads={threads}"
-        );
-    }
-}
-
 /// Stress: thousands of tiny jobs with data-dependent results merge
 /// into exactly the serial output, repeatedly, on one shared pool.
 #[test]
