@@ -9,9 +9,13 @@
 //! distribution — a *latent-state* analogue of the Markov detector's
 //! explicit conditional table.
 
+mod model;
+mod train;
+
 use detdiv_core::{memoized_scores, SequenceAnomalyDetector, TrainedModel};
-use detdiv_hmm::{baum_welch, Hmm, InitStrategy, TrainConfig};
 use detdiv_sequence::{StreamProfile, Symbol};
+use model::Hmm;
+use train::{baum_welch, InitStrategy, TrainConfig};
 
 /// Hyperparameters of the HMM-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,11 +118,6 @@ impl HmmDetector {
         &self.config
     }
 
-    /// The trained model, if any.
-    pub fn model(&self) -> Option<&Hmm> {
-        self.model.as_ref()
-    }
-
     /// Evenly spaced chunks totalling at most `budget` events.
     fn subsample(stream: &[Symbol], budget: usize) -> Vec<&[Symbol]> {
         if stream.len() <= budget {
@@ -158,9 +157,7 @@ impl TrainedModel for HmmDetector {
             return 1.0;
         }
         let (context, next) = (&window[..self.window - 1], window[self.window - 1]);
-        1.0 - model
-            .predict_next(context, next)
-            .expect("symbols checked against the model's range")
+        1.0 - model.predict_next(context, next)
     }
 
     /// The forward pass runs once per distinct window.
@@ -212,7 +209,7 @@ impl SequenceAnomalyDetector for HmmDetector {
             seed: self.config.seed,
             init,
         };
-        self.model = baum_welch(&chunks, &train_config).ok().map(|(hmm, _)| hmm);
+        self.model = baum_welch(&chunks, &train_config).map(|(hmm, _)| hmm);
     }
 }
 
@@ -302,7 +299,7 @@ mod tests {
         let det = HmmDetector::new(5);
         assert_eq!(det.name(), "hmm");
         assert_eq!(det.window(), 5);
-        assert!(det.model().is_none());
+        assert!(det.model.is_none());
         assert!((det.maximal_response_floor() - 0.99).abs() < 1e-12);
     }
 

@@ -110,11 +110,6 @@ impl LaneBrodley {
         }
     }
 
-    /// Number of distinct normal sequences in the model.
-    pub fn normal_count(&self) -> usize {
-        self.normals.distinct()
-    }
-
     /// Anomaly response of a single window against the trained model.
     ///
     /// The cost does not depend on the order the normals are stored in:
@@ -287,7 +282,7 @@ mod tests {
     fn normals_are_deduplicated() {
         let mut det = LaneBrodley::new(2);
         det.train(&StreamProfile::new(&symbols(&[1, 2, 1, 2, 1, 2, 1, 2])));
-        assert_eq!(det.normal_count(), 2); // (1,2) and (2,1)
+        assert_eq!(det.normals.distinct(), 2); // (1,2) and (2,1)
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub use hmm::{HmmConfig, HmmDetector};
 pub use lane_brodley::{lane_brodley_sim_max, lane_brodley_similarity, LaneBrodley};
 pub use markov::MarkovDetector;
 pub use neural::{NeuralConfig, NeuralDetector};
-pub use ripper::{RipperConfig, RipperDetector};
+pub use ripper::{LearnConfig, RipperConfig, RipperDetector};
 pub use stide::{locality_frame_count, Stide};
 pub use tstide::TStide;

@@ -23,8 +23,10 @@
 //! [`MarkovDetector::strict`] restores the literal `score == 1` rule for
 //! the ablation documented in `DESIGN.md` §2.3.
 
+mod conditional;
+
+use conditional::{ConditionalModel, Prediction};
 use detdiv_core::{SequenceAnomalyDetector, TrainedModel};
-use detdiv_markov::{ConditionalModel, Prediction};
 use detdiv_sequence::{StreamProfile, Symbol, DEFAULT_RARE_THRESHOLD};
 
 /// The Markov-based anomaly detector.
@@ -97,11 +99,6 @@ impl MarkovDetector {
     /// floor.
     pub fn rare_threshold(&self) -> f64 {
         self.rare_threshold
-    }
-
-    /// The trained conditional model, if any.
-    pub fn model(&self) -> Option<&ConditionalModel> {
-        self.model.as_ref()
     }
 }
 
@@ -236,7 +233,7 @@ mod tests {
         assert_eq!(det.name(), "markov");
         assert_eq!(det.window(), 4);
         assert_eq!(det.min_window(), 2);
-        assert!(det.model().is_none());
+        assert!(det.model.is_none());
     }
 
     #[test]

@@ -23,9 +23,12 @@
 //! critical." [`NeuralConfig`] exposes exactly those parameters, plus the
 //! detection floor itself; the ablation experiment ABL3 sweeps them.
 
+mod activation;
+mod mlp;
+
 use detdiv_core::{memoized_scores, SequenceAnomalyDetector, TrainedModel};
-use detdiv_nn::{encode_context, Mlp, MlpConfig};
 use detdiv_sequence::{StreamProfile, Symbol};
+use mlp::{encode_context, Mlp, MlpConfig};
 
 /// Hyperparameters of the neural-network-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,11 +140,6 @@ impl NeuralDetector {
     pub fn config(&self) -> &NeuralConfig {
         &self.config
     }
-
-    /// Whether the detector has been trained.
-    pub fn is_trained(&self) -> bool {
-        self.state.is_some()
-    }
 }
 
 impl TrainedModel for NeuralDetector {
@@ -168,10 +166,7 @@ impl TrainedModel for NeuralDetector {
         let ctx_len = self.window - 1;
         let ctx_ids: Vec<usize> = window[..ctx_len].iter().map(|s| s.index()).collect();
         let input = encode_context(&ctx_ids, state.alphabet_size);
-        let out = state
-            .net
-            .forward(&input)
-            .expect("input width fixed at training time");
+        let out = state.net.forward(&input);
         1.0 - out[window[ctx_len].index()]
     }
 
@@ -241,10 +236,9 @@ impl SequenceAnomalyDetector for NeuralDetector {
                 .with_learning_rate(self.config.learning_rate)
                 .with_momentum(self.config.momentum)
                 .with_seed(self.config.seed),
-        )
-        .expect("validated configuration");
+        );
         for _ in 0..self.config.epochs {
-            net.train_epoch(&dataset).expect("well-formed dataset");
+            net.train_epoch(&dataset);
         }
         self.state = Some(TrainedNet { net, alphabet_size });
     }
@@ -308,7 +302,7 @@ mod tests {
     #[test]
     fn untrained_detector_alarms_everywhere() {
         let det = NeuralDetector::new(2);
-        assert!(!det.is_trained());
+        assert!(det.state.is_none());
         assert_eq!(det.scores(&symbols(&[0, 1, 2])), vec![1.0, 1.0]);
     }
 
@@ -316,7 +310,7 @@ mod tests {
     fn degenerate_training_is_handled() {
         let mut det = NeuralDetector::new(3);
         det.train(&StreamProfile::new(&symbols(&[0, 1]))); // shorter than the window
-        assert!(!det.is_trained());
+        assert!(det.state.is_none());
     }
 
     #[test]
@@ -331,7 +325,7 @@ mod tests {
         train.extend(symbols(&[7, 7]));
         train.extend(cycle_train(50));
         det.train(&StreamProfile::new(&train));
-        assert!(det.is_trained());
+        assert!(det.state.is_some());
         // Cycle behaviour is still learned.
         assert!(det.scores(&symbols(&[0, 1]))[0] < 0.2);
     }

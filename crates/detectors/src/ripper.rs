@@ -19,9 +19,14 @@
 //! same threshold-tuning consideration the paper raises for the neural
 //! network.
 
+mod learn;
+mod rule;
+
 use detdiv_core::{memoized_scores, SequenceAnomalyDetector, TrainedModel};
-use detdiv_rules::{examples_from_counter, learn_rules, LearnConfig, RuleSet};
 use detdiv_sequence::{StreamProfile, Symbol};
+pub use learn::LearnConfig;
+use learn::{examples_from_counter, learn_rules};
+use rule::RuleSet;
 
 /// Hyperparameters of the rule-based detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,11 +112,6 @@ impl RipperDetector {
     pub fn config(&self) -> &RipperConfig {
         &self.config
     }
-
-    /// The learned rule set, if trained.
-    pub fn rules(&self) -> Option<&RuleSet> {
-        self.rules.as_ref()
-    }
 }
 
 impl TrainedModel for RipperDetector {
@@ -150,10 +150,7 @@ impl TrainedModel for RipperDetector {
     fn approx_bytes(&self) -> usize {
         // Per rule: its condition vector plus fixed fields.
         self.rules.as_ref().map_or(0, |rs| {
-            rs.rules()
-                .iter()
-                .map(|r| 64 + r.conditions.len() * 16)
-                .sum()
+            rs.rules.iter().map(|r| 64 + r.conditions.len() * 16).sum()
         })
     }
 }
@@ -168,7 +165,7 @@ impl SequenceAnomalyDetector for RipperDetector {
         if examples.iter().any(|e| e.weight >= min_count) {
             examples.retain(|e| e.weight >= min_count);
         }
-        self.rules = learn_rules(&examples, &self.config.learn).ok();
+        self.rules = learn_rules(&examples, &self.config.learn);
     }
 }
 
@@ -222,7 +219,7 @@ mod tests {
     fn untrained_detector_alarms_everywhere() {
         let det = RipperDetector::new(2);
         assert_eq!(det.scores(&symbols(&[0, 1, 2])), vec![1.0, 1.0]);
-        assert!(det.rules().is_none());
+        assert!(det.rules.is_none());
     }
 
     #[test]
@@ -231,14 +228,14 @@ mod tests {
         // Every pair occurs once: the min_count filter would empty the
         // set; the fallback keeps training possible.
         det.train(&StreamProfile::new(&symbols(&[0, 1, 2, 3, 4])));
-        assert!(det.rules().is_some());
+        assert!(det.rules.is_some());
     }
 
     #[test]
     fn deterministic_training() {
         let a = trained(3);
         let b = trained(3);
-        assert_eq!(a.rules(), b.rules());
+        assert_eq!(a.rules, b.rules);
     }
 
     #[test]

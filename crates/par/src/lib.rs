@@ -37,7 +37,7 @@
 //!
 //! ```
 //! // The global pool honours DETDIV_THREADS; a local pool pins it.
-//! let doubled = detdiv_par::par_map(&[1u64, 2, 3], |&x| x * 2);
+//! let doubled = detdiv_par::global().map(&[1u64, 2, 3], |&x| x * 2);
 //! assert_eq!(doubled, vec![2, 4, 6]);
 //!
 //! let pool = detdiv_par::Pool::with_threads(2);
@@ -64,8 +64,8 @@ pub use detdiv_resil::{CellOutcome, RetryPolicy};
 
 use std::sync::OnceLock;
 
-/// The process-global pool used by [`par_map`] / [`par_try_map`] and by
-/// the evaluation pipeline's fan-outs.
+/// The process-global pool used by [`par_try_map`] /
+/// [`par_try_map_supervised`] and by the evaluation pipeline's fan-outs.
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(Pool::new)
@@ -78,16 +78,6 @@ pub fn configured_threads() -> usize {
     global().threads()
 }
 
-/// [`Pool::map`] on the global pool.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    global().map(items, f)
-}
-
 /// [`Pool::try_map`] on the global pool.
 pub fn par_try_map<T, R, E>(items: &[T], f: impl Fn(&T) -> Result<R, E> + Sync) -> Result<Vec<R>, E>
 where
@@ -96,20 +86,6 @@ where
     E: Send,
 {
     global().try_map(items, f)
-}
-
-/// [`Pool::map_supervised`] on the global pool.
-pub fn par_map_supervised<T, R>(
-    items: &[T],
-    policy: &RetryPolicy,
-    site_of: impl Fn(usize, &T) -> String + Sync,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<CellOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-{
-    global().map_supervised(items, policy, site_of, f)
 }
 
 /// [`Pool::try_map_supervised`] on the global pool.
@@ -376,7 +352,7 @@ mod tests {
     #[test]
     fn global_helpers_route_through_the_global_pool() {
         let before = global().stats().maps_run;
-        assert_eq!(par_map(&[1u8, 2, 3], |&b| b as u16 + 1), vec![2, 3, 4]);
+        assert_eq!(global().map(&[1u8, 2, 3], |&b| b as u16 + 1), vec![2, 3, 4]);
         let summed: Result<Vec<u8>, ()> = par_try_map(&[1u8, 2], |&b| Ok(b));
         assert_eq!(summed.unwrap(), vec![1, 2]);
         assert!(global().stats().maps_run >= before + 2);
@@ -392,17 +368,19 @@ mod tests {
         };
         for threads in [1, 2, 4] {
             let pool = Pool::with_threads(threads);
-            let outcomes = pool.map_supervised(
-                &items,
-                &policy,
-                |i, _| format!("cell/{i}"),
-                |&i| {
-                    if i == 17 || i == 41 {
-                        panic!("cell {i} poisoned");
-                    }
-                    i * 10
-                },
-            );
+            let outcomes = pool
+                .try_map_supervised(
+                    &items,
+                    &policy,
+                    |i, _| format!("cell/{i}"),
+                    |&i| {
+                        if i == 17 || i == 41 {
+                            panic!("cell {i} poisoned");
+                        }
+                        Ok::<_, ()>(i * 10)
+                    },
+                )
+                .unwrap();
             assert_eq!(outcomes.len(), items.len(), "threads={threads}");
             for (i, outcome) in outcomes.iter().enumerate() {
                 if i == 17 || i == 41 {
@@ -441,18 +419,20 @@ mod tests {
             backoff: Duration::ZERO,
         };
         let pool = Pool::with_threads(4);
-        let outcomes = pool.map_supervised(
-            &items,
-            &policy,
-            |i, _| format!("cell/{i}"),
-            |&i| {
-                // Every third cell fails twice before succeeding.
-                if i % 3 == 0 && attempts[i].fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("transient");
-                }
-                i + 100
-            },
-        );
+        let outcomes = pool
+            .try_map_supervised(
+                &items,
+                &policy,
+                |i, _| format!("cell/{i}"),
+                |&i| {
+                    // Every third cell fails twice before succeeding.
+                    if i % 3 == 0 && attempts[i].fetch_add(1, Ordering::SeqCst) < 2 {
+                        panic!("transient");
+                    }
+                    Ok::<_, ()>(i + 100)
+                },
+            )
+            .unwrap();
         for (i, outcome) in outcomes.iter().enumerate() {
             let expected_retries = if i % 3 == 0 { 2 } else { 0 };
             assert_eq!(
@@ -502,22 +482,15 @@ mod tests {
     #[test]
     fn supervised_global_helpers_route_through_the_global_pool() {
         let policy = RetryPolicy::no_retry();
-        let outcomes = par_map_supervised(&[1u8, 2], &policy, |i, _| format!("g/{i}"), |&b| b + 1);
+        let tried: Result<Vec<CellOutcome<u8>>, ()> =
+            par_try_map_supervised(&[1u8, 2], &policy, |i, _| format!("g/{i}"), |&b| Ok(b + 1));
         assert_eq!(
-            outcomes
+            tried
+                .unwrap()
                 .into_iter()
                 .map(|o| o.ok().unwrap())
                 .collect::<Vec<_>>(),
             vec![2, 3]
-        );
-        let tried: Result<Vec<CellOutcome<u8>>, ()> =
-            par_try_map_supervised(&[7u8], &policy, |i, _| format!("g/{i}"), |&b| Ok(b));
-        assert_eq!(
-            tried.unwrap()[0],
-            CellOutcome::Ok {
-                value: 7,
-                retries: 0
-            }
         );
     }
 

@@ -338,45 +338,24 @@ impl Pool {
             .collect())
     }
 
-    /// Supervised [`Pool::map`]: each job runs under
+    /// Supervised [`Pool::try_map`]: each job runs under
     /// [`detdiv_resil::supervised`] — `catch_unwind` plus the bounded
-    /// retry/backoff `policy` — so a panicking job degrades to
-    /// a [`CellOutcome::Failed`] in its slot instead of propagating and
-    /// discarding the rest of the map.
+    /// retry/backoff `policy` — so a panicking job degrades to a
+    /// [`CellOutcome::Failed`] in its slot instead of propagating and
+    /// discarding the rest of the map. A job that *returns* an error
+    /// keeps [`Pool::try_map`]'s semantics — the error of the smallest
+    /// failing index aborts the map. Deliberate `Err`s are configuration
+    /// problems the caller must see; panics are faults the sweep
+    /// survives. An `Err` attempt is never retried.
     ///
     /// `site_of(index, item)` names the unit for failure reports and
     /// fault-injection replay; it is called once per job, outside the
     /// retried closure.
     ///
-    /// Determinism carries over from [`Pool::map`]: slot `i` holds the
-    /// supervised outcome of `f(&items[i])` at any worker count, and —
-    /// given the workspace's contract that `f` is deterministic — a
+    /// Determinism carries over from [`Pool::try_map`]: slot `i` holds
+    /// the supervised outcome of `f(&items[i])` at any worker count, and
+    /// — given the workspace's contract that `f` is deterministic — a
     /// retried job recomputes the identical value.
-    pub fn map_supervised<T, R>(
-        &self,
-        items: &[T],
-        policy: &RetryPolicy,
-        site_of: impl Fn(usize, &T) -> String + Sync,
-        f: impl Fn(&T) -> R + Sync,
-    ) -> Vec<CellOutcome<R>>
-    where
-        T: Sync,
-        R: Send,
-    {
-        match self.try_map_supervised(items, policy, site_of, |item| {
-            Ok::<R, std::convert::Infallible>(f(item))
-        }) {
-            Ok(outcomes) => outcomes,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Supervised [`Pool::try_map`]: panics degrade per-slot (retried,
-    /// then [`CellOutcome::Failed`]), while a job that *returns* an
-    /// error keeps [`Pool::try_map`]'s semantics — the error of the
-    /// smallest failing index aborts the map. Deliberate `Err`s are
-    /// configuration problems the caller must see; panics are faults
-    /// the sweep survives. An `Err` attempt is never retried.
     pub fn try_map_supervised<T, R, E>(
         &self,
         items: &[T],

@@ -46,6 +46,7 @@ mod config;
 mod corpus;
 mod error;
 mod io;
+mod matrix;
 mod verify;
 
 pub use anomaly::Anomaly;

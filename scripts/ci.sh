@@ -9,7 +9,9 @@
 #                               rustdoc's included (every doc link
 #                               resolves; RUSTDOCFLAGS="-D warnings"),
 #                               and no member declares a dependency
-#                               its src/ never names
+#                               its src/ never names, or a
+#                               dev-dependency its src/, tests/,
+#                               examples/ and benches/ never name
 #   3. cargo build --release  — the artifacts the paper run uses
 #   4. cargo test -q          — every unit, integration, and doc test,
 #                               then the benchmark's own smoke tests
@@ -129,12 +131,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 banner "unused dependency declarations"
 # A package named under a member's [dependencies] must be used by that
 # member's own code: its identifier (`-` -> `_`) appears in its src/.
+# One named under [dev-dependencies] must appear in its src/, tests/,
+# examples/ or benches/.
 unused_deps=0
+declared() { sed -n "/^\[$1\]/,/^\[/s/^\([A-Za-z0-9_-]\+\)[ .=].*/\1/p" "$2"; }
 for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
     member="$(dirname "$manifest")"
-    for dep in $(sed -n '/^\[dependencies\]/,/^\[/s/^\([A-Za-z0-9_-]\+\)[ .=].*/\1/p' "$manifest"); do
+    for dep in $(declared dependencies "$manifest"); do
         if ! grep -rqw -- "${dep//-/_}" "$member/src"; then
             echo "$manifest: [dependencies] names $dep, which $member/src never uses" >&2
+            unused_deps=1
+        fi
+    done
+    for dep in $(declared dev-dependencies "$manifest"); do
+        if ! grep -rqsw -- "${dep//-/_}" "$member"/{src,tests,examples,benches}; then
+            echo "$manifest: [dev-dependencies] names $dep, which $member/{src,tests,examples,benches} never use" >&2
             unused_deps=1
         fi
     done

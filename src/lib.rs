@@ -8,10 +8,6 @@
 //!
 //! * [`sequence`] — categorical streams, n-gram databases, minimal
 //!   foreign sequence (MFS) analysis;
-//! * [`markov`] — Markov-chain substrate (order-k conditional models);
-//! * [`hmm`] — hidden-Markov-model substrate (Baum–Welch, scaled forward);
-//! * [`rules`] — RIPPER-style sequential-covering rule induction;
-//! * [`nn`] — feed-forward neural-network substrate;
 //! * [`synth`] — the paper's synthetic evaluation data: training streams,
 //!   MFS construction and boundary-safe injection;
 //! * [`detectors`] — the four diverse detectors (Stide, Markov,
@@ -85,12 +81,8 @@ pub use detdiv_cache as cache;
 pub use detdiv_core as core;
 pub use detdiv_detectors as detectors;
 pub use detdiv_eval as eval;
-pub use detdiv_hmm as hmm;
-pub use detdiv_markov as markov;
-pub use detdiv_nn as nn;
 pub use detdiv_obs as obs;
 pub use detdiv_par as par;
-pub use detdiv_rules as rules;
 pub use detdiv_scope as scope;
 pub use detdiv_sequence as sequence;
 pub use detdiv_serve as serve;
