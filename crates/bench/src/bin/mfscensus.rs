@@ -109,15 +109,15 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         training_events = training.len(),
         monitor_processes = monitor_set.process_count(),
         max_len = max_len,
-        threads = detdiv_par::configured_threads(),
+        threads = detdiv_par::global().threads(),
     );
 
-    // One parallel job per monitored process. `par_try_map` keeps the
+    // One parallel job per monitored process. `try_map` keeps the
     // per-pid results in input order and surfaces the error of the
     // smallest failing index, so pooling below is schedule-independent.
     let _span = obs::span!("mfscensus_scan");
     let streams: Vec<(u32, &[detdiv_sequence::Symbol])> = monitor_set.iter().collect();
-    let per_pid = detdiv_par::par_try_map(&streams, |&(pid, stream)| {
+    let per_pid = detdiv_par::global().try_map(&streams, |&(pid, stream)| {
         if stream.len() < max_len {
             obs::info!("process skipped", pid = pid, events = stream.len());
             return Ok(None);

@@ -93,10 +93,13 @@ impl HmmDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `window < 2`, `max_iters` or `max_training_events` is
-    /// zero, or `detection_floor` is outside `(0, 1]`.
+    /// Panics if `window < 2`, `states` is `Some(0)` (Baum–Welch refuses
+    /// it, which would leave the detector untrained), `max_iters` or
+    /// `max_training_events` is zero, or `detection_floor` is outside
+    /// `(0, 1]`.
     pub fn with_config(window: usize, config: HmmConfig) -> Self {
         assert!(window >= 2, "the HMM detector needs a window of at least 2");
+        assert!(config.states != Some(0), "the HMM needs at least one state");
         assert!(
             config.max_iters > 0,
             "training needs at least one iteration"
@@ -316,6 +319,18 @@ mod tests {
             2,
             HmmConfig {
                 detection_floor: 1.5,
+                ..HmmConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one state")]
+    fn zero_states_rejected() {
+        let _ = HmmDetector::with_config(
+            2,
+            HmmConfig {
+                states: Some(0),
                 ..HmmConfig::default()
             },
         );

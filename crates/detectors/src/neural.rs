@@ -116,8 +116,9 @@ impl NeuralDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `window < 2`, `hidden` or `epochs` is zero, or
-    /// `detection_floor` is not within `(0, 1]`.
+    /// Panics if `window < 2`, `hidden` or `epochs` is zero,
+    /// `learning_rate` is not positive and finite, `momentum` is not
+    /// within `[0, 1)`, or `detection_floor` is not within `(0, 1]`.
     pub fn with_config(window: usize, config: NeuralConfig) -> Self {
         assert!(
             window >= 2,
@@ -125,6 +126,14 @@ impl NeuralDetector {
         );
         assert!(config.hidden > 0, "hidden layer must be non-empty");
         assert!(config.epochs > 0, "training needs at least one epoch");
+        assert!(
+            config.learning_rate.is_finite() && config.learning_rate > 0.0,
+            "the learning rate must be positive and finite"
+        );
+        assert!(
+            config.momentum.is_finite() && (0.0..1.0).contains(&config.momentum),
+            "the momentum must be in [0, 1)"
+        );
         assert!(
             config.detection_floor > 0.0 && config.detection_floor <= 1.0,
             "detection floor must be in (0, 1]"
@@ -379,6 +388,30 @@ mod tests {
             2,
             NeuralConfig {
                 detection_floor: 0.0,
+                ..NeuralConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "learning rate")]
+    fn non_positive_learning_rate_rejected() {
+        let _ = NeuralDetector::with_config(
+            2,
+            NeuralConfig {
+                learning_rate: 0.0,
+                ..NeuralConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "momentum")]
+    fn unit_momentum_rejected() {
+        let _ = NeuralDetector::with_config(
+            2,
+            NeuralConfig {
+                momentum: 1.0,
                 ..NeuralConfig::default()
             },
         );

@@ -91,7 +91,10 @@ impl RipperDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `window < 2` or `detection_floor` is outside `(0, 1]`.
+    /// Panics if `window < 2`, `detection_floor` is outside `(0, 1]`,
+    /// `learn.min_confidence` is outside `(0, 1)`, or
+    /// `learn.min_coverage` is negative — rule learning refuses the
+    /// last two, which would leave the detector untrained.
     pub fn with_config(window: usize, config: RipperConfig) -> Self {
         assert!(
             window >= 2,
@@ -100,6 +103,14 @@ impl RipperDetector {
         assert!(
             config.detection_floor > 0.0 && config.detection_floor <= 1.0,
             "detection floor must be in (0, 1]"
+        );
+        assert!(
+            config.learn.min_confidence > 0.0 && config.learn.min_confidence < 1.0,
+            "minimum rule confidence must be in (0, 1)"
+        );
+        assert!(
+            config.learn.min_coverage >= 0.0,
+            "minimum rule coverage must be non-negative"
         );
         RipperDetector {
             window,
@@ -262,5 +273,42 @@ mod tests {
                 ..RipperConfig::default()
             },
         );
+    }
+
+    fn with_learn(learn: LearnConfig) -> RipperDetector {
+        RipperDetector::with_config(
+            2,
+            RipperConfig {
+                learn,
+                ..RipperConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum rule confidence")]
+    fn certain_confidence_rejected() {
+        let _ = with_learn(LearnConfig {
+            min_confidence: 1.0,
+            ..LearnConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum rule confidence")]
+    fn zero_confidence_rejected() {
+        let _ = with_learn(LearnConfig {
+            min_confidence: 0.0,
+            ..LearnConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum rule coverage")]
+    fn negative_coverage_rejected() {
+        let _ = with_learn(LearnConfig {
+            min_coverage: -1.0,
+            ..LearnConfig::default()
+        });
     }
 }

@@ -108,7 +108,7 @@ pub fn abl2_locality_frame_count(
     // in job order, so the table is identical to the serial nested loop.
     let raw = trained_model(case.training(), &DetectorKind::Stide, window).scores(test);
     let frames = [1usize, 5, 20];
-    let per_frame = detdiv_par::par_try_map(&frames, |&frame| {
+    let per_frame = detdiv_par::global().try_map(&frames, |&frame| {
         let scores = locality_frame_count(&raw, frame);
         let mut rows = Vec::with_capacity(3);
         for threshold in [0.2, 0.5, 1.0] {
@@ -173,7 +173,7 @@ pub fn abl3_nn_sensitivity(
             }
         }
     }
-    detdiv_par::par_try_map(&configs, |&(hidden, learning_rate, momentum, epochs)| {
+    detdiv_par::global().try_map(&configs, |&(hidden, learning_rate, momentum, epochs)| {
         let config = NeuralConfig {
             hidden,
             learning_rate,
@@ -229,7 +229,7 @@ pub fn abl4_training_length(
     // coverage maps — the coarsest unit of independent work here, so
     // fan the lengths out (the inner coverage fan-outs inline inside
     // pool workers rather than spawning a second tier of threads).
-    detdiv_par::par_try_map(lengths, |&training_len| {
+    detdiv_par::global().try_map(lengths, |&training_len| {
         let config = detdiv_synth::SynthesisConfig::builder()
             .training_len(training_len)
             .anomaly_sizes(base.anomaly_sizes())

@@ -54,7 +54,7 @@ pub fn fn1_threshold_sweeps(
     // single-flight cache (the coverage grid usually trained them
     // already).
     let kinds = DetectorKind::paper_four();
-    detdiv_par::par_try_map(&kinds, |kind| {
+    detdiv_par::global().try_map(&kinds, |kind| {
         let det = trained_model(case.training(), kind, window);
         let scores = det.scores(test);
         let in_span_max = span
@@ -146,7 +146,7 @@ pub fn ana1_response_map(
     // One row per window, like the coverage grid: train once, score
     // every AS, then flatten the rows in window order (the map's
     // row-major layout).
-    let rows = detdiv_par::par_try_map(&windows, |&window| {
+    let rows = detdiv_par::global().try_map(&windows, |&window| {
         let det = trained_model(corpus.training(), kind, window);
         let mut row = Vec::with_capacity(anomaly_sizes.len());
         for &anomaly_size in &anomaly_sizes {

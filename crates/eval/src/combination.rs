@@ -164,7 +164,7 @@ pub fn comb3_suppression(
     let markov_kind = DetectorKind::MarkovRare {
         rare_threshold: config.markov_rare_threshold,
     };
-    let per_size = detdiv_par::par_try_map(&config.anomaly_sizes, |&anomaly_size| {
+    let per_size = detdiv_par::global().try_map(&config.anomaly_sizes, |&anomaly_size| {
         let mut rows = Vec::new();
         let case = corpus.noisy_case(anomaly_size, config.background_len, config.seed)?;
         let test = case.test_stream();

@@ -230,10 +230,10 @@ fn coverage_maps_in(
     let parent = detdiv_obs::current_path();
     let sweep = Sweep::new(corpus, cache);
     let tag = checkpoint::corpus_tag(corpus, sweep.fingerprint);
-    let rows = detdiv_par::par_try_map_supervised(
+    let rows = detdiv_par::global().try_map_supervised(
         &jobs,
         &row_policy(),
-        |_, &(kind_index, window)| format!("row/{}/{window}", kinds[kind_index].name()),
+        |&(kind_index, window)| format!("row/{}/{window}", kinds[kind_index].name()),
         |&(kind_index, window)| -> Result<CoverageRow, HarnessError> {
             let kind = &kinds[kind_index];
             if let Some(row) = tag

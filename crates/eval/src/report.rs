@@ -100,9 +100,8 @@ fn step<T>(
     if detdiv_obs::trace::armed() {
         // Periodic counter samples: one point per experiment step, so
         // the exported trace graphs pool progress as a time series.
-        let stats = detdiv_par::global().stats();
-        detdiv_obs::trace::counter("par/jobs_executed", stats.total_jobs());
-        detdiv_obs::trace::counter("par/steals", stats.total_steals());
+        let jobs = detdiv_par::global().stats().total_jobs();
+        detdiv_obs::trace::counter("par/jobs_executed", jobs);
     }
     result
 }
@@ -216,13 +215,12 @@ impl FullReport {
         };
         // Mirror the pool's accumulated per-worker counters into the
         // run telemetry, so the snapshot records how the grid work was
-        // executed (worker count, job distribution, steals, parks) —
+        // executed (worker count, job distribution, parks) —
         // not just how long it took.
         let pool_stats = detdiv_par::global().stats();
         detdiv_obs::set_counter("par/maps_run", pool_stats.maps_run);
         detdiv_obs::set_counter("par/workers", pool_stats.workers.len() as u64);
         detdiv_obs::set_counter("par/jobs_executed", pool_stats.total_jobs());
-        detdiv_obs::set_counter("par/steals", pool_stats.total_steals());
         detdiv_obs::set_counter("par/idle_parks", pool_stats.total_idle_parks());
         detdiv_obs::set_counter("par/busy_ns", pool_stats.total_busy_nanos());
         for (id, worker) in pool_stats.workers.iter().enumerate() {
@@ -230,7 +228,6 @@ impl FullReport {
                 &format!("par/worker{id}/jobs_executed"),
                 worker.jobs_executed,
             );
-            detdiv_obs::set_counter(&format!("par/worker{id}/steals"), worker.steals);
             detdiv_obs::set_counter(&format!("par/worker{id}/idle_parks"), worker.idle_parks);
             detdiv_obs::set_counter(&format!("par/worker{id}/busy_ns"), worker.busy_nanos);
         }

@@ -30,8 +30,9 @@
 //!   file and rehydrate on their next event, capping resident memory
 //!   under a `DETDIV_GUARD_BYTES` budget.
 //!
-//! Live counters live in [`introspect`]; the serve layer publishes
-//! them as scope's `/guardz` page.
+//! The live guard counters live beside the service's own in
+//! `detdiv-serve`'s `introspect` module, which publishes them as
+//! scope's `/guardz` page.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +42,6 @@
 mod breaker;
 mod config;
 mod hibernate;
-pub mod introspect;
 mod ladder;
 mod pressure;
 

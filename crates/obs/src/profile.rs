@@ -220,7 +220,7 @@ mod tests {
         c.insert("par/workers".to_owned(), 2);
         c.insert("par/worker0/busy_ns".to_owned(), 80_000);
         c.insert("par/worker1/busy_ns".to_owned(), 60_000);
-        c.insert("par/worker0/steals".to_owned(), 3);
+        c.insert("par/worker0/idle_parks".to_owned(), 3);
         (h, c)
     }
 

@@ -6,8 +6,8 @@
 //! begin (`B`) event on entry and an end (`E`) event on drop, the
 //! evaluation grid emits complete (`X`) events carrying
 //! `(detector, window, anomaly_size)` args for every cell, and the
-//! `detdiv-par` workers name their threads (`par-worker-N`) and emit
-//! steal/chunk instants. The accumulated stream exports as standard
+//! `detdiv-par` workers name their threads (`par-worker-N`). The
+//! accumulated stream exports as standard
 //! [Chrome trace-event JSON] loadable in Perfetto or `chrome://tracing`.
 //!
 //! # Recording model

@@ -1,11 +1,13 @@
-//! `detdiv-par`: a work-stealing thread pool with a **deterministic**
-//! parallel-map API, free of third-party dependencies.
+//! `detdiv-par`: a thread pool with a **deterministic** parallel-map
+//! API, free of third-party dependencies.
 //!
-//! The only dependency is the in-workspace `detdiv-obs` crate (itself
-//! std-only): workers name their trace threads, emit steal/chunk
-//! instants, and time their busy intervals through it. Those hooks are
-//! fire-and-forget — scheduling, result slots, and error selection
-//! depend on nothing but the standard library.
+//! The only dependencies are in-workspace std-only crates: workers name
+//! their trace threads and time their busy intervals through
+//! `detdiv-obs`, flush flight records through `detdiv-flight`, and the
+//! supervised map wraps each job in `detdiv-resil`'s retry policy.
+//! The observability hooks are fire-and-forget — scheduling, result
+//! slots, and error selection depend on nothing but the standard
+//! library.
 //!
 //! Every cell of the paper's (AS × DW) detection-coverage grid — train
 //! one detector at one window, score it against one anomaly size — is
@@ -17,9 +19,11 @@
 //!   [`std::thread::scope`], so jobs may borrow the corpus and config
 //!   from the caller's stack; workers are joined before the call
 //!   returns.
-//! * **Chunked job queue with atomic cursors** — job indices are
-//!   partitioned into contiguous per-worker ranges; a worker drains its
-//!   own range first, then steals chunks from its peers' ranges.
+//! * **One shared cursor** — every worker claims the next job index
+//!   from one atomic cursor, one job at a time. The workspace's maps
+//!   are at most ~130 jobs of milliseconds to seconds each, so a single
+//!   claim per job costs nothing and an idle worker always takes the
+//!   next job.
 //! * **Pre-indexed result slots** — the output vector's `i`-th element
 //!   is `f(&items[i])` whatever the interleaving; fallible maps return
 //!   the error of the smallest failing index.
@@ -52,64 +56,29 @@
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod pool;
-mod queue;
 mod stats;
 
-pub use pool::{inside_pool, Pool};
+pub use pool::Pool;
 pub use stats::{PoolStats, WorkerStats};
-
-// Re-exported so callers of the supervised maps can name the policy
-// and outcome types without depending on `detdiv-resil` directly.
-pub use detdiv_resil::{CellOutcome, RetryPolicy};
 
 use std::sync::OnceLock;
 
-/// The process-global pool used by [`par_try_map`] /
-/// [`par_try_map_supervised`] and by the evaluation pipeline's fan-outs.
+/// The process-global pool the evaluation pipeline and the serve
+/// drains fan out on.
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(Pool::new)
 }
 
-/// The worker count the global pool would use for its next map
-/// (`set_threads` override, then `DETDIV_THREADS`, then available
-/// parallelism).
-pub fn configured_threads() -> usize {
-    global().threads()
-}
-
-/// [`Pool::try_map`] on the global pool.
-pub fn par_try_map<T, R, E>(items: &[T], f: impl Fn(&T) -> Result<R, E> + Sync) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-{
-    global().try_map(items, f)
-}
-
-/// [`Pool::try_map_supervised`] on the global pool.
-pub fn par_try_map_supervised<T, R, E>(
-    items: &[T],
-    policy: &RetryPolicy,
-    site_of: impl Fn(usize, &T) -> String + Sync,
-    f: impl Fn(&T) -> Result<R, E> + Sync,
-) -> Result<Vec<CellOutcome<R>>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-{
-    global().try_map_supervised(items, policy, site_of, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::inside_pool;
+    use detdiv_resil::{CellOutcome, RetryPolicy};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
     use std::thread::ThreadId;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn map_preserves_input_order_at_every_width() {
@@ -173,29 +142,33 @@ mod tests {
     }
 
     #[test]
-    fn steals_register_on_skewed_workloads() {
+    fn idle_workers_keep_claiming_while_one_job_blocks() {
+        // Job 0 holds its worker until every other job has run, so the
+        // other worker must claim all 39 of them: any fixed share per
+        // worker would leave some stranded behind job 0 and time out.
         let pool = Pool::with_threads(2);
-        // Worker 0 owns the fast half, worker 1 the slow half; worker 0
-        // must steal from worker 1's range to finish the map.
         let items: Vec<u64> = (0..40).collect();
-        pool.map(&items, |&i| {
-            if i >= 20 {
-                std::thread::sleep(Duration::from_millis(1));
+        let done = AtomicU64::new(0);
+        let others = items.len() as u64 - 1;
+        let seen = pool.map(&items, |&i| {
+            if i != 0 {
+                done.fetch_add(1, Ordering::SeqCst);
+                return 0;
             }
-            i
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while done.load(Ordering::SeqCst) < others && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            done.load(Ordering::SeqCst)
         });
-        assert!(
-            pool.stats().total_steals() > 0,
-            "skewed halves must force at least one steal: {:?}",
-            pool.stats()
-        );
+        assert_eq!(seen[0], others, "jobs stranded behind job 0");
     }
 
     #[test]
     fn idle_parks_register_when_jobs_are_scarcer_than_workers() {
         let pool = Pool::with_threads(4);
-        // 2 jobs, 4 workers: at least two workers find the queue
-        // drained and park without executing anything.
+        // 2 jobs, 4 workers: at least two workers find every job
+        // claimed and park without executing anything.
         pool.map(&[1u8, 2], |&b| {
             std::thread::sleep(Duration::from_millis(2));
             b
@@ -350,13 +323,13 @@ mod tests {
     }
 
     #[test]
-    fn global_helpers_route_through_the_global_pool() {
+    fn global_pool_is_one_shared_instance() {
         let before = global().stats().maps_run;
         assert_eq!(global().map(&[1u8, 2, 3], |&b| b as u16 + 1), vec![2, 3, 4]);
-        let summed: Result<Vec<u8>, ()> = par_try_map(&[1u8, 2], |&b| Ok(b));
+        let summed: Result<Vec<u8>, ()> = global().try_map(&[1u8, 2], |&b| Ok(b));
         assert_eq!(summed.unwrap(), vec![1, 2]);
         assert!(global().stats().maps_run >= before + 2);
-        assert!(configured_threads() >= 1);
+        assert!(global().threads() >= 1);
     }
 
     #[test]
@@ -372,7 +345,7 @@ mod tests {
                 .try_map_supervised(
                     &items,
                     &policy,
-                    |i, _| format!("cell/{i}"),
+                    |i| format!("cell/{i}"),
                     |&i| {
                         if i == 17 || i == 41 {
                             panic!("cell {i} poisoned");
@@ -423,7 +396,7 @@ mod tests {
             .try_map_supervised(
                 &items,
                 &policy,
-                |i, _| format!("cell/{i}"),
+                |i| format!("cell/{i}"),
                 |&i| {
                     // Every third cell fails twice before succeeding.
                     if i % 3 == 0 && attempts[i].fetch_add(1, Ordering::SeqCst) < 2 {
@@ -458,7 +431,7 @@ mod tests {
             let result: Result<Vec<CellOutcome<usize>>, String> = pool.try_map_supervised(
                 &items,
                 &policy,
-                |i, _| format!("cell/{i}"),
+                |i| format!("cell/{i}"),
                 |&i| {
                     if i == 30 || i == 12 {
                         return Err(format!("config error at {i}"));
@@ -477,21 +450,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn supervised_global_helpers_route_through_the_global_pool() {
-        let policy = RetryPolicy::no_retry();
-        let tried: Result<Vec<CellOutcome<u8>>, ()> =
-            par_try_map_supervised(&[1u8, 2], &policy, |i, _| format!("g/{i}"), |&b| Ok(b + 1));
-        assert_eq!(
-            tried
-                .unwrap()
-                .into_iter()
-                .map(|o| o.ok().unwrap())
-                .collect::<Vec<_>>(),
-            vec![2, 3]
-        );
     }
 
     #[test]

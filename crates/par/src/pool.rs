@@ -1,4 +1,4 @@
-//! The work-stealing pool and its deterministic parallel-map API.
+//! The shared-cursor pool and its deterministic parallel-map API.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -7,7 +7,6 @@ use std::time::Instant;
 
 use detdiv_resil::{CellOutcome, RetryPolicy};
 
-use crate::queue::ChunkedQueue;
 use crate::stats::{PoolStats, WorkerSlot};
 
 thread_local! {
@@ -39,7 +38,7 @@ impl Drop for NestGuard {
 
 /// Whether the calling thread is inside a pool worker or inline run
 /// (nested parallel maps run serially on the calling thread).
-pub fn inside_pool() -> bool {
+pub(crate) fn inside_pool() -> bool {
     INSIDE_POOL.with(Cell::get)
 }
 
@@ -63,7 +62,7 @@ pub(crate) fn resolve_threads(
     available.max(1)
 }
 
-/// A work-stealing thread pool with a deterministic parallel-map API.
+/// A thread pool with a deterministic parallel-map API.
 ///
 /// Workers are *scoped*: each [`Pool::map`] / [`Pool::try_map`] call
 /// spawns its workers for exactly that call (so jobs may borrow from
@@ -74,8 +73,8 @@ pub(crate) fn resolve_threads(
 /// # Determinism
 ///
 /// Results are written into pre-indexed slots: the output vector's
-/// `i`-th element is `f(&items[i])` regardless of worker count, chunk
-/// boundaries, or interleaving. [`Pool::try_map`] returns the error of
+/// `i`-th element is `f(&items[i])` regardless of worker count, claim
+/// order, or interleaving. [`Pool::try_map`] returns the error of
 /// the *smallest failing index*, also independent of scheduling.
 ///
 /// # Panics
@@ -152,8 +151,14 @@ impl Pool {
 
     /// The worker count the next map call would use.
     pub fn threads(&self) -> usize {
+        let pinned = self.override_threads.load(Ordering::Relaxed);
+        if pinned > 0 {
+            // A pinned width skips the environment and the machine
+            // probe: `available_parallelism` reads cgroup files.
+            return pinned;
+        }
         resolve_threads(
-            self.override_threads.load(Ordering::Relaxed),
+            0,
             std::env::var("DETDIV_THREADS").ok().as_deref(),
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -203,22 +208,24 @@ impl Pool {
             return run_inline(items, &f, &slots[0]);
         }
 
-        let queue = ChunkedQueue::new(jobs, workers);
+        // Every worker claims the next unclaimed index from one shared
+        // cursor, one job at a time.
+        let cursor = AtomicUsize::new(0);
         // Smallest failing index seen so far (`usize::MAX` = none).
         let first_err = AtomicUsize::new(usize::MAX);
 
         let per_worker: Vec<Vec<(usize, Result<R, E>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|id| {
-                    let queue = &queue;
+                    let cursor = &cursor;
                     let first_err = &first_err;
                     let f = &f;
                     let slot: &WorkerSlot = &slots[id];
                     scope.spawn(move || {
                         let _nest = NestGuard::enter();
-                        // Observability wiring. Both hooks are pure
-                        // side channels: they never influence claim
-                        // order, result slots, or error selection.
+                        // Observability wiring: pure side channels that
+                        // never influence claim order, result slots, or
+                        // error selection.
                         let traced = detdiv_obs::trace::armed();
                         if traced {
                             detdiv_obs::trace::set_thread_name(&format!("par-worker-{id}"));
@@ -226,51 +233,31 @@ impl Pool {
                         // Busy-interval timing is gated on telemetry
                         // (not tracing) so `DETDIV_LOG=off` keeps the
                         // hot path clock-free and `busy_nanos` at zero.
-                        let timed = detdiv_obs::telemetry_enabled();
+                        let started = detdiv_obs::telemetry_enabled().then(Instant::now);
                         let mut out: Vec<(usize, Result<R, E>)> = Vec::new();
-                        let mut executed = 0u64;
-                        while let Some(claim) = queue.claim(id) {
-                            if claim.stolen {
-                                slot.steals.fetch_add(1, Ordering::Relaxed);
+                        loop {
+                            let index = cursor.fetch_add(1, Ordering::Relaxed);
+                            // The cursor only grows and `first_err` only
+                            // shrinks, so once a claim lands above a
+                            // known failure every later claim does too.
+                            if index >= jobs || index > first_err.load(Ordering::Relaxed) {
+                                break;
                             }
-                            if traced {
-                                let kind = if claim.stolen { "steal" } else { "chunk" };
-                                detdiv_obs::trace::instant(
-                                    kind,
-                                    &[
-                                        ("worker", &id),
-                                        ("start", &claim.start),
-                                        ("end", &claim.end),
-                                    ],
-                                );
+                            let result = f(&items[index]);
+                            if result.is_err() {
+                                first_err.fetch_min(index, Ordering::Relaxed);
                             }
-                            let claim_started = timed.then(Instant::now);
-                            // An index loop, not `enumerate().skip()`:
-                            // `index` is the job's identity (result
-                            // slot + error ordering), not a position
-                            // in an iteration.
-                            #[allow(clippy::needless_range_loop)]
-                            for index in claim.start..claim.end {
-                                if index > first_err.load(Ordering::Relaxed) {
-                                    continue;
-                                }
-                                let result = f(&items[index]);
-                                if result.is_err() {
-                                    first_err.fetch_min(index, Ordering::Relaxed);
-                                }
-                                executed += 1;
-                                out.push((index, result));
-                            }
-                            if let Some(started) = claim_started {
-                                let nanos =
-                                    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                                slot.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-                            }
+                            out.push((index, result));
                         }
-                        if executed == 0 {
+                        if out.is_empty() {
                             slot.idle_parks.fetch_add(1, Ordering::Relaxed);
                         } else {
-                            slot.jobs_executed.fetch_add(executed, Ordering::Relaxed);
+                            slot.jobs_executed
+                                .fetch_add(out.len() as u64, Ordering::Relaxed);
+                            if let Some(started) = started {
+                                slot.busy_nanos
+                                    .fetch_add(elapsed_nanos(started), Ordering::Relaxed);
+                            }
                         }
                         if traced {
                             // Hand this worker's ring to the sink *in*
@@ -348,7 +335,7 @@ impl Pool {
     /// problems the caller must see; panics are faults the sweep
     /// survives. An `Err` attempt is never retried.
     ///
-    /// `site_of(index, item)` names the unit for failure reports and
+    /// `site_of(item)` names the unit for failure reports and
     /// fault-injection replay; it is called once per job, outside the
     /// retried closure.
     ///
@@ -360,7 +347,7 @@ impl Pool {
         &self,
         items: &[T],
         policy: &RetryPolicy,
-        site_of: impl Fn(usize, &T) -> String + Sync,
+        site_of: impl Fn(&T) -> String + Sync,
         f: impl Fn(&T) -> Result<R, E> + Sync,
     ) -> Result<Vec<CellOutcome<R>>, E>
     where
@@ -368,12 +355,8 @@ impl Pool {
         R: Send,
         E: Send,
     {
-        // Map over indices so `site_of` sees the job's identity; slot
-        // determinism is inherited from `try_map`.
-        let indices: Vec<usize> = (0..items.len()).collect();
-        self.try_map(&indices, |&index| {
-            let item = &items[index];
-            let site = site_of(index, item);
+        self.try_map(items, |item| {
+            let site = site_of(item);
             match detdiv_resil::supervised(&site, policy, || f(item)) {
                 CellOutcome::Ok {
                     value: Ok(value),
@@ -450,8 +433,13 @@ fn run_inline<T, R, E>(
     })();
     slot.jobs_executed.fetch_add(executed, Ordering::Relaxed);
     if let Some(started) = started {
-        let nanos = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        slot.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+        slot.busy_nanos
+            .fetch_add(elapsed_nanos(started), Ordering::Relaxed);
     }
     result
+}
+
+/// Nanoseconds since `started`, saturating at `u64::MAX`.
+fn elapsed_nanos(started: Instant) -> u64 {
+    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }

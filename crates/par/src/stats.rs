@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub(crate) struct WorkerSlot {
     pub jobs_executed: AtomicU64,
-    pub steals: AtomicU64,
     pub idle_parks: AtomicU64,
     pub busy_nanos: AtomicU64,
 }
@@ -21,7 +20,6 @@ impl WorkerSlot {
     pub fn snapshot(&self) -> WorkerStats {
         WorkerStats {
             jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             idle_parks: self.idle_parks.load(Ordering::Relaxed),
             busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
         }
@@ -29,7 +27,6 @@ impl WorkerSlot {
 
     pub fn reset(&self) {
         self.jobs_executed.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
         self.idle_parks.store(0, Ordering::Relaxed);
         self.busy_nanos.store(0, Ordering::Relaxed);
     }
@@ -40,14 +37,12 @@ impl WorkerSlot {
 pub struct WorkerStats {
     /// Jobs this worker executed (across every map of the pool).
     pub jobs_executed: u64,
-    /// Chunks this worker claimed from another worker's range.
-    pub steals: u64,
-    /// Times this worker found the queue already drained and parked
-    /// without having executed a single job of that map.
+    /// Times this worker found every job of a map already claimed and
+    /// parked without having executed a single one.
     pub idle_parks: u64,
-    /// Wall time this worker spent executing claimed chunks, in
-    /// nanoseconds. Timed per chunk claim (one `Instant` pair per
-    /// chunk, not per job) and only while telemetry is enabled, so
+    /// Wall time this worker spent executing jobs, in nanoseconds.
+    /// Timed once per worker per map (one `Instant` pair, not one per
+    /// job) and only while telemetry is enabled, so
     /// `DETDIV_LOG=off` keeps the counter at zero and the hot path
     /// clock-free. Feeds the self-profile's worker-utilization figure.
     pub busy_nanos: u64,
@@ -68,11 +63,6 @@ impl PoolStats {
     /// Total jobs executed across all workers.
     pub fn total_jobs(&self) -> u64 {
         self.workers.iter().map(|w| w.jobs_executed).sum()
-    }
-
-    /// Total chunks stolen across all workers.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
     }
 
     /// Total idle parks across all workers.
@@ -96,13 +86,11 @@ mod tests {
             workers: vec![
                 WorkerStats {
                     jobs_executed: 3,
-                    steals: 1,
                     idle_parks: 0,
                     busy_nanos: 100,
                 },
                 WorkerStats {
                     jobs_executed: 5,
-                    steals: 0,
                     idle_parks: 2,
                     busy_nanos: 250,
                 },
@@ -110,7 +98,6 @@ mod tests {
             maps_run: 2,
         };
         assert_eq!(stats.total_jobs(), 8);
-        assert_eq!(stats.total_steals(), 1);
         assert_eq!(stats.total_idle_parks(), 2);
         assert_eq!(stats.total_busy_nanos(), 350);
     }
@@ -119,14 +106,12 @@ mod tests {
     fn slot_snapshot_and_reset_round_trip() {
         let slot = WorkerSlot::default();
         slot.jobs_executed.store(7, Ordering::Relaxed);
-        slot.steals.store(2, Ordering::Relaxed);
         slot.idle_parks.store(1, Ordering::Relaxed);
         slot.busy_nanos.store(1234, Ordering::Relaxed);
         assert_eq!(
             slot.snapshot(),
             WorkerStats {
                 jobs_executed: 7,
-                steals: 2,
                 idle_parks: 1,
                 busy_nanos: 1234,
             }

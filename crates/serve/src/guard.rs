@@ -10,8 +10,9 @@
 
 use std::sync::Arc;
 
-use detdiv_guard::introspect::GuardStats;
 use detdiv_guard::{Breaker, GuardConfig, HibernationStore, Ladder};
+
+use crate::introspect::GuardStats;
 
 /// Reason label on a gate verdict whose escalation was deferred because
 /// the degradation ladder is above `Full`.

@@ -17,7 +17,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use detdiv_guard::introspect::{GuardShardStats, GuardStats};
 use detdiv_guard::{
     BreakerState, DegradationLevel, GuardConfig, HibernationStore, PressureSample, SpillChunk,
 };
@@ -29,7 +28,7 @@ use crate::guard::{
     GuardRuntime, GuardShard, REASON_BREAKER_FALLBACK, REASON_ESCALATION_DEFERRED,
     REASON_ESCALATION_DEFERRED_BREAKER, REASON_TIER1_ONLY,
 };
-use crate::introspect::ServiceStats;
+use crate::introspect::{GuardShardStats, GuardStats, ServiceStats};
 
 /// Resident-byte estimate for one gated stream: its fixed-size record
 /// plus map-entry overhead.
@@ -415,8 +414,8 @@ impl IngestService {
                 self.drain_shard(index, sink)
             });
             match outcome {
-                detdiv_par::CellOutcome::Ok { value, .. } => value,
-                detdiv_par::CellOutcome::Failed { .. } => {
+                detdiv_resil::CellOutcome::Ok { value, .. } => value,
+                detdiv_resil::CellOutcome::Failed { .. } => {
                     self.stats.shards[index]
                         .deferred
                         .fetch_add(1, Ordering::Relaxed);

@@ -23,7 +23,7 @@
 //! * [`obs`] — the zero-dependency observability layer (leveled
 //!   logging via `DETDIV_LOG`, hierarchical timing spans, counters and
 //!   histograms, serializable run telemetry);
-//! * [`par`] — the work-stealing thread pool behind the evaluation
+//! * [`par`] — the shared-cursor thread pool behind the evaluation
 //!   grid's parallel fan-outs (deterministic results regardless of
 //!   `DETDIV_THREADS`);
 //! * [`scope`] — live runtime introspection: an embedded HTTP server
