@@ -27,7 +27,7 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use detdiv_resil::{push_checksum_line, verified_payload};
+use detdiv_resil::{push_checksum_line, verified_payload, BuildStreamHasher};
 
 /// The most bytes one [`HibernationStore::append`] writes, unless a
 /// single record is larger on its own. Big enough that a cycle's
@@ -89,7 +89,7 @@ impl SpillChunk {
 pub struct HibernationStore {
     file: File,
     /// Stream hash → (byte offset of the line, line length sans `\n`).
-    index: HashMap<u64, (u64, u32)>,
+    index: HashMap<u64, (u64, u32), BuildStreamHasher>,
     end: u64,
 }
 
@@ -108,7 +108,7 @@ impl HibernationStore {
             .open(path)?;
         Ok(HibernationStore {
             file,
-            index: HashMap::new(),
+            index: HashMap::default(),
             end: 0,
         })
     }

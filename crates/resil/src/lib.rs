@@ -30,6 +30,9 @@
 //!    checksummed log that survives `SIGKILL` mid-append (a torn tail
 //!    line is detected and discarded on load), the substrate for
 //!    `regenerate --resume`.
+//! 5. **Stream-keyed hashing** ([`BuildStreamHasher`]) — the keyed
+//!    folded-multiply hasher of every map keyed by stream hash, in the
+//!    serve, guard and stream crates.
 //!
 //! Process-wide injection/supervision counters are available through
 //! [`stats`] regardless of any telemetry switch; the evaluation layer
@@ -68,6 +71,7 @@ mod atomic_file;
 mod fault;
 mod fnv;
 mod journal;
+mod stream_hash;
 mod supervise;
 
 pub use atomic_file::AtomicFile;
@@ -77,6 +81,7 @@ pub use fault::{
 };
 pub use fnv::{fnv1a, Fnv1a};
 pub use journal::{checksum_line, push_checksum_line, push_hex, verified_payload, Journal};
+pub use stream_hash::{BuildStreamHasher, StreamHasher};
 pub use supervise::{
     clear_failure_observer, set_failure_observer, supervised, CellOutcome, FailureObserver,
     RetryPolicy,

@@ -2,8 +2,12 @@
 //!
 //! [`IngestService`] owns N shards, each a bounded ingestion queue plus
 //! a table of per-stream records. Producers call
-//! [`enqueue`](IngestService::enqueue) (cheap: one lock, one push, or a
-//! typed rejection); a drain cycle fans the shards out across the
+//! [`enqueue`](IngestService::enqueue) (cheap: one lock, one push and
+//! the shard's `enqueued`/`depth` counters written before the unlock,
+//! or a typed rejection). Those two counters have one writer at a time
+//! by construction — only `Shard::push`, which needs the locked
+//! `&mut Shard`, writes them — so they take a load and a store, no
+//! atomic read-modify-write. A drain cycle fans the shards out across the
 //! [`detdiv_par`] pool, each worker draining whole shards so any one
 //! stream's events are always processed in order by a single thread.
 //!
@@ -20,7 +24,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use detdiv_guard::{
     BreakerState, DegradationLevel, GuardConfig, HibernationStore, PressureSample, SpillChunk,
 };
-use detdiv_resil::RetryPolicy;
+use detdiv_resil::{BuildStreamHasher, RetryPolicy};
 use detdiv_stream::{Bank, DetectionResult, EwmaState, SignalContext, SlotResult, StreamDetector};
 
 use crate::config::{ServeConfig, Tier1Config};
@@ -28,7 +32,7 @@ use crate::guard::{
     GuardRuntime, GuardShard, REASON_BREAKER_FALLBACK, REASON_ESCALATION_DEFERRED,
     REASON_ESCALATION_DEFERRED_BREAKER, REASON_TIER1_ONLY,
 };
-use crate::introspect::{GuardShardStats, GuardStats, ServiceStats};
+use crate::introspect::{GuardShardStats, GuardStats, ServiceStats, ShardStats};
 
 /// Resident-byte estimate for one gated stream: its fixed-size record
 /// plus map-entry overhead.
@@ -146,18 +150,35 @@ pub(crate) struct Shard {
     pub(crate) queue: VecDeque<SignalContext>,
     /// Stream hash → record, for every resident stream the shard has
     /// seen. A hibernated stream is in the guard's store instead, never
-    /// in both. Keeps std's keyed `RandomState`: stream ids arrive from
-    /// live traffic, and an unkeyed hasher (such as
-    /// `detdiv_sequence::BuildSymbolHasher`, about 10 % faster here)
-    /// would let a sender who chooses ids pile them into one probe
-    /// chain.
-    pub(crate) records: HashMap<u64, StreamRecord>,
+    /// in both. Hashed by the keyed folded-multiply [`BuildStreamHasher`]:
+    /// stream ids arrive from live traffic, so the hash must be keyed
+    /// (an unkeyed one would let a sender who chooses ids pile them
+    /// into one probe chain), but SipHash was a visible share of each
+    /// event's cost.
+    pub(crate) records: HashMap<u64, StreamRecord, BuildStreamHasher>,
     /// Records holding a tier-2 bank, counted where banks are built
     /// and dropped: the guard's resident estimate.
     pub(crate) banks: u64,
     /// Overload-protection state; `None` unless the service was built
     /// with [`IngestService::with_guard`].
     pub(crate) guard: Option<GuardShard>,
+}
+
+impl Shard {
+    /// Queues `ctx` and publishes the shard's `enqueued` and `depth`
+    /// counters. `&mut self` is only reachable through the shard's
+    /// lock, so this is the counters' one writer at a time, and a
+    /// relaxed load and a plain store update them: no atomic
+    /// read-modify-write, and no depth stored after the unlock over a
+    /// queue a drain has already emptied.
+    pub(crate) fn push(&mut self, ctx: SignalContext, stats: &ShardStats) {
+        self.queue.push_back(ctx);
+        let enqueued = stats.enqueued.load(Ordering::Relaxed);
+        stats.enqueued.store(enqueued + 1, Ordering::Relaxed);
+        stats
+            .depth
+            .store(self.queue.len() as u64, Ordering::Relaxed);
+    }
 }
 
 /// The sharded multi-stream ingest service.
@@ -225,7 +246,7 @@ impl IngestService {
             .map(|_| {
                 Mutex::new(Shard {
                     queue: VecDeque::new(),
-                    records: HashMap::new(),
+                    records: HashMap::default(),
                     banks: 0,
                     guard: None,
                 })
@@ -382,12 +403,7 @@ impl IngestService {
                 capacity: self.config.queue_capacity,
             });
         }
-        shard.queue.push_back(ctx);
-        let depth = shard.queue.len() as u64;
-        drop(shard);
-        let stats = &self.stats.shards[index];
-        stats.enqueued.fetch_add(1, Ordering::Relaxed);
-        stats.depth.store(depth, Ordering::Relaxed);
+        shard.push(ctx, &self.stats.shards[index]);
         Ok(())
     }
 
@@ -912,8 +928,10 @@ mod tests {
         // A record that repeated the gate's `alpha` and `warmup` (a full
         // `Ewma` plus the flag) made a 56-byte table bucket; a prototype
         // that also carried an 8-byte tier-2 bank pointer was back at 56
-        // and lost most of the hot-path gain. Keep the record at 40.
+        // and lost most of the hot-path gain. Keep the record at 40 and
+        // the table's bucket, key included, at 48.
         assert!(std::mem::size_of::<StreamRecord>() <= 40);
+        assert_eq!(std::mem::size_of::<(u64, StreamRecord)>(), 48);
     }
 
     #[test]

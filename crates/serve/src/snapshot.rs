@@ -453,16 +453,12 @@ impl IngestService {
         }
         // Re-enqueue the queued residue in file order (shard order, FIFO
         // within a shard — exactly the order a post-snapshot drain would
-        // have processed it).
+        // have processed it), counted as enqueued like any accepted
+        // event so a recovered service keeps `enqueued == processed +
+        // depth`.
         for ctx in residue {
             let index = self.shard_of(ctx.stream_id_hash);
-            let mut shard = self.shard(index);
-            shard.queue.push_back(ctx);
-            let depth = shard.queue.len() as u64;
-            drop(shard);
-            self.stats().shards[index]
-                .depth
-                .store(depth, Ordering::Relaxed);
+            self.shard(index).push(ctx, &self.stats().shards[index]);
         }
         for index in 0..config.shards {
             let resident = self.shard(index).records.len() as u64;

@@ -114,6 +114,80 @@ fn full_queue_rejects_deterministically_and_counts() {
         .is_ok());
 }
 
+/// Four producers race one drainer over two shards. `enqueued` and
+/// `depth` are written only under the shard lock, by a load and a
+/// store: the same update made after the unlock loses increments here.
+#[test]
+fn shard_counters_balance_under_concurrent_producers_and_a_drainer() {
+    use std::sync::atomic::AtomicBool;
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    const SHARDS: usize = 2;
+    let gate_only = Tier1Config {
+        alpha: 0.3,
+        warmup: 2,
+        escalate_score: f64::INFINITY,
+    };
+    let service = IngestService::new(ServeConfig::new(SHARDS, 8192).gated(gate_only), || {
+        vec![Box::new(Ewma::new(0.2, 3)) as Box<dyn StreamDetector>]
+    });
+    let streams: Vec<u64> = (0..64)
+        .map(|i| hash_stream_id(&format!("racer-{i}")))
+        .collect();
+    let producing = AtomicBool::new(true);
+    // All five threads start together, so the producers overlap.
+    let start = std::sync::Barrier::new(5);
+    let accepted = std::thread::scope(|scope| {
+        let drainer = scope.spawn(|| {
+            start.wait();
+            while producing.load(Ordering::Relaxed) {
+                service.drain(&NullSink);
+            }
+        });
+        let producers: Vec<_> = (0..4)
+            .map(|p| {
+                let (service, streams, start) = (&service, &streams, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut accepted = [0u64; SHARDS];
+                    for i in 0..50_000u64 {
+                        let stream = streams[(i as usize + 16 * p) % streams.len()];
+                        let ctx = SignalContext::new(i, stream, Symbol::new(0), (i % 5) as f64);
+                        if service.enqueue(ctx).is_ok() {
+                            accepted[service.shard_of(stream)] += 1;
+                        }
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        let mut accepted = [0u64; SHARDS];
+        for producer in producers {
+            for (total, n) in accepted.iter_mut().zip(producer.join().unwrap()) {
+                *total += n;
+            }
+        }
+        producing.store(false, Ordering::Relaxed);
+        drainer.join().unwrap();
+        accepted
+    });
+    service.drain(&NullSink);
+    for (index, shard) in service.stats().shards.iter().enumerate() {
+        let enqueued = shard.enqueued.load(Ordering::Relaxed);
+        assert!(accepted[index] > 0, "shard {index} took no event");
+        assert_eq!(enqueued, accepted[index], "shard {index}: enqueued");
+        assert_eq!(
+            shard.processed.load(Ordering::Relaxed),
+            enqueued,
+            "shard {index}: processed"
+        );
+        assert_eq!(
+            shard.depth.load(Ordering::Relaxed),
+            0,
+            "shard {index}: depth"
+        );
+    }
+}
+
 #[test]
 fn panicking_stream_degrades_alone_while_shard_siblings_serve() {
     let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());

@@ -290,6 +290,60 @@ fn gated_tiering_snapshot_with_loaded_queues_replays_the_residue() {
     }
 }
 
+/// Recovery counts the residue it re-enqueues as enqueued, so every
+/// shard of a recovered service keeps `enqueued == processed + depth`,
+/// before its first drain and after it.
+#[test]
+fn recovered_residue_is_counted_as_enqueued() {
+    let config = config(4, 4, 0.5);
+    let all = mixed_feed(30, 10);
+    let half = all.len() / 2;
+    let path = temp_path("counted-residue");
+    let first = IngestService::new(config, bank_factory());
+    push_all(&first, &all[..half], &Collect::default());
+    for &(hash, seq, value) in &all[half..] {
+        first
+            .enqueue(SignalContext::new(
+                seq,
+                hash,
+                Symbol::new(value),
+                f64::from(value),
+            ))
+            .expect("capacity covers the feed");
+    }
+    let stats = first.snapshot(&path).expect("snapshot writes");
+    assert_eq!(stats.queued, (all.len() - half) as u64);
+
+    let recovered = IngestService::new(config, bank_factory());
+    assert!(matches!(
+        recovered.recover(&path),
+        RecoverOutcome::Recovered { skipped: 0, .. }
+    ));
+    let balanced = |when: &str| {
+        let load = |counter: &std::sync::atomic::AtomicU64| {
+            counter.load(std::sync::atomic::Ordering::Relaxed)
+        };
+        for (index, shard) in recovered.stats().shards.iter().enumerate() {
+            assert_eq!(
+                load(&shard.enqueued),
+                load(&shard.processed) + load(&shard.depth),
+                "shard {index} {when}: enqueued == processed + depth"
+            );
+        }
+    };
+    balanced("before its first drain");
+    let enqueued: u64 = recovered
+        .stats()
+        .shards
+        .iter()
+        .map(|s| s.enqueued.load(std::sync::atomic::Ordering::Relaxed))
+        .sum();
+    assert_eq!(enqueued, stats.queued, "every residue event is counted");
+    assert_eq!(recovered.drain(&Collect::default()).processed, stats.queued);
+    balanced("after its first drain");
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn torn_tail_snapshot_is_discarded_not_fatal() {
     use std::io::Write;

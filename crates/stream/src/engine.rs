@@ -20,6 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use detdiv_flight::streams::StreamStats;
+use detdiv_resil::BuildStreamHasher;
 
 use crate::context::{DetectionResult, SignalContext};
 use crate::detector::StreamDetector;
@@ -286,7 +287,7 @@ where
     F: FnMut() -> Vec<Box<dyn StreamDetector>>,
 {
     factory: F,
-    banks: HashMap<u64, Bank>,
+    banks: HashMap<u64, Bank, BuildStreamHasher>,
     degraded: u64,
 }
 
@@ -311,7 +312,7 @@ where
     pub fn new(factory: F) -> StreamEngine<F> {
         StreamEngine {
             factory,
-            banks: HashMap::new(),
+            banks: HashMap::default(),
             degraded: 0,
         }
     }

@@ -11,7 +11,9 @@
 #                               and no member declares a dependency
 #                               its src/ never names, or a
 #                               dev-dependency its src/, tests/,
-#                               examples/ and benches/ never name
+#                               examples/ and benches/ never name; and
+#                               every HashMap<u64, …> in serve, guard
+#                               and stream names BuildStreamHasher
 #   3. cargo build --release  — the artifacts the paper run uses
 #   4. cargo test -q          — every unit, integration, and doc test,
 #                               then the benchmark's own smoke tests
@@ -151,6 +153,17 @@ for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
     done
 done
 [ "$unused_deps" -eq 0 ]
+
+banner "stream-hash maps name the keyed hasher"
+# A map keyed by stream hash in serve, guard or stream hashes with
+# detdiv_resil::BuildStreamHasher: under std's SipHash the hash was a
+# visible share of each event's cost, and an unkeyed hasher would let
+# a sender who picks ids pile them into one probe chain. A
+# `HashMap<u64, …>` there must name the builder on the same line.
+if grep -rn 'HashMap<u64,' crates/{serve,guard,stream}/src | grep -v 'BuildStreamHasher'; then
+    echo "the HashMap<u64, …> above does not name BuildStreamHasher" >&2
+    exit 1
+fi
 
 banner "cargo build --release"
 cargo build --release --workspace
